@@ -1,7 +1,7 @@
 """Polynomial diffusions: closed-form moments, admissibility, simulation, pricing."""
 
 from .polynomial import Polynomial, DivisionFailure, divide_exact
-from .basis import Basis, CoordVector, DegreeTooHigh, monomial_basis
+from .basis import Basis, DegreeTooHigh, monomial_basis
 from .generator import (
     GeneratorMatrix,
     ModelCoefficients,

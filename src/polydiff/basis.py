@@ -9,13 +9,12 @@ so its monomials only involve the first d-1 variables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .polynomial import Exponents, Polynomial, grlex_key
 
-__all__ = ["Basis", "CoordVector", "DegreeTooHigh", "monomial_basis", "monomial_exponents"]
+__all__ = ["Basis", "DegreeTooHigh", "monomial_basis", "monomial_exponents"]
 
 
 class DegreeTooHigh(ValueError):
@@ -113,18 +112,3 @@ def monomial_basis(statespace, degree: int) -> Basis:
     """Basis of all polynomials of degree <= ``degree`` on the state space."""
     return Basis(statespace, degree)
 
-
-@dataclass
-class CoordVector:
-    """A coordinate vector remembered together with its basis."""
-
-    basis: Basis
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (len(self.basis),):
-            raise ValueError("coordinate length does not match basis size")
-
-    def as_polynomial(self) -> Polynomial:
-        return self.basis.polynomial(self.values)

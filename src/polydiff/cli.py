@@ -3,21 +3,24 @@
 Exit codes are a stable contract: 0 success (or Valid verdict), 1 for
 domain-negative outcomes (Invalid/Inconclusive verdicts, points outside the
 state space, degree overruns, bad state-price densities), 2 for unreadable
-or malformed input.  All numeric JSON output is emitted at 17 significant
-digits so values round-trip exactly.
+or malformed input (non-finite points or horizons, negative horizons or
+degrees).  Every failure is reported on one ``error:`` line.  All numeric
+JSON output is emitted at 17 significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import gzip
 import json
+import math
 import sys
 import warnings
 
 import click
 import numpy as np
 
-from .basis import DegreeTooHigh, monomial_basis
+from .basis import monomial_basis
 from .conditions import (
     check_necessary,
     check_sufficient,
@@ -25,16 +28,9 @@ from .conditions import (
     uniqueness_report,
     validate_params,
 )
-from .generator import (
-    NotPolynomialOnE,
-    PointOutsideStateSpace,
-    conditional_moment,
-    generator_matrix,
-    moment_by_ode,
-)
+from .generator import check_point, conditional_moment, generator_matrix, moment_by_ode
 from .polynomial import DivisionFailure, Polynomial
 from .pricing import (
-    InvalidStatePriceDensity,
     LognormalIndexPricer,
     PricingModel,
     SimplexIndexModel,
@@ -51,8 +47,10 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
-_DOMAIN_ERRORS = (PointOutsideStateSpace, DegreeTooHigh, NotPolynomialOnE,
-                  DivisionFailure, InvalidStatePriceDensity, OverflowError)
+# every library error not caused by malformed input is a domain-negative
+# outcome: points outside the state space, degree overruns, generators that
+# do not descend to the manifold, bad state-price densities, overflow
+_DOMAIN_ERRORS = (ValueError, ArithmeticError, RuntimeError, DivisionFailure)
 
 
 def _format_json(obj, indent=0) -> str:
@@ -87,14 +85,26 @@ def _emit(ctx, text: str):
         click.echo(text)
 
 
+def _as_point(values, dim: int, label: str) -> np.ndarray:
+    x = np.asarray(values, dtype=float)
+    if x.shape != (dim,):
+        raise SpecError(f"{label}: expected {dim} coordinates, got {len(x)}")
+    if not np.all(np.isfinite(x)):
+        raise SpecError(f"{label}: coordinates must be finite, got {x.tolist()}")
+    return x
+
+
 def _parse_point(text: str, dim: int) -> np.ndarray:
     try:
-        x = np.array([float(v) for v in text.split(",")], dtype=float)
+        x = [float(v) for v in text.split(",")]
     except ValueError:
         raise SpecError(f"--x: expected comma-separated floats, got {text!r}")
-    if x.shape != (dim,):
-        raise SpecError(f"--x: expected {dim} coordinates, got {len(x)}")
-    return x
+    return _as_point(x, dim, "--x")
+
+
+def _check_nonnegative(name: str, value) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise SpecError(f"{name}: expected a finite value >= 0, got {value}")
 
 
 def _parse_poly(text: str, dim: int) -> Polynomial:
@@ -123,6 +133,20 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
+def _exit_codes(command):
+    """Map malformed input to exit 2 and library errors to exit 1, each
+    reported on one ``error:`` line."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except SpecError as exc:
+            _fail(str(exc), EXIT_INPUT)
+        except _DOMAIN_ERRORS as exc:
+            _fail(str(exc), EXIT_DOMAIN)
+    return run
+
+
 @click.group()
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Write the primary output to this file instead of stdout.")
@@ -143,28 +167,23 @@ def main(ctx, out, samples, seed, verify, quiet):
 @main.command()
 @click.argument("spec_path", type=click.Path(exists=False))
 @click.pass_context
+@_exit_codes
 def validate(ctx, spec_path):
     """Check model parameters, invariance conditions, and uniqueness."""
     samples = ctx.obj["samples"]
-    try:
-        spec = load_model_spec(spec_path)
-    except SpecError as exc:
-        _fail(str(exc), EXIT_INPUT)
-    try:
-        if spec.params is not None:
-            pr = validate_params(spec.statespace, spec.params, samples=samples)
-            param_block = {"verdict": pr.verdict,
-                           "conditions": [c.as_json_dict() for c in pr.conditions]}
-            verdict = pr.verdict
-        else:
-            param_block = None
-        nec = check_necessary(spec.model, spec.statespace, samples=samples)
-        suf = check_sufficient(spec.model, spec.statespace, samples=samples)
-        if spec.params is None:
-            verdict = {"pass": "Valid", "fail": "Invalid"}.get(suf.verdict, "Inconclusive")
-        uniq = uniqueness_report(spec.model, spec.statespace)
-    except _DOMAIN_ERRORS as exc:
-        _fail(str(exc), EXIT_DOMAIN)
+    spec = load_model_spec(spec_path)
+    if spec.params is not None:
+        pr = validate_params(spec.statespace, spec.params, samples=samples)
+        param_block = {"verdict": pr.verdict,
+                       "conditions": [c.as_json_dict() for c in pr.conditions]}
+        verdict = pr.verdict
+    else:
+        param_block = None
+    nec = check_necessary(spec.model, spec.statespace, samples=samples)
+    suf = check_sufficient(spec.model, spec.statespace, samples=samples)
+    if spec.params is None:
+        verdict = {"pass": "Valid", "fail": "Invalid"}.get(suf.verdict, "Inconclusive")
+    uniq = uniqueness_report(spec.model, spec.statespace)
     report = {
         "family": spec.statespace.family,
         "verdict": verdict,
@@ -191,29 +210,26 @@ def validate(ctx, spec_path):
 @click.option("--dt", type=float, default=1e-3, show_default=True,
               help="Step size for the Monte Carlo cross-check.")
 @click.pass_context
+@_exit_codes
 def moments(ctx, spec_path, degree, x_text, tau, poly_text, mc_paths, dt):
     """Closed-form conditional moment E[p(X_tau) | X_0 = x]."""
-    try:
-        spec = load_model_spec(spec_path)
-        x = _parse_point(x_text, spec.statespace.dim)
-        p = _parse_poly(poly_text, spec.statespace.dim)
-    except SpecError as exc:
-        _fail(str(exc), EXIT_INPUT)
-    try:
-        value = conditional_moment(spec.model, spec.statespace, degree, p, x, tau)
-        report = {"value": value, "degree": degree, "tau": tau,
-                  "x": list(x), "polynomial": p.to_json_dict()}
-        if ctx.obj["verify"]:
-            ode = moment_by_ode(spec.model, spec.statespace, degree, p, x, tau)
-            report["verify"] = {"ode_value": ode, "abs_diff": abs(value - ode)}
-            if mc_paths > 0:
-                paths = simulate_paths(spec.model, spec.statespace, x, max(tau, dt), dt,
-                                       mc_paths, ctx.obj["seed"],
-                                       store_stride=max(int(round(max(tau, dt) / dt)), 1))
-                est, se = mc_moment(paths, p, tau)
-                report["verify"].update(mc_value=est, mc_standard_error=se, mc_paths=mc_paths)
-    except _DOMAIN_ERRORS as exc:
-        _fail(str(exc), EXIT_DOMAIN)
+    spec = load_model_spec(spec_path)
+    x = _parse_point(x_text, spec.statespace.dim)
+    p = _parse_poly(poly_text, spec.statespace.dim)
+    _check_nonnegative("--degree", degree)
+    _check_nonnegative("--tau", tau)
+    value = conditional_moment(spec.model, spec.statespace, degree, p, x, tau)
+    report = {"value": value, "degree": degree, "tau": tau,
+              "x": list(x), "polynomial": p.to_json_dict()}
+    if ctx.obj["verify"]:
+        ode = moment_by_ode(spec.model, spec.statespace, degree, p, x, tau)
+        report["verify"] = {"ode_value": ode, "abs_diff": abs(value - ode)}
+        if mc_paths > 0:
+            paths = simulate_paths(spec.model, spec.statespace, x, max(tau, dt), dt,
+                                   mc_paths, ctx.obj["seed"],
+                                   store_stride=max(int(round(max(tau, dt) / dt)), 1))
+            est, se = mc_moment(paths, p, tau)
+            report["verify"].update(mc_value=est, mc_standard_error=se, mc_paths=mc_paths)
     _emit(ctx, _format_json(report))
 
 
@@ -229,23 +245,16 @@ def moments(ctx, spec_path, degree, x_text, tau, poly_text, mc_paths, dt):
               help="Boundary-hit threshold for the summary statistics.")
 @click.option("--gzip", "use_gzip", is_flag=True, help="Write the path CSV gzip-compressed.")
 @click.pass_context
+@_exit_codes
 def simulate(ctx, spec_path, x0_text, paths, dt, t_end, store_stride, threshold, use_gzip):
     """Simulate paths; write CSV to --out and a JSON summary to stdout."""
     out = ctx.obj.get("out")
     if not out:
-        _fail("simulate requires --out for the path CSV", EXIT_INPUT)
-    try:
-        spec = load_model_spec(spec_path)
-        x0 = _parse_point(x0_text, spec.statespace.dim)
-    except SpecError as exc:
-        _fail(str(exc), EXIT_INPUT)
-    try:
-        ps = simulate_paths(spec.model, spec.statespace, x0, t_end, dt, paths,
-                            ctx.obj["seed"], store_stride=store_stride)
-    except _DOMAIN_ERRORS as exc:
-        _fail(str(exc), EXIT_DOMAIN)
-    except (ValueError, RuntimeError) as exc:
-        _fail(str(exc), EXIT_DOMAIN)
+        raise SpecError("simulate requires --out for the path CSV")
+    spec = load_model_spec(spec_path)
+    x0 = _parse_point(x0_text, spec.statespace.dim)
+    ps = simulate_paths(spec.model, spec.statespace, x0, t_end, dt, paths,
+                        ctx.obj["seed"], store_stride=store_stride)
     if use_gzip:
         # fixed mtime keeps the compressed bytes reproducible across runs
         with open(out, "wb") as fh:
@@ -267,24 +276,19 @@ def simulate(ctx, spec_path, x0_text, paths, dt, t_end, store_stride, threshold,
 @click.option("--margin", type=float, default=1e-9, show_default=True,
               help="Strictness margin for sampled sign checks.")
 @click.pass_context
+@_exit_codes
 def boundary(ctx, spec_path, margin):
     """Classify boundary attainment for every inequality of the state space."""
     samples = ctx.obj["samples"]
-    try:
-        spec = load_model_spec(spec_path)
-    except SpecError as exc:
-        _fail(str(exc), EXIT_INPUT)
+    spec = load_model_spec(spec_path)
     entries = []
-    try:
-        for k, p in enumerate(spec.statespace.inequalities):
-            bv = classify_boundary(spec.model, spec.statespace, p,
-                                   samples=samples, margin=margin)
-            entry = {"index": k, "verdict": bv.verdict, "stratum": bv.stratum,
-                     "detail": bv.detail, "witness": bv.witness,
-                     "h": [c.to_json_dict() for c in bv.h] if bv.h is not None else None}
-            entries.append(entry)
-    except _DOMAIN_ERRORS as exc:
-        _fail(str(exc), EXIT_DOMAIN)
+    for k, p in enumerate(spec.statespace.inequalities):
+        bv = classify_boundary(spec.model, spec.statespace, p,
+                               samples=samples, margin=margin)
+        entry = {"index": k, "verdict": bv.verdict, "stratum": bv.stratum,
+                 "detail": bv.detail, "witness": bv.witness,
+                 "h": [c.to_json_dict() for c in bv.h] if bv.h is not None else None}
+        entries.append(entry)
     _emit(ctx, _format_json({"inequalities": entries}))
 
 
@@ -298,62 +302,45 @@ def _build_index_pricer(doc: dict):
 @click.argument("spec_path", type=click.Path(exists=False))
 @click.argument("instrument_path", type=click.Path(exists=False))
 @click.pass_context
+@_exit_codes
 def price(ctx, spec_path, instrument_path):
     """Price an instrument file against a model with a pricing block."""
-    try:
-        spec = load_model_spec(spec_path)
-        instr = load_instrument(instrument_path)
-        if spec.pricing is None:
-            raise SpecError("model spec has no pricing block")
-        x = np.asarray(instr["x"], dtype=float)
-        if x.shape != (spec.statespace.dim,):
-            raise SpecError(f"instrument.x: expected {spec.statespace.dim} coordinates, got {len(x)}")
-    except SpecError as exc:
-        _fail(str(exc), EXIT_INPUT)
+    spec = load_model_spec(spec_path)
+    instr = load_instrument(instrument_path)
+    if spec.pricing is None:
+        raise SpecError("model spec has no pricing block")
+    x = _as_point(instr["x"], spec.statespace.dim, "instrument.x")
     kind = instr["kind"]
-    try:
-        if kind == "equity_option":
-            if spec.statespace.family != "simplex" or spec.params is None:
-                _fail("equity_option requires a simplex model with family parameters", EXIT_INPUT)
-            sim = SimplexIndexModel(params=spec.params, T_star=instr["horizon"],
-                                    degree=spec.pricing.degree,
-                                    pricer=_build_index_pricer(instr["pricer"]))
-            pricer = sim.pricer
-            payoff, residual = fit_index_payoff(
-                sim, pricer, instr["constituent"], instr["T"], instr["K"],
-                grid_size=instr.get("grid_size", 256),
-                cheb_degree=instr.get("cheb_degree"))
-            if not sim.statespace.contains(x):
-                raise PointOutsideStateSpace(
-                    f"point {x.tolist()} violates constraints beyond tolerance")
-            vec = sim.basis.coordinates(payoff)
-            value = float(sim.basis.evaluate(x) @ sim.gm.propagator(instr["T"]) @ vec)
-            report = {"kind": kind, "price": value,
-                      "diagnostics": {"fit_residual": residual,
-                                      "cheb_degree": instr.get("cheb_degree") or min(spec.pricing.degree, 10)}}
+    if kind == "equity_option":
+        if spec.statespace.family != "simplex" or spec.params is None:
+            raise SpecError("equity_option requires a simplex model with family parameters")
+        sim = SimplexIndexModel(params=spec.params, T_star=instr["horizon"],
+                                degree=spec.pricing.degree,
+                                pricer=_build_index_pricer(instr["pricer"]))
+        payoff, residual = fit_index_payoff(
+            sim, sim.pricer, instr["constituent"], instr["T"], instr["K"],
+            grid_size=instr.get("grid_size", 256),
+            cheb_degree=instr.get("cheb_degree"))
+        H = sim.basis.evaluate(check_point(sim.statespace, x))
+        report = {"kind": kind,
+                  "price": sim.gm.expectation(H, instr["T"], sim.basis.coordinates(payoff)),
+                  "diagnostics": {"fit_residual": residual,
+                                  "cheb_degree": instr.get("cheb_degree") or min(spec.pricing.degree, 10)}}
+    else:
+        pm = PricingModel(spec.model, spec.statespace, degree=spec.pricing.degree,
+                          p=spec.pricing.p, alpha=spec.pricing.alpha_rate)
+        denom = float(pm.basis.evaluate(x) @ pm.pvec)
+        if kind == "bond":
+            report = {"kind": kind, "price": bond_price(pm, x, instr["t"], instr["T"])}
+        elif kind == "vswap":
+            report = {"kind": kind, "price": variance_swap_rate(pm, x, instr["t"], instr["T"])}
         else:
-            pm = PricingModel(spec.model, spec.statespace, degree=spec.pricing.degree,
-                              p=spec.pricing.p, alpha=spec.pricing.alpha_rate)
-            denom = float(pm.basis.evaluate(x) @ pm.pvec)
-            diagnostics = {"denominator": denom, "positivity": pm.positivity}
-            if kind == "bond":
-                value = bond_price(pm, x, instr["t"], instr["T"])
-                report = {"kind": kind, "price": value, "diagnostics": diagnostics}
-            elif kind == "vswap":
-                value = variance_swap_rate(pm, x, instr["t"], instr["T"])
-                report = {"kind": kind, "price": value, "diagnostics": diagnostics}
-            else:
-                coupons = [(c, Ti) for c, Ti in instr["coupons"]]
-                value, se = swaption_price_mc(
-                    pm, coupons, instr["expiry"], x,
-                    n_paths=instr.get("n_paths", 20000),
-                    seed=ctx.obj["seed"], dt=instr.get("dt", 1e-3))
-                report = {"kind": kind, "price": value, "standard_error": se,
-                          "diagnostics": diagnostics}
-    except _DOMAIN_ERRORS as exc:
-        _fail(str(exc), EXIT_DOMAIN)
-    except ValueError as exc:
-        _fail(str(exc), EXIT_DOMAIN)
+            value, se = swaption_price_mc(
+                pm, instr["coupons"], instr["expiry"], x,
+                n_paths=instr.get("n_paths", 20000),
+                seed=ctx.obj["seed"], dt=instr.get("dt", 1e-3))
+            report = {"kind": kind, "price": value, "standard_error": se}
+        report["diagnostics"] = {"denominator": denom, "positivity": pm.positivity}
     _emit(ctx, _format_json(report))
 
 
@@ -363,20 +350,16 @@ def price(ctx, spec_path, instrument_path):
 @click.option("--generator", "with_generator", is_flag=True,
               help="Dump the generator matrix CSV instead of the monomial list.")
 @click.pass_context
+@_exit_codes
 def basis_dump(ctx, spec_path, degree, with_generator):
     """Dump the monomial basis (or the generator matrix on it) as CSV."""
-    try:
-        spec = load_model_spec(spec_path)
-    except SpecError as exc:
-        _fail(str(exc), EXIT_INPUT)
-    try:
-        basis = monomial_basis(spec.statespace, degree)
-        if with_generator:
-            text = generator_matrix(spec.model, basis).csv_text()
-        else:
-            text = basis.csv_text()
-    except _DOMAIN_ERRORS as exc:
-        _fail(str(exc), EXIT_DOMAIN)
+    spec = load_model_spec(spec_path)
+    _check_nonnegative("--degree", degree)
+    basis = monomial_basis(spec.statespace, degree)
+    if with_generator:
+        text = generator_matrix(spec.model, basis).csv_text()
+    else:
+        text = basis.csv_text()
     _emit(ctx, text.rstrip("\n"))
 
 

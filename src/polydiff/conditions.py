@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generator import ModelCoefficients, apply_generator
+from .generator import ModelCoefficients, a_grad, apply_generator, manifold_defects
 from .polynomial import DivisionFailure, Polynomial, divide_exact
 from .simulate import dispersion
 from .statespace import (
@@ -344,18 +344,6 @@ def _check_verdict(conditions: list[ConditionResult]) -> str:
     return "pass"
 
 
-def _a_grad(model: ModelCoefficients, p: Polynomial) -> list[Polynomial]:
-    grad = p.grad()
-    out = []
-    for i in range(model.dim):
-        s = Polynomial.zero(model.dim)
-        for j in range(model.dim):
-            if not grad[j].is_zero():
-                s = s + model.a[i][j] * grad[j]
-        out.append(s)
-    return out
-
-
 def _eval_vector(polys: list[Polynomial], X: np.ndarray) -> np.ndarray:
     return np.column_stack([np.broadcast_to(np.asarray(p(X), dtype=float), (len(X),)) for p in polys])
 
@@ -373,7 +361,7 @@ def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 
     conds: list[ConditionResult] = []
     for k, p in enumerate(space.inequalities):
         X = space.boundary_samples(k, samples)
-        agp = _eval_vector(_a_grad(model, p), X)
+        agp = _eval_vector(a_grad(model, p), X)
         worst = int(np.argmax(np.abs(agp).max(axis=1)))
         bad = np.abs(agp[worst]).max()
         conds.append(ConditionResult(
@@ -391,7 +379,7 @@ def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 
     if space.equalities:
         X = space.all_samples(samples)
         for k, q in enumerate(space.equalities):
-            agq = _eval_vector(_a_grad(model, q), X)
+            agq = _eval_vector(a_grad(model, q), X)
             worst = int(np.argmax(np.abs(agq).max(axis=1)))
             bad = np.abs(agq[worst]).max()
             conds.append(ConditionResult(
@@ -415,7 +403,7 @@ def h_factor(model: ModelCoefficients, space: StateSpace, p: Polynomial) -> list
     Raises DivisionFailure when no exact factorization is found; that is a
     cannot-certify signal, not a disproof.
     """
-    return [divide_exact(c, p, modulus=space.equalities) for c in _a_grad(model, p)]
+    return [divide_exact(c, p, modulus=space.equalities) for c in a_grad(model, p)]
 
 
 def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int = 400,
@@ -426,7 +414,8 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
     gradient condition a grad p = h p is certified symbolically by exact
     division; the strict boundary drift G p > 0 is sampled with a margin; and
     equality invariance (G q and a grad q vanish on the manifold) is checked
-    symbolically after ideal reduction.
+    symbolically after ideal reduction, by the same test generator_matrix
+    applies.
     """
     if model.dim != space.dim:
         raise ValueError("model and state space dimensions differ")
@@ -454,24 +443,16 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
         gp = np.asarray(apply_generator(model, p)(Xb), dtype=float)
         conds.append(_sampled_sign(f"sufficient.boundary_drift[{k}]", gp, Xb, "pos", margin,
                                    f"G p > 0 on stratum {k}"))
-    for k, q in enumerate(space.equalities):
-        gq = space.reduce(apply_generator(model, q))
-        ok = gq.is_zero()
+    for k, (q, drift, diffusion) in enumerate(manifold_defects(model, space)):
         conds.append(ConditionResult(
             f"sufficient.manifold_drift[{k}]",
-            "pass" if ok else "fail",
-            "G q vanishes on the manifold" if ok else f"G q reduces to {gq}"))
-        bad = None
-        for i, c in enumerate(_a_grad(model, q)):
-            r = space.reduce(c)
-            if not r.is_zero():
-                bad = (i, r)
-                break
+            "pass" if drift is None else "fail",
+            "G q vanishes on the manifold" if drift is None else f"G q reduces to {drift}"))
         conds.append(ConditionResult(
             f"sufficient.manifold_diffusion[{k}]",
-            "pass" if bad is None else "fail",
-            "a grad q vanishes on the manifold" if bad is None else
-            f"(a grad q)_{bad[0]} reduces to {bad[1]}"))
+            "pass" if diffusion is None else "fail",
+            "a grad q vanishes on the manifold" if diffusion is None else
+            f"(a grad q)_{diffusion[0]} reduces to {diffusion[1]}"))
     return CheckReport("sufficient", _check_verdict(conds), conds)
 
 

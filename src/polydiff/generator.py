@@ -14,7 +14,6 @@ independent cross-check of the exponential route.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,8 +29,12 @@ __all__ = [
     "NotPolynomialOnE",
     "PointOutsideStateSpace",
     "StepSizeUnderflow",
+    "a_grad",
     "apply_generator",
+    "augmented_exp",
+    "check_point",
     "generator_matrix",
+    "manifold_defects",
     "matrix_exp",
     "conditional_moment",
     "joint_moment",
@@ -140,6 +143,63 @@ def apply_generator(model: ModelCoefficients, p: Polynomial) -> Polynomial:
     return out
 
 
+def a_grad(model: ModelCoefficients, p: Polynomial) -> list[Polynomial]:
+    """The vector a grad p."""
+    grad = p.grad()
+    out = []
+    for i in range(model.dim):
+        s = Polynomial.zero(model.dim)
+        for j in range(model.dim):
+            if not grad[j].is_zero():
+                s = s + model.a[i][j] * grad[j]
+        out.append(s)
+    return out
+
+
+_TANGENCY_TOL = 1e-12
+
+
+def _max_coeff(p: Polynomial) -> float:
+    return max((abs(c) for c in p.terms.values()), default=0.0)
+
+
+def manifold_defects(model: ModelCoefficients, space) -> list[tuple]:
+    """For each equality q of the state space, (q, drift, diffusion): drift is
+    the reduced G q and diffusion the first (i, reduced (a grad q)_i) that does
+    not vanish on the manifold, each None when it does.  A reduced residual
+    vanishes when its coefficients are below 1e-12 times one plus the largest
+    model coefficient, so rounding in the parameters is not a defect."""
+    if not space.equalities:
+        return []
+    scale = max(_max_coeff(p) for p in model.b + tuple(c for row in model.a for c in row))
+    tol = _TANGENCY_TOL * (1.0 + scale)
+    out = []
+    for q in space.equalities:
+        gq = space.reduce(apply_generator(model, q))
+        drift = gq if _max_coeff(gq) > tol else None
+        diffusion = None
+        for i, c in enumerate(a_grad(model, q)):
+            r = space.reduce(c)
+            if _max_coeff(r) > tol:
+                diffusion = (i, r)
+                break
+        out.append((q, drift, diffusion))
+    return out
+
+
+def check_point(statespace, x) -> np.ndarray:
+    """The conditioning point as a float vector of the state-space dimension.
+
+    Raises ValueError on a wrong shape and PointOutsideStateSpace when a
+    coordinate is not finite or the point violates the constraints."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (statespace.dim,):
+        raise ValueError(f"state must have shape ({statespace.dim},)")
+    if not (np.isfinite(x).all() and statespace.contains(x)):
+        raise PointOutsideStateSpace(f"point {x.tolist()} violates constraints beyond tolerance")
+    return x
+
+
 @dataclass
 class GeneratorMatrix:
     """Matrix of the generator on a monomial basis (columns are images)."""
@@ -159,7 +219,13 @@ class GeneratorMatrix:
 
     def propagator(self, tau: float) -> np.ndarray:
         """expm(tau G)."""
-        return matrix_exp(tau * self.matrix)
+        with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp raises instead
+            return matrix_exp(tau * self.matrix)
+
+    def expectation(self, H, tau: float, v) -> float:
+        """H(x)' expm(tau G) v: the expectation at tau of the polynomial with
+        coordinates v, given the basis row H = H(x) of a checked point x."""
+        return float(H @ self.propagator(tau) @ v)
 
     def csv_text(self) -> str:
         """Row-major CSV with monomial-exponent headers."""
@@ -175,23 +241,17 @@ def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
 
     When the state space carries equalities, the generator must be well
     defined on the quotient: for each equality q both G q and a grad q have
-    to vanish on the manifold.  Otherwise the matrix would depend on the
+    to vanish on the manifold (see manifold_defects).  Otherwise the matrix would depend on the
     choice of representatives and NotPolynomialOnE is raised.
     """
     space = basis.statespace
     if model.dim != space.dim:
         raise ValueError("model and basis dimensions differ")
-    for q in space.equalities:
-        gq = space.reduce(apply_generator(model, q))
-        if not gq.is_zero():
-            raise NotPolynomialOnE(f"G q = {gq} does not vanish on the manifold (q = {q})")
-        grad_q = q.grad()
-        for i in range(space.dim):
-            s = Polynomial.zero(space.dim)
-            for j in range(space.dim):
-                s = s + model.a[i][j] * grad_q[j]
-            if not space.reduce(s).is_zero():
-                raise NotPolynomialOnE(f"(a grad q)_{i} does not vanish on the manifold (q = {q})")
+    for q, drift, diffusion in manifold_defects(model, space):
+        if drift is not None:
+            raise NotPolynomialOnE(f"G q = {drift} does not vanish on the manifold (q = {q})")
+        if diffusion is not None:
+            raise NotPolynomialOnE(f"(a grad q)_{diffusion[0]} does not vanish on the manifold (q = {q})")
     cols = []
     for e in basis.monomials:
         image = apply_generator(model, Polynomial.monomial(e))
@@ -215,25 +275,27 @@ def matrix_exp(A) -> np.ndarray:
     return out
 
 
-def _moment_setup(model, statespace, degree, p, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (statespace.dim,):
-        raise ValueError(f"state must have shape ({statespace.dim},)")
-    if not statespace.contains(x):
-        raise PointOutsideStateSpace(f"point {x.tolist()} violates constraints beyond tolerance")
-    basis = monomial_basis(statespace, degree)
-    pvec = basis.coordinates(p)
-    gm = generator_matrix(model, basis)
-    return basis, gm, pvec, x
+def augmented_exp(A, c, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(expm(tau A), int_0^tau expm(s A) ds c) from one exponential of the
+    augmented block tau [[A, c], [0, 0]] (Van Loan, IEEE TAC 1978)."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = A
+    M[:n, n] = c
+    with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp raises instead
+        E = matrix_exp(tau * M)
+    return E[:n, :n], E[:n, n]
 
 
 def conditional_moment(model: ModelCoefficients, statespace, degree: int, p: Polynomial, x, tau: float) -> float:
     """E[p(X_{t+tau}) | X_t = x] through the generator-matrix exponential."""
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
-    basis, gm, pvec, x = _moment_setup(model, statespace, degree, p, x)
-    H = basis.evaluate(x)
-    return float(H @ gm.propagator(tau) @ pvec)
+    x = check_point(statespace, x)
+    basis = monomial_basis(statespace, degree)
+    pvec = basis.coordinates(p)
+    return generator_matrix(model, basis).expectation(basis.evaluate(x), tau, pvec)
 
 
 def joint_moment(
@@ -255,9 +317,7 @@ def joint_moment(
         raise ValueError("times and exponents must be equal-length and nonempty")
     if any(t < 0 for t in times) or any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be nonnegative and nondecreasing")
-    x = np.asarray(x, dtype=float)
-    if not statespace.contains(x):
-        raise PointOutsideStateSpace(f"point {x.tolist()} violates constraints beyond tolerance")
+    x = check_point(statespace, x)
     basis = monomial_basis(statespace, degree)
     gm = generator_matrix(model, basis)
     v = basis.coordinates(Polynomial.monomial(exps[-1], dim=statespace.dim))
@@ -265,8 +325,7 @@ def joint_moment(
         v = gm.propagator(times[k] - times[k - 1]) @ v
         carried = basis.polynomial(v) * Polynomial.monomial(exps[k - 1], dim=statespace.dim)
         v = basis.coordinates(carried)
-    v = gm.propagator(times[0]) @ v
-    return float(basis.evaluate(x) @ v)
+    return gm.expectation(basis.evaluate(x), times[0], v)
 
 
 def moment_by_ode(
@@ -283,8 +342,10 @@ def moment_by_ode(
     with step-doubling adaptive RK4, then return F(tau) . pvec."""
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
-    basis, gm, pvec, x = _moment_setup(model, statespace, degree, p, x)
-    GT = gm.matrix.T
+    x = check_point(statespace, x)
+    basis = monomial_basis(statespace, degree)
+    pvec = basis.coordinates(p)
+    GT = generator_matrix(model, basis).matrix.T
     y = basis.evaluate(x)
     if tau == 0.0:
         return float(y @ pvec)

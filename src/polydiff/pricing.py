@@ -19,13 +19,8 @@ import numpy as np
 from numpy.polynomial import chebyshev
 from scipy.stats import norm
 
-from .basis import CoordVector, DegreeTooHigh, monomial_basis
-from .generator import (
-    ModelCoefficients,
-    PointOutsideStateSpace,
-    generator_matrix,
-    matrix_exp,
-)
+from .basis import DegreeTooHigh, monomial_basis
+from .generator import ModelCoefficients, augmented_exp, check_point, generator_matrix
 from .polynomial import Polynomial
 from .simulate import simulate_paths
 from .statespace import Simplex, SimplexParams, StateSpace, assemble_model
@@ -84,14 +79,6 @@ class PricingModel:
             warnings.warn(f"p comes within {low:.3g} of zero on sampled points; "
                           "density division may be unstable near the boundary")
 
-    def _state(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.statespace.dim,):
-            raise ValueError(f"state must have shape ({self.statespace.dim},)")
-        if not self.statespace.contains(x):
-            raise PointOutsideStateSpace(f"point {x.tolist()} violates constraints beyond tolerance")
-        return x
-
 
 def _denominator(pm: PricingModel, H: np.ndarray) -> float:
     denom = float(H @ pm.pvec)
@@ -105,11 +92,11 @@ def price_cashflow(pm: PricingModel, q: Polynomial, x, t: float, T: float) -> fl
     exp(-alpha (T-t)) H(x)' expm((T-t) G) (p q)vec / (H(x)' pvec)."""
     if T < t:
         raise ValueError("need T >= t")
-    x = pm._state(x)
+    x = check_point(pm.statespace, x)
     pq = pm.basis.coordinates(pm.p * q)  # DegreeTooHigh if p*q leaves the space
     H = pm.basis.evaluate(x)
     denom = _denominator(pm, H)
-    return math.exp(-pm.alpha * (T - t)) * float(H @ pm.gm.propagator(T - t) @ pq) / denom
+    return math.exp(-pm.alpha * (T - t)) * pm.gm.expectation(H, T - t, pq) / denom
 
 
 def bond_price(pm: PricingModel, x, t: float, T: float) -> float:
@@ -119,13 +106,13 @@ def bond_price(pm: PricingModel, x, t: float, T: float) -> float:
 
 def short_rate(pm: PricingModel, x) -> float:
     """r = alpha - H(x)' G pvec / H(x)' pvec."""
-    x = pm._state(x)
+    x = check_point(pm.statespace, x)
     H = pm.basis.evaluate(x)
     denom = _denominator(pm, H)
     return pm.alpha - float(H @ pm.gm.matrix @ pm.pvec) / denom
 
 
-def swaption_payoff_vector(pm: PricingModel, coupons, T: float) -> CoordVector:
+def swaption_payoff_vector(pm: PricingModel, coupons, T: float) -> np.ndarray:
     """Coordinates of the swap value seen from exercise time T:
     w = sum_i c_i exp(-alpha T_i) expm((T_i - T) G) pvec."""
     w = np.zeros(len(pm.basis))
@@ -133,7 +120,7 @@ def swaption_payoff_vector(pm: PricingModel, coupons, T: float) -> CoordVector:
         if T_i < T:
             raise ValueError("coupon dates must not precede the exercise date")
         w += float(c_i) * math.exp(-pm.alpha * T_i) * (pm.gm.propagator(T_i - T) @ pm.pvec)
-    return CoordVector(pm.basis, w)
+    return w
 
 
 def swaption_price_mc(
@@ -147,8 +134,8 @@ def swaption_price_mc(
 ) -> tuple[float, float]:
     """Monte Carlo swaption price E[(H(X_T)'w)^+] / (H(x0)'pvec), with its
     standard error.  The payoff vector w is exact; only X_T is simulated."""
-    x0 = pm._state(x0)
-    w = swaption_payoff_vector(pm, coupons, expiry).values
+    x0 = check_point(pm.statespace, x0)
+    w = swaption_payoff_vector(pm, coupons, expiry)
     # store only the endpoint; the payoff needs X_T alone
     paths = simulate_paths(pm.model, pm.statespace, x0, expiry, dt, n_paths, seed,
                            store_stride=max(int(round(expiry / dt)), 1))
@@ -160,24 +147,15 @@ def swaption_price_mc(
     return price, se
 
 
-def _integral_propagator(G: np.ndarray, tau: float) -> np.ndarray:
-    """int_0^tau expm(s G) ds via the block trick expm([[G, I], [0, 0]] tau)."""
-    n = G.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = G
-    M[:n, n:] = np.eye(n)
-    return matrix_exp(tau * M)[:n, n:]
-
-
 def variance_swap_rate(pm: PricingModel, x, t: float, T: float) -> float:
     """Annualized expected integrated spot variance: here pm.p is the spot
     variance polynomial and VS(t,T) = H(x)'(int_0^{T-t} expm(sG) ds) pvec / (T-t)."""
     if T <= t:
         raise ValueError("need T > t")
-    x = pm._state(x)
+    x = check_point(pm.statespace, x)
     tau = T - t
-    J = _integral_propagator(pm.gm.matrix, tau)
-    return float(pm.basis.evaluate(x) @ J @ pm.pvec) / tau
+    _, integral = augmented_exp(pm.gm.matrix, pm.pvec, tau)
+    return float(pm.basis.evaluate(x) @ integral) / tau
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +235,8 @@ def index_weights(sim: SimplexIndexModel, x, t: float) -> np.ndarray:
     """Y_t given X_t = x."""
     if not 0.0 <= t <= sim.T_star:
         raise ValueError("need 0 <= t <= T*")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sim.dim,):
-        raise ValueError(f"state must have shape ({sim.dim},)")
-    tau = sim.T_star - t
-    d = sim.dim
-    M = np.zeros((d + 1, d + 1))
-    M[:d, :d] = sim.params.B
-    M[:d, d] = sim.params.beta
-    E = matrix_exp(tau * M)
-    Psi = E[:d, :d]
-    Phi = E[:d, d]
+    x = check_point(sim.statespace, x)
+    Psi, Phi = augmented_exp(sim.params.B, sim.params.beta, sim.T_star - t)
     return Phi + Psi @ x
 
 
@@ -313,14 +282,11 @@ def fit_index_payoff(
 
     # compose with the affine weight map: xi(x) = Phi_i + (Psi x)_i
     d = sim.dim
-    M = np.zeros((d + 1, d + 1))
-    M[:d, :d] = sim.params.B
-    M[:d, d] = sim.params.beta
-    E = matrix_exp((sim.T_star - T) * M)
-    affine = Polynomial.constant(d, E[constituent, d])
+    Psi, Phi = augmented_exp(sim.params.B, sim.params.beta, sim.T_star - T)
+    affine = Polynomial.constant(d, Phi[constituent])
     for j in range(d):
-        if E[constituent, j] != 0.0:
-            affine = affine + E[constituent, j] * Polynomial.variable(j, d)
+        if Psi[constituent, j] != 0.0:
+            affine = affine + Psi[constituent, j] * Polynomial.variable(j, d)
     # rescale to the Chebyshev variable on [-1, 1] and expand in powers
     a, b = fit.domain
     t_poly = (2.0 * affine - (a + b)) * (1.0 / (b - a))
@@ -347,13 +313,9 @@ def constituent_option_price(
     """Price E[Y^i_T C(T, K / Y^i_T)] by the moment formula applied to the
     Chebyshev payoff surrogate.  Warns when the fit residual is large; use
     fit_index_payoff directly for the residual diagnostics."""
-    x0 = np.asarray(x0, dtype=float)
-    if not sim.statespace.contains(x0):
-        raise PointOutsideStateSpace(f"x0 = {x0.tolist()} violates constraints beyond tolerance")
+    x0 = check_point(sim.statespace, x0)
     payoff, residual = fit_index_payoff(sim, index_pricer, constituent, T, K,
                                         grid_size=grid_size, cheb_degree=cheb_degree)
     if residual > residual_warn:
         warnings.warn(f"Chebyshev payoff fit residual {residual:.3g} exceeds {residual_warn:.1g}")
-    vec = sim.basis.coordinates(payoff)
-    H = sim.basis.evaluate(x0)
-    return float(H @ sim.gm.propagator(T) @ vec)
+    return sim.gm.expectation(sim.basis.evaluate(x0), T, sim.basis.coordinates(payoff))

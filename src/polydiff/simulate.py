@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .generator import PointOutsideStateSpace
+from .generator import check_point
 from .polynomial import Polynomial
 
 __all__ = [
@@ -137,11 +137,7 @@ def simulate_paths(
     store_stride : keep every stride-th step (the final step is always kept);
         running constraint minima are tracked at full resolution regardless.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (statespace.dim,):
-        raise ValueError(f"x0 must have shape ({statespace.dim},)")
-    if not statespace.contains(x0):
-        raise PointOutsideStateSpace(f"x0 = {x0.tolist()} violates constraints beyond tolerance")
+    x0 = check_point(statespace, x0)
     if dt <= 0.0 or T <= 0.0:
         raise ValueError("T and dt must be positive")
     n_steps = int(round(T / dt))

@@ -360,7 +360,9 @@ class Simplex(StateSpace):
         for e, c in p.terms.items():
             k = e[last]
             if k not in powers:
-                powers[k] = powers[max(powers)] * sub ** (k - max(powers))
+                # extend from the highest cached power below k, whatever the term order
+                base = max(j for j in powers if j < k)
+                powers[k] = powers[base] * sub ** (k - base)
             head = Polynomial(d, {e[:last] + (0,): c})
             out = out + head * powers[k]
         return out

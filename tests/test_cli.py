@@ -11,9 +11,12 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.linalg import expm
 
+from polydiff import Polynomial
 from polydiff.cli import main
 from polydiff.pricing import PricingModel, bond_price, variance_swap_rate
 from polydiff.specfile import load_schema, parse_model_spec
@@ -74,6 +77,27 @@ RAW_SIMPLEX_DOC = {
 }
 
 
+# 3-d simplex with a drift tangent to the mass constraint in exact arithmetic
+SIMPLEX3_DOC = {
+    "dimension": 3,
+    "state_space": {"family": "simplex"},
+    "coefficients": {"kind": "family", "params": {
+        "alpha": [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+        "beta": [0.25, 0.25, 0.25],
+        "B": [[-1.25, 0.25, 0.25], [0.25, -1.25, 0.25], [0.25, 0.25, -1.25]]}},
+}
+
+# 4-d simplex whose drift is tangent only up to rounding: 3 * (1/6) != 1/2
+SIMPLEX4_DOC = {
+    "dimension": 4,
+    "state_space": {"family": "simplex"},
+    "coefficients": {"kind": "family", "params": {
+        "alpha": [[0.0 if i == j else 0.125 for j in range(4)] for i in range(4)],
+        "beta": [0.25] * 4,
+        "B": [[-1.5 if i == j else 1 / 6 for j in range(4)] for i in range(4)]}},
+}
+
+
 def _variant(doc, **params):
     out = copy.deepcopy(doc)
     out["coefficients"]["params"].update(params)
@@ -89,6 +113,8 @@ DOCS = {
     "simplex_plain": {k: v for k, v in SIMPLEX_PRICING_DOC.items() if k != "pricing"},
     "simplex_pricing": SIMPLEX_PRICING_DOC,
     "raw_simplex": RAW_SIMPLEX_DOC,
+    "simplex3": SIMPLEX3_DOC,
+    "simplex4": SIMPLEX4_DOC,
 }
 
 
@@ -248,6 +274,86 @@ class TestMoments:
         r = run(["moments", specs["cir"], "--degree", 4, "--x", "0.8",
                  "--poly", self.POLY_X])
         assert r.exit_code == 2
+
+
+class TestSimplexMoments:
+    def test_mass_identity_in_serialized_term_order(self, specs):
+        # to_json_dict lists the x_3^2 term before the x_3 terms
+        total = sum((Polynomial.variable(i, 3) for i in range(3)), Polynomial.zero(3))
+        poly = json.dumps((total * total).to_json_dict())
+        r = run(["moments", specs["simplex3"], "--degree", 2, "--x", "0.2,0.3,0.5",
+                 "--tau", 0.7, "--poly", poly])
+        assert r.exit_code == 0, r.stderr
+        assert json.loads(r.output)["value"] == pytest.approx(1.0, abs=1e-14)
+
+    def test_validate_sufficient_and_moments_agree(self, specs):
+        r = run(["validate", specs["simplex4"]])
+        assert r.exit_code == 0
+        doc = json.loads(r.output)
+        assert doc["verdict"] == "Valid"
+        status = {c["id"]: c["status"] for c in doc["sufficient"]["conditions"]}
+        assert status["sufficient.manifold_drift[0]"] == "pass"
+        assert status["sufficient.manifold_diffusion[0]"] == "pass"
+        x1 = json.dumps({"dim": 4, "terms": [{"e": [1, 0, 0, 0], "c": 1.0}]})
+        r = run(["moments", specs["simplex4"], "--degree", 2, "--x", "0.1,0.2,0.3,0.4",
+                 "--tau", 0.8, "--poly", x1])
+        assert r.exit_code == 0, r.stderr
+        # E[X_tau] from the affine (d+1) block expm(tau [[B, beta], [0, 0]])
+        params = SIMPLEX4_DOC["coefficients"]["params"]
+        M = np.zeros((5, 5))
+        M[:4, :4] = params["B"]
+        M[:4, 4] = params["beta"]
+        mean = expm(0.8 * M)[:4] @ [0.1, 0.2, 0.3, 0.4, 1.0]
+        assert json.loads(r.output)["value"] == pytest.approx(mean[0], rel=1e-13)
+
+
+X_POLY = json.dumps({"dim": 1, "terms": [{"e": [1], "c": 1.0}]})
+
+
+class TestMalformedInput:
+    """Malformed input exits 2 and domain failures exit 1, each with a single
+    ``error:`` line and never a traceback."""
+
+    CASES = {
+        "tau_negative": (["moments", "cir", "--degree", 4, "--x", "0.8", "--tau", -1,
+                          "--poly", X_POLY], 2),
+        "tau_nan": (["moments", "cir", "--degree", 4, "--x", "0.8", "--tau", "nan",
+                     "--poly", X_POLY], 2),
+        "tau_inf": (["moments", "cir", "--degree", 4, "--x", "0.8", "--tau", "1e309",
+                     "--poly", X_POLY], 2),
+        "tau_overflow": (["moments", "cir", "--degree", 4, "--x", "0.8", "--tau", "1e308",
+                          "--poly", X_POLY], 1),
+        "degree_negative": (["moments", "cir", "--degree", -1, "--x", "0.8", "--tau", 1.0,
+                             "--poly", X_POLY], 2),
+        "x_nan_full_space": (["moments", "raw_full", "--degree", 2, "--x", "nan", "--tau", 1.0,
+                              "--poly", X_POLY], 2),
+        "x_inf": (["moments", "cir", "--degree", 4, "--x", "inf", "--tau", 1.0,
+                   "--poly", X_POLY], 2),
+        "basis_dump_degree_negative": (["basis-dump", "cir", "--degree", -1], 2),
+        "simulate_x0_nan": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "nan",
+                             "--t-end", 0.5], 2),
+        "validate_malformed": (["validate", "malformed"], 2),
+        "boundary_missing_file": (["boundary", "missing"], 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_code_and_one_error_line(self, case, specs, tmp_path):
+        args, code = self.CASES[case]
+        files = {**specs, "missing": tmp_path / "missing.json", "paths.csv": tmp_path / "paths.csv"}
+        r = run([files.get(a, a) if isinstance(a, str) else a for a in args])
+        assert r.exit_code == code
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert "Traceback" not in r.stderr
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_instrument_point_exits_two(self, value, specs, tmp_path):
+        path = tmp_path / "instrument.json"
+        path.write_text('{"kind": "bond", "x": [%s], "t": 0.0, "T": 1.0}' % value)
+        r = run(["price", specs["cir"], path])
+        assert r.exit_code == 2
+        assert r.stderr.startswith("error: instrument.x")
 
 
 class TestSimulate:

@@ -1,0 +1,165 @@
+"""The single closed-form expectation path: point check, propagation step,
+augmented exponential, and the manifold tangency test they rely on."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+from scipy.linalg import expm
+
+from polydiff import (
+    LognormalIndexPricer,
+    PointOutsideStateSpace,
+    Polynomial,
+    PricingModel,
+    Simplex,
+    SimplexIndexModel,
+    SimplexParams,
+    assemble_model,
+    bond_price,
+    check_sufficient,
+    conditional_moment,
+    constituent_option_price,
+    generator_matrix,
+    index_weights,
+    joint_moment,
+    monomial_basis,
+    simulate_paths,
+    validate_params,
+    variance_swap_rate,
+)
+from polydiff.generator import augmented_exp, check_point, manifold_defects
+
+from conftest import jacobi_model, ou_model, simplex_params
+
+
+@pytest.fixture(scope="module")
+def jacobi_pm():
+    model, space = jacobi_model()
+    return PricingModel(model, space, degree=5, p=Polynomial.one(1) + Polynomial.variable(0, 1),
+                        alpha=0.05)
+
+
+@pytest.fixture(scope="module")
+def index_model():
+    return SimplexIndexModel(params=simplex_params(), T_star=2.0, degree=6,
+                             pricer=LognormalIndexPricer(spot=1.0, rate=0.02, vol=0.3))
+
+
+def _calls(jacobi_pm, index_model):
+    model, space = jacobi_model()
+    x_one = Polynomial.variable(0, 1)
+    return {
+        "conditional_moment": lambda x: conditional_moment(model, space, 3, x_one, x, 0.5),
+        "joint_moment": lambda x: joint_moment(model, space, 3, x, [0.5], [(1,)]),
+        "bond_price": lambda x: bond_price(jacobi_pm, x, 0.0, 1.0),
+        "constituent_option_price": lambda x: constituent_option_price(
+            index_model, None, 0, 1.0, 1.0, x, cheb_degree=6, residual_warn=1.0),
+        "simulate_paths": lambda x: simulate_paths(model, space, x, 0.1, 0.05, 4, 0),
+    }
+
+
+class TestPointCheck:
+    CALLS = ["conditional_moment", "joint_moment", "bond_price", "constituent_option_price",
+             "simulate_paths"]
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("kind", ["nan", "inf", "wrong_shape"])
+    def test_bad_point_raises(self, name, kind, jacobi_pm, index_model):
+        call = _calls(jacobi_pm, index_model)[name]
+        dim = 2 if name == "constituent_option_price" else 1
+        x = {"nan": [math.nan] * dim, "inf": [math.inf] * dim,
+             "wrong_shape": [0.25] * (dim + 1)}[kind]
+        expected = ValueError if kind == "wrong_shape" else PointOutsideStateSpace
+        with pytest.raises(expected):
+            call(x)
+
+    def test_nan_on_full_space_is_rejected(self):
+        model, space = ou_model()
+        with pytest.raises(PointOutsideStateSpace):
+            conditional_moment(model, space, 2, Polynomial.variable(0, 1), [math.nan], 1.0)
+
+    def test_accepted_point_is_a_float_vector(self):
+        x = check_point(Simplex(3), [0.2, 0.3, 0.5])
+        assert x.dtype == float and x.shape == (3,)
+
+
+class TestPropagationStep:
+    def test_expectation_is_h_expm_v(self):
+        model, space = jacobi_model()
+        gm = generator_matrix(model, monomial_basis(space, 4))
+        v = np.array([0.3, -1.0, 2.0, 0.5, 0.25])
+        want = float(gm.basis.evaluate([0.2]) @ expm(0.9 * gm.matrix) @ v)
+        assert gm.expectation(gm.basis.evaluate([0.2]), 0.9, v) == pytest.approx(want, rel=1e-14)
+
+
+class TestAugmentedExp:
+    def test_matches_blocks_and_quadrature(self):
+        A = np.array([[-1.0, 0.4], [0.2, -0.7]])
+        c = np.array([0.3, -0.5])
+        tau = 1.7
+        E, phi = augmented_exp(A, c, tau)
+        assert np.allclose(E, expm(tau * A), rtol=1e-14, atol=1e-15)
+        for i in range(2):
+            want, _ = quad(lambda s: (expm(s * A) @ c)[i], 0.0, tau, epsabs=1e-14, epsrel=1e-13)
+            assert phi[i] == pytest.approx(want, rel=1e-11)
+
+    def test_variance_swap_matches_the_2n_block(self):
+        # the (N+1) block and the old 2N block expm(tau [[G, I], [0, 0]]) agree
+        # up to rounding
+        model, space = ou_model()
+        v = Polynomial.constant(1, 0.1) + Polynomial.monomial((2,))
+        pm = PricingModel(model, space, degree=6, p=v)
+        n = len(pm.basis)
+        for tau in (0.5, 2.0, 5.0):
+            M = np.zeros((2 * n, 2 * n))
+            M[:n, :n] = pm.gm.matrix
+            M[:n, n:] = np.eye(n)
+            J = expm(tau * M)[:n, n:]
+            want = float(pm.basis.evaluate([0.4]) @ J @ pm.pvec) / tau
+            assert variance_swap_rate(pm, [0.4], 0.0, tau) == pytest.approx(want, rel=1e-14)
+
+    def test_index_weights_are_the_mean_of_the_state(self, index_model):
+        # E[X_T | X_t = x] solves the affine drift ODE: the same (d+1) block
+        x = np.array([0.35, 0.65])
+        for t in (0.0, 0.8):
+            Y = index_weights(index_model, x, t)
+            for i in range(2):
+                mean = conditional_moment(index_model.model, index_model.statespace, 1,
+                                          Polynomial.variable(i, 2), x, 2.0 - t)
+                assert Y[i] == pytest.approx(mean, rel=1e-12)
+
+
+def rounding_simplex(d=4):
+    # drift tangent to the mass constraint only up to rounding: 3 * (1/6) != 0.5
+    off = np.ones((d, d)) - np.eye(d)
+    return SimplexParams(alpha=off / 8, beta=np.full(d, 0.25), B=off / 6 - 1.5 * np.eye(d))
+
+
+class TestTangency:
+    def test_rounding_level_drift_is_tangent_everywhere(self):
+        params = rounding_simplex()
+        space = Simplex(4)
+        model = assemble_model(space, params)
+        assert validate_params(space, params).verdict == "Valid"
+        suf = {c.id: c.status for c in check_sufficient(model, space, samples=50).conditions}
+        assert suf["sufficient.manifold_drift[0]"] == "pass"
+        assert suf["sufficient.manifold_diffusion[0]"] == "pass"
+        assert manifold_defects(model, space)[0][1:] == (None, None)
+        x = np.full(4, 0.25)
+        tau = 0.8
+        got = conditional_moment(model, space, 2, Polynomial.variable(0, 4), x, tau)
+        E, phi = augmented_exp(params.B, params.beta, tau)
+        assert got == pytest.approx((E @ x + phi)[0], rel=1e-13)
+
+    def test_real_defect_still_rejected(self):
+        params = rounding_simplex()
+        params.beta = params.beta + 1e-6  # mass drifts by 4e-6 per unit time
+        space = Simplex(4)
+        model = assemble_model(space, params)
+        q, drift, diffusion = manifold_defects(model, space)[0]
+        assert drift is not None and diffusion is None
+        suf = {c.id: c.status for c in check_sufficient(model, space, samples=50).conditions}
+        assert suf["sufficient.manifold_drift[0]"] == "fail"
+        assert validate_params(space, params).verdict == "Invalid"

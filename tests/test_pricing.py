@@ -171,9 +171,9 @@ class TestVarianceSwap:
 
 class TestSwaptions:
     def test_payoff_vector_linearity(self, jacobi_pm):
-        w1 = swaption_payoff_vector(jacobi_pm, [(1.0, 1.0)], 0.5).values
-        w2 = swaption_payoff_vector(jacobi_pm, [(2.0, 1.0), (0.5, 2.0)], 0.5).values
-        w3 = swaption_payoff_vector(jacobi_pm, [(0.5, 2.0)], 0.5).values
+        w1 = swaption_payoff_vector(jacobi_pm, [(1.0, 1.0)], 0.5)
+        w2 = swaption_payoff_vector(jacobi_pm, [(2.0, 1.0), (0.5, 2.0)], 0.5)
+        w3 = swaption_payoff_vector(jacobi_pm, [(0.5, 2.0)], 0.5)
         assert np.allclose(w2, 2.0 * w1 + w3, atol=1e-15)
 
     def test_coupon_before_expiry_rejected(self, jacobi_pm):

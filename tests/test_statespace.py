@@ -178,6 +178,27 @@ class TestSimplexReduce:
         for x in X:
             assert p(x) == pytest.approx(q(x), rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_any_term_order(self, descending):
+        # the same polynomial listing higher powers of x_d first or last
+        space = Simplex(3)
+        terms = {(1, 0, 0): 0.5, (0, 0, 1): 2.0, (1, 0, 2): -1.0, (0, 1, 3): 0.25}
+        order = sorted(terms, key=lambda e: e[2], reverse=descending)
+        p = Polynomial(3, {e: terms[e] for e in order})
+        assert list(p.terms) == order
+        q = space.reduce(p)
+        assert all(e[2] == 0 for e in q.terms)
+        for x in np.random.default_rng(6).dirichlet(np.ones(3), 20):
+            assert q(x) == pytest.approx(p(x), rel=1e-12, abs=1e-12)
+
+    def test_mass_identity_in_serialized_order(self):
+        space = Simplex(3)
+        total = sum((Polynomial.variable(i, 3) for i in range(3)), Polynomial.zero(3))
+        p = Polynomial.from_json_dict((total * total).to_json_dict())
+        q = space.reduce(p)
+        assert set(q.terms) == {(0, 0, 0)}
+        assert q.coefficient((0, 0, 0)) == pytest.approx(1.0, abs=1e-15)
+
 
 class TestSkewBasis:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
