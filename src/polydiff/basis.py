@@ -50,6 +50,8 @@ class Basis:
         self._index = {e: k for k, e in enumerate(self.monomials)}
         if len(self._index) != len(self.monomials):
             raise ValueError("duplicate monomials in basis")
+        # the monomials as an N x dim int array, row k = monomials[k]
+        self.exponents = np.array(self.monomials, dtype=np.int64).reshape(len(self.monomials), self.dim)
 
     @property
     def dim(self) -> int:
@@ -70,14 +72,14 @@ class Basis:
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.dim,):
             raise ValueError(f"point shape {x.shape} does not end in dim {self.dim}")
-        cols = []
-        for e in self.monomials:
-            term = np.ones(x.shape[:-1])
-            for i, k in enumerate(e):
-                if k:
-                    term = term * x[..., i] ** k
-            cols.append(term)
-        return np.stack(cols, axis=-1)
+        # each power x_i^k once, gathered per monomial and multiplied over i
+        # in coordinate order; x_i^0 = 1 multiplies exactly
+        out = np.ones(x.shape[:-1] + (len(self.monomials),))
+        for i, col in enumerate(self.exponents.T):
+            if col.any():
+                powers = np.stack([np.ones(x.shape[:-1])] + [x[..., i] ** k for k in range(1, col.max() + 1)], axis=-1)
+                out = out * powers[..., col]
+        return out
 
     def coordinates(self, p: Polynomial) -> np.ndarray:
         """Coordinate vector of p (after reduction by the equality ideal)."""

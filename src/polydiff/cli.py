@@ -3,9 +3,10 @@
 Exit codes are a stable contract: 0 success (or Valid verdict), 1 for
 domain-negative outcomes (Invalid/Inconclusive verdicts, points outside the
 state space, degree overruns, bad state-price densities), 2 for unreadable
-or malformed input (non-finite points or horizons, negative horizons or
-degrees).  Every failure is reported on one ``error:`` line.  All numeric
-JSON output is emitted at 17 significant digits so values round-trip exactly.
+or malformed input (non-finite points, horizons, steps or thresholds,
+negative horizons or degrees, non-positive simulation steps or horizons).
+Every failure is reported on one ``error:`` line.  All numeric JSON output
+is emitted at 17 significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -105,6 +106,11 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
 def _check_nonnegative(name: str, value) -> None:
     if not (math.isfinite(value) and value >= 0):
         raise SpecError(f"{name}: expected a finite value >= 0, got {value}")
+
+
+def _check_positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise SpecError(f"{name}: expected a finite value > 0, got {value}")
 
 
 def _parse_poly(text: str, dim: int) -> Polynomial:
@@ -253,6 +259,10 @@ def simulate(ctx, spec_path, x0_text, paths, dt, t_end, store_stride, threshold,
         raise SpecError("simulate requires --out for the path CSV")
     spec = load_model_spec(spec_path)
     x0 = _parse_point(x0_text, spec.statespace.dim)
+    _check_positive("--dt", dt)
+    _check_positive("--t-end", t_end)
+    if not math.isfinite(threshold):
+        raise SpecError(f"--threshold: expected a finite value, got {threshold}")
     ps = simulate_paths(spec.model, spec.statespace, x0, t_end, dt, paths,
                         ctx.obj["seed"], store_stride=store_stride)
     if use_gzip:

@@ -14,13 +14,14 @@ independent cross-check of the exponential route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .basis import Basis, DegreeTooHigh, monomial_basis
+from .basis import Basis, monomial_basis
 from .polynomial import Polynomial
 
 __all__ = [
@@ -236,6 +237,61 @@ class GeneratorMatrix:
         return "\n".join(lines) + "\n"
 
 
+def _coefficient_terms(model: ModelCoefficients):
+    """Every term c x^f of the coefficients as arrays (i, j, f, w): G x^e gets
+    w e_i x^(e - 1_i + f) from b_i (j = -1) and w e_i (e_j - delta_ij)
+    x^(e - 1_i - 1_j + f) from a_ij, i <= j.  The weight w is c/2 on the
+    diagonal and c off it, where a_ij and a_ji contribute c/2 each."""
+    d = model.dim
+    rows = []
+    for i, p in enumerate(model.b):
+        rows.extend((i, -1, f, c) for f, c in p.terms.items())
+    for i in range(d):
+        for j in range(i, d):
+            w = 0.5 if i == j else 1.0
+            rows.extend((i, j, f, w * c) for f, c in model.a[i][j].terms.items())
+    I = np.array([r[0] for r in rows], dtype=np.int64)
+    J = np.array([r[1] for r in rows], dtype=np.int64)
+    F = np.array([r[2] for r in rows], dtype=np.int64).reshape(len(rows), d)
+    W = np.array([r[3] for r in rows], dtype=float)
+    return I, J, F, W
+
+
+def _exponent_codes(exps: np.ndarray, top: int) -> np.ndarray:
+    """Rank of each exponent row in lex order among all vectors of its
+    length with total degree <= top.  The ranks stay below C(d + top, d), the
+    size of the full basis; a mixed-radix code would need (top + 1)^d, which
+    overflows int64 for quadratics in 40 variables."""
+    d = exps.shape[1]
+    binom = np.array([[math.comb(n, k) for k in range(d + 1)] for n in range(top + d + 1)], dtype=np.int64)
+    code = np.zeros(len(exps), dtype=np.int64)
+    room = np.full(len(exps), top, dtype=np.int64)
+    for k in range(d):
+        m = d - k
+        code += binom[room + m, m] - binom[room - exps[:, k] + m, m]
+        room -= exps[:, k]
+    return code
+
+
+def _substitute_last(space, target, value, col):
+    """Entries (target, value, col) with x'^t x_d^k replaced by the terms of
+    x'^t reduce(x_d^k), one reduce call per power k."""
+    d = space.dim
+    last = d - 1
+    keep = target[:, last] == 0
+    parts = [(target[keep], value[keep], col[keep])]
+    for k in np.unique(target[~keep, last]):
+        sub = space.reduce(Polynomial.monomial([0] * last + [int(k)]))
+        g = np.array(list(sub.terms), dtype=np.int64).reshape(-1, d)
+        c = np.array(list(sub.terms.values()))
+        sel = np.flatnonzero(target[:, last] == k)
+        head = target[sel]
+        head[:, last] = 0
+        parts.append(((head[:, None, :] + g).reshape(-1, d),
+                      (value[sel, None] * c).ravel(), np.repeat(col[sel], len(c))))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
     """Represent the generator on the basis, reducing by the equality ideal.
 
@@ -243,6 +299,11 @@ def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
     defined on the quotient: for each equality q both G q and a grad q have
     to vanish on the manifold (see manifold_defects).  Otherwise the matrix would depend on the
     choice of representatives and NotPolynomialOnE is raised.
+
+    The columns G x^e come from the coefficient terms in one pass over the
+    basis exponents (see _coefficient_terms).  A state space whose basis
+    drops the last coordinate eliminates it by substitution, so x'^t x_d^k
+    reduces to x'^t reduce(x_d^k), expanded once per power k.
     """
     space = basis.statespace
     if model.dim != space.dim:
@@ -252,14 +313,41 @@ def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
             raise NotPolynomialOnE(f"G q = {drift} does not vanish on the manifold (q = {q})")
         if diffusion is not None:
             raise NotPolynomialOnE(f"(a grad q)_{diffusion[0]} does not vanish on the manifold (q = {q})")
-    cols = []
-    for e in basis.monomials:
-        image = apply_generator(model, Polynomial.monomial(e))
-        try:
-            cols.append(basis.coordinates(image))
-        except DegreeTooHigh as exc:
-            raise NotPolynomialOnE(f"image of monomial {e} leaves the basis space: {exc}") from exc
-    return GeneratorMatrix(basis, np.column_stack(cols))
+    E = basis.exponents
+    n, d = E.shape
+    I, J, F, W = _coefficient_terms(model)
+    drift = J < 0
+    factor = E[:, I].T * np.where(drift[:, None], 1, E[:, J].T - (I == J)[:, None])
+    term, col = np.nonzero(factor)
+    unit = np.eye(d, dtype=np.int64)
+    shift = F - unit[I] - np.where(drift[:, None], 0, unit[J])
+    target = E[col] + shift[term]
+    with np.errstate(over="ignore"):  # an overflow raises below
+        value = W[term] * factor[term, col]
+        if space.basis_variables < d:
+            target, value, col = _substitute_last(space, target, value, col)
+    degree = E.sum(axis=1)
+    top = int(degree.max(initial=0))
+    # rows of G: the basis monomials within the degree bound, looked up by code
+    spanned = np.flatnonzero(degree <= basis.degree)
+    code, bcode = np.split(_exponent_codes(np.concatenate([target, E[spanned]]), top), [len(target)])
+    found = np.isin(code, bcode)
+    if not found.all():
+        # an image leaves the basis space unless its stray terms cancel exactly
+        stray = np.flatnonzero(~found)
+        _, first, inverse = np.unique(np.stack([col[stray], code[stray]], axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+        sums = np.bincount(inverse.ravel(), weights=value[stray])
+        if np.any(sums != 0.0):
+            k = stray[first[np.flatnonzero(sums)[0]]]
+            raise NotPolynomialOnE(f"image of monomial {basis.monomials[col[k]]} leaves the basis space: "
+                                   f"monomial {tuple(target[k].tolist())} is not spanned")
+    order = np.argsort(bcode)
+    row = spanned[order[np.searchsorted(bcode[order], code[found])]]
+    G = np.bincount(row * n + col[found], weights=value[found], minlength=n * n).reshape(n, n)
+    if not np.all(np.isfinite(G)):
+        raise ValueError("generator matrix entries overflow the floating-point range")
+    return GeneratorMatrix(basis, G)
 
 
 def matrix_exp(A) -> np.ndarray:

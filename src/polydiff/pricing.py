@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .basis import DegreeTooHigh, monomial_basis
 from .generator import ModelCoefficients, augmented_exp, check_point, generator_matrix
@@ -180,7 +180,7 @@ class LognormalIndexPricer:
         fwd = self.spot * math.exp(self.rate * T)
         d1 = (math.log(fwd / K) + 0.5 * sig * sig) / sig
         d2 = d1 - sig
-        return math.exp(-self.rate * T) * (fwd * norm.cdf(d1) - K * norm.cdf(d2))
+        return math.exp(-self.rate * T) * (fwd * ndtr(d1) - K * ndtr(d2))
 
 
 class TabulatedIndexPricer:

@@ -42,14 +42,38 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+def _reported(error: jsonschema.ValidationError) -> str:
+    """One line for a schema failure.  Inside a ``oneOf`` whose branches are
+    told apart by a ``const`` property, report from the branch whose const
+    matched, or, when none did, the const property with its allowed values;
+    elsewhere, jsonschema's best match."""
+    while error.validator == "oneOf" and error.context:
+        branches: dict = {}
+        for sub in error.context:
+            branches.setdefault(sub.relative_schema_path[0], []).append(sub)
+        consts = [sub for sub in error.context if sub.validator == "const"]
+        matched = [subs for subs in branches.values() if not any(s.validator == "const" for s in subs)]
+        if len(matched) == 1 and consts:
+            error = max(matched[0], key=lambda sub: len(sub.path))
+        elif not matched and len(consts) == len(branches) and len({c.json_path for c in consts}) == 1:
+            allowed = [c.validator_value for c in consts]
+            return f"{consts[0].json_path}: {consts[0].instance!r} is not one of {allowed!r}"
+        else:
+            break
+    error = jsonschema.exceptions.best_match([error])
+    return f"{error.json_path}: {error.message}"
+
+
 def _validate_against(instance: dict, schema_name: str, defs_key: str | None = None):
     schema = load_schema(schema_name)
     if defs_key is not None:
         schema = {"$defs": schema["$defs"], **schema["$defs"][defs_key]}
-    try:
-        jsonschema.validate(instance, schema)
-    except jsonschema.ValidationError as exc:
-        raise SpecError(f"{exc.json_path}: {exc.message}") from exc
+    # the shipped schemas are checked against their metaschema by the tests,
+    # not on every load
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    error = max(validator.iter_errors(instance), key=jsonschema.exceptions.relevance, default=None)
+    if error is not None:
+        raise SpecError(_reported(error))
 
 
 @dataclass(frozen=True)

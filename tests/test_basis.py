@@ -19,6 +19,19 @@ from polydiff.generator import generator_matrix
 from conftest import MODEL_MATRIX
 
 
+def evaluate_by_loop(basis, x):
+    """Reference for Basis.evaluate: one product of powers per monomial."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for e in basis.monomials:
+        term = np.ones(x.shape[:-1])
+        for i, k in enumerate(e):
+            if k:
+                term = term * x[..., i] ** k
+        cols.append(term)
+    return np.stack(cols, axis=-1)
+
+
 class TestOrdering:
     def test_constant_first(self):
         for dim in (1, 2, 3):
@@ -110,6 +123,27 @@ class TestCoordinates:
         b = monomial_basis(FullSpace(2), 2)
         X = np.zeros((7, 5, 2))
         assert b.evaluate(X).shape == (7, 5, len(b))
+
+
+class TestEvaluate:
+    BASES = {
+        "full3": lambda: monomial_basis(FullSpace(3), 4),
+        "simplex4": lambda: monomial_basis(Simplex(4), 3),
+        "permuted": lambda: Basis(FullSpace(2), 5, tuple(reversed(monomial_basis(FullSpace(2), 5).monomials))),
+        "sparse": lambda: Basis(FullSpace(3), 9, ((0, 0, 9), (2, 0, 1), (0, 3, 0))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_bit_identical_to_loop(self, name):
+        basis = self.BASES[name]()
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-1.7, 1.7, (6, 5, basis.dim))
+        X[0, 0] = 0.0
+        X[0, 1] = -0.0
+        for x in (X, X[2], X[3, 4]):
+            got, want = basis.evaluate(x), evaluate_by_loop(basis, x)
+            assert np.array_equal(got, want)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestExponentEnumeration:

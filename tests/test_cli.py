@@ -9,6 +9,9 @@ its own usage errors to 2 as well, which is exactly what we want.
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 from click.testing import CliRunner
 from scipy.linalg import expm
 
+import polydiff
 from polydiff import Polynomial
 from polydiff.cli import main
 from polydiff.pricing import PricingModel, bond_price, variance_swap_rate
@@ -332,6 +336,20 @@ class TestMalformedInput:
         "basis_dump_degree_negative": (["basis-dump", "cir", "--degree", -1], 2),
         "simulate_x0_nan": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "nan",
                              "--t-end", 0.5], 2),
+        "simulate_dt_nan": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
+                             "--dt", "nan", "--t-end", 0.5], 2),
+        "simulate_dt_zero": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
+                              "--dt", 0, "--t-end", 0.5], 2),
+        "simulate_dt_negative": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
+                                  "--dt", -0.01, "--t-end", 0.5], 2),
+        "simulate_t_end_inf": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
+                                "--t-end", "inf"], 2),
+        "simulate_t_end_zero": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
+                                 "--t-end", 0], 2),
+        "simulate_threshold_nan": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
+                                    "--t-end", 0.5, "--threshold", "nan"], 2),
+        "simulate_threshold_inf": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
+                                    "--t-end", 0.5, "--threshold", "-inf"], 2),
         "validate_malformed": (["validate", "malformed"], 2),
         "boundary_missing_file": (["boundary", "missing"], 2),
     }
@@ -346,6 +364,23 @@ class TestMalformedInput:
         assert "Traceback" not in r.stderr
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_unknown_pricer_type_names_the_field(self, specs, instrument):
+        path = instrument({"kind": "equity_option", "x": [0.3, 0.7],
+                           "constituent": 0, "T": 1.0, "K": 0.4, "horizon": 2.0,
+                           "pricer": {"type": "tabulated", "strikes": [0.5, 1.0],
+                                      "prices": [0.5, 0.1]}})
+        r = run(["price", specs["simplex_pricing"], path])
+        assert r.exit_code == 2
+        assert r.stderr == "error: $.pricer.type: 'tabulated' is not one of ['lognormal', 'table']\n"
+
+    def test_import_leaves_scipy_stats_out(self):
+        code = "import sys, polydiff.cli; sys.exit('scipy.stats' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(polydiff.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_instrument_point_exits_two(self, value, specs, tmp_path):

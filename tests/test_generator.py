@@ -1,16 +1,25 @@
 """Generator matrices, matrix exponentials, and conditional moments."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from polydiff import (
+    Basis,
     BoxOrthant,
+    BoxOrthantParams,
+    DegreeTooHigh,
     FullSpace,
     ModelCoefficients,
     NotPolynomialOnE,
     PointOutsideStateSpace,
     Polynomial,
+    Quadric,
+    QuadricParams,
     Simplex,
+    SimplexParams,
+    assemble_model,
     conditional_moment,
     generator_matrix,
     joint_moment,
@@ -21,6 +30,88 @@ from polydiff import (
 from polydiff.generator import apply_generator
 
 from conftest import MODEL_MATRIX, MATRIX_POINTS, brownian_model, cir_model, jacobi_model, ou_model
+
+EPS = np.finfo(float).eps
+
+# conftest models whose coefficients are dyadic, so any order of summation is exact
+DYADIC = ("brownian", "cir", "jacobi", "simplex_jacobi", "unit_ball")
+
+
+def generator_matrix_by_images(model, basis):
+    """Oracle for generator_matrix: one Polynomial image G x^e per basis
+    monomial, reduced by the equality ideal and read off by Basis.coordinates."""
+    cols = []
+    for e in basis.monomials:
+        image = apply_generator(model, Polynomial.monomial(e))
+        try:
+            cols.append(basis.coordinates(image))
+        except DegreeTooHigh as exc:
+            raise NotPolynomialOnE(f"image of monomial {e} leaves the basis space: {exc}") from exc
+    return np.column_stack(cols)
+
+
+def _random_poly(rng, dim, degree, scale):
+    terms = {e: scale * rng.uniform(-1.0, 1.0) for e in monomial_basis(FullSpace(dim), degree).monomials}
+    return Polynomial(dim, terms)
+
+
+def non_dyadic_model(family, seed, scale=1.0):
+    """A model of the family with full-mantissa coefficients of size ~scale."""
+    rng = np.random.default_rng(seed)
+
+    def sym(n):
+        m = scale * rng.uniform(-1.0, 1.0, (n, n))
+        return m + m.T
+
+    if family == "full":
+        d = 3
+        a = [[None] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                a[i][j] = a[j][i] = _random_poly(rng, d, 2, scale)
+        return ModelCoefficients(a, [_random_poly(rng, d, 1, scale) for _ in range(d)]), FullSpace(d)
+    if family == "quadric":
+        space = Quadric(np.diag([1.0, 1.0, -1.0]))
+        params = QuadricParams(alpha=sym(3), beta=scale * rng.uniform(-1, 1, 3),
+                               B=scale * rng.uniform(-1, 1, (3, 3)), gamma=sym(3))
+    elif family == "box_orthant":
+        space = BoxOrthant(1, 2)
+        params = BoxOrthantParams(m=1, n=2, gamma=scale * rng.uniform(0, 1, 1), alpha=sym(2),
+                                  phi=scale * rng.uniform(0, 1, 2), psi=scale * rng.uniform(-1, 1, (2, 1)),
+                                  pi=scale * np.array([[0.0, rng.uniform()], [rng.uniform(), 0.0]]),
+                                  beta=scale * rng.uniform(-1, 1, 3), B=scale * rng.uniform(-1, 1, (3, 3)))
+    else:
+        d = 4
+        space = Simplex(d)
+        alpha = np.abs(sym(d))
+        np.fill_diagonal(alpha, 0.0)
+        beta = scale * rng.uniform(0, 1, d)
+        B = scale * rng.uniform(0, 1, (d, d))
+        for j in range(d):
+            B[j, j] = -beta.sum() - (B[:, j].sum() - B[j, j])
+        model = assemble_model(space, SimplexParams(alpha=alpha, beta=beta, B=B))
+        # plus x_d^2 v v' with sum(v) = 0, tangent to the simplex, so that
+        # images carry x_d^2 as well as x_d
+        v = scale * rng.uniform(-1, 1, d)
+        v[-1] = -v[:-1].sum()
+        return with_square_of_last(model, v), space
+    return assemble_model(space, params), space
+
+
+def with_square_of_last(model, v):
+    """The model with x_d^2 v v' added to its diffusion matrix."""
+    d = model.dim
+    a = [list(row) for row in model.a]
+    for i in range(d):
+        for j in range(i, d):
+            a[i][j] = a[j][i] = a[i][j] + Polynomial.monomial((0,) * (d - 1) + (2,), v[i] * v[j])
+    return ModelCoefficients(a, model.b)
+
+
+def simplex_square_model():
+    # simplex Jacobi model with x_2^2 [[1, -1], [-1, 1]] / 4 added to a
+    model, space = MODEL_MATRIX["simplex_jacobi"]()
+    return with_square_of_last(model, [0.5, -0.5]), space
 
 
 class TestApplyGenerator:
@@ -88,6 +179,89 @@ class TestGeneratorMatrix:
         assert len(lines) == 4
         got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.array_equal(got, gm.matrix)
+
+
+class TestAssemblyAgainstImages:
+    """generator_matrix builds G from the coefficient terms in one pass; the
+    per-monomial Polynomial route is the oracle."""
+
+    @pytest.mark.parametrize("family", ["full", "quadric", "box_orthant", "simplex"])
+    @pytest.mark.parametrize("seed, scale", [(0, 1.0), (1, 1e3), (2, 1e-3)])
+    def test_matches_oracle_to_rounding(self, family, seed, scale):
+        model, space = non_dyadic_model(family, seed, scale)
+        for degree in range(7):
+            basis = monomial_basis(space, degree)
+            got = generator_matrix(model, basis).matrix
+            want = generator_matrix_by_images(model, basis)
+            assert np.max(np.abs(got - want)) <= 4 * EPS * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", DYADIC + ("simplex_square",))
+    def test_bit_identical_on_dyadic_models(self, name):
+        model, space = simplex_square_model() if name == "simplex_square" else MODEL_MATRIX[name]()
+        for degree in range(7):
+            basis = monomial_basis(space, degree)
+            assert np.array_equal(generator_matrix(model, basis).matrix,
+                                  generator_matrix_by_images(model, basis))
+
+    @pytest.mark.parametrize("name", DYADIC)
+    def test_permuted_basis_permutes_matrix(self, name):
+        model, space = MODEL_MATRIX[name]()
+        canonical = monomial_basis(space, 5)
+        perm = np.random.default_rng(11).permutation(len(canonical))
+        shuffled = Basis(space, 5, tuple(canonical.monomials[i] for i in perm))
+        got = generator_matrix(model, shuffled).matrix
+        assert np.array_equal(got, generator_matrix(model, canonical).matrix[np.ix_(perm, perm)])
+        assert np.array_equal(got, generator_matrix_by_images(model, shuffled))
+
+    @pytest.mark.parametrize("name, degree, monomials", [
+        ("brownian", 2, ((0,), (2,))),          # G x^2 = 1: spanned
+        ("ou", 2, ((0,), (2,))),                # G x^2 has an x term: missing
+        ("brownian", 1, ((0,), (1,), (2,))),    # image of x^2 within degree 1
+        ("jacobi", 1, ((0,), (1,), (2,))),      # image of x^2 above degree 1
+        ("simplex_jacobi", 1, ((0, 0), (1, 0), (0, 1))),  # x_2 listed, reduced away
+        ("simplex_jacobi", 2, ((0, 0), (2, 0))),          # x_1 missing
+    ])
+    def test_explicit_bases(self, name, degree, monomials):
+        model, space = MODEL_MATRIX[name]()
+        basis = Basis(space, degree, monomials)
+        try:
+            want = generator_matrix_by_images(model, basis)
+        except NotPolynomialOnE:
+            with pytest.raises(NotPolynomialOnE, match="leaves the basis space"):
+                generator_matrix(model, basis)
+        else:
+            assert np.array_equal(generator_matrix(model, basis).matrix, want)
+
+    def test_overflowing_entries_raise(self):
+        # G x^4 carries 6 a x^2, which overflows for a = 1e308
+        model = ModelCoefficients([[Polynomial.monomial((2,), 1e308)]], [Polynomial.zero(1)])
+        basis = monomial_basis(FullSpace(1), 4)
+        with pytest.raises(ValueError):
+            generator_matrix_by_images(model, basis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                generator_matrix(model, basis)
+
+    def test_full_space_assembly_makes_no_polynomial_products(self, monkeypatch):
+        d = 4
+        model = ModelCoefficients(
+            [[Polynomial.one(d) * float(i == j) + Polynomial.variable(i, d) * Polynomial.variable(j, d)
+              for j in range(d)] for i in range(d)],
+            [Polynomial.constant(d, 0.25) - Polynomial.variable(i, d) for i in range(d)])
+        basis = monomial_basis(FullSpace(d), 8)
+        calls = []
+        mul = Polynomial.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        monkeypatch.setattr(Polynomial, "__rmul__", counted)
+        gm = generator_matrix(model, basis)
+        assert calls == []
+        assert len(gm.basis) == 495
 
 
 class TestMatrixExp:
@@ -190,6 +364,65 @@ class TestConditionalMoment:
         model, space = brownian_model()
         with pytest.raises(ValueError):
             conditional_moment(model, space, 2, Polynomial.one(1), [0.0], -0.1)
+
+
+class TestAnalyticMoments:
+    """First two moments against textbook closed forms, which do not use the
+    generator matrix."""
+
+    X1, X2 = Polynomial.monomial((1,)), Polynomial.monomial((2,))
+
+    def check(self, model, space, x, tau, mean, second):
+        for degree in (2, 4):
+            got1 = conditional_moment(model, space, degree, self.X1, [x], tau)
+            got2 = conditional_moment(model, space, degree, self.X2, [x], tau)
+            assert got1 == pytest.approx(mean, rel=1e-12, abs=1e-14)
+            assert got2 == pytest.approx(second, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("x", [0.4, -1.2])
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 3.0])
+    def test_ornstein_uhlenbeck(self, x, tau):
+        # dX = (0.3 - X) dt + sqrt(0.4) dW
+        model, space = ou_model()
+        mean = 0.3 + (x - 0.3) * np.exp(-tau)
+        var = 0.4 * (1.0 - np.exp(-2.0 * tau)) / 2.0
+        self.check(model, space, x, tau, mean, var + mean * mean)
+
+    @pytest.mark.parametrize("x", [0.8, 0.05])
+    @pytest.mark.parametrize("tau", [0.2, 1.0, 4.0])
+    def test_cox_ingersoll_ross(self, x, tau):
+        # dX = kappa (theta - X) dt + sigma sqrt(X) dW (Cox, Ingersoll & Ross 1985)
+        b0, beta, s2 = 0.75, -0.5, 0.5
+        model, space = cir_model(b0, beta, s2)
+        kappa, theta = -beta, -b0 / beta
+        mean = theta + (x - theta) * np.exp(-kappa * tau)
+        var = (x * s2 / kappa * (np.exp(-kappa * tau) - np.exp(-2.0 * kappa * tau))
+               + theta * s2 / (2.0 * kappa) * (1.0 - np.exp(-kappa * tau)) ** 2)
+        self.check(model, space, x, tau, mean, var + mean * mean)
+
+    @pytest.mark.parametrize("x", [0.2, 0.9])
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 3.0])
+    def test_jacobi(self, x, tau):
+        # dX = kappa (theta - X) dt + sqrt(s2 X (1 - X)) dW with kappa = s2 = 1, theta = 1/2;
+        # d E[X^2]/dt = c E[X] - lam E[X^2]
+        model, space = jacobi_model()
+        kappa, theta, s2 = 1.0, 0.5, 1.0
+        lam, c = 2.0 * kappa + s2, 2.0 * kappa * theta + s2
+        mean = theta + (x - theta) * np.exp(-kappa * tau)
+        second = (np.exp(-lam * tau) * x * x
+                  + c * (theta * (1.0 - np.exp(-lam * tau)) / lam
+                         + (x - theta) * (np.exp(-kappa * tau) - np.exp(-lam * tau)) / (lam - kappa)))
+        self.check(model, space, x, tau, mean, second)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_MATRIX))
+    def test_moment_independent_of_degree(self, name):
+        model, space = MODEL_MATRIX[name]()
+        x = MATRIX_POINTS[name]
+        p = Polynomial.variable(0, space.dim) ** 2 - Polynomial.variable(space.dim - 1, space.dim)
+        want = conditional_moment(model, space, 2, p, x, 0.9)
+        for degree in range(3, 7):
+            got = conditional_moment(model, space, degree, p, x, 0.9)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
 
 class TestJointMoment:

@@ -3,6 +3,7 @@
 import copy
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -259,6 +260,13 @@ class TestSchemas:
         for name in ("modelspec.schema.json", "instrument.schema.json", "reports.schema.json"):
             schema = load_schema(name)
             assert "$schema" in schema
+
+    @pytest.mark.parametrize("name", ["modelspec.schema.json", "instrument.schema.json",
+                                      "reports.schema.json"])
+    def test_shipped_schema_passes_its_metaschema(self, name):
+        # loading a spec validates the instance only, so the schemas are checked here
+        schema = load_schema(name)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
 
     def test_reports_schema_has_expected_defs(self):
         defs = load_schema("reports.schema.json")["$defs"]
