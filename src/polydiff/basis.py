@@ -17,6 +17,16 @@ from .polynomial import Exponents, Polynomial, grlex_key
 __all__ = ["Basis", "DegreeTooHigh", "monomial_basis", "monomial_exponents"]
 
 
+def _csv_text(rows: np.ndarray, header: str | None = None) -> str:
+    """The optional header line, then one line per row of the 2-d array at 17
+    significant digits (integers below 2**53 print as integers)."""
+    fmt = ",".join(["%.17g"] * rows.shape[1])
+    # one format operation per block of rows; the block bounds the Python floats alive at once
+    blocks = (rows[start:start + 4096] for start in range(0, len(rows), 4096))
+    chunks = ["\n".join([fmt] * len(block)) % tuple(block.ravel().tolist()) for block in blocks]
+    return "\n".join(chunks if header is None else [header, *chunks]) + "\n"
+
+
 class DegreeTooHigh(ValueError):
     """Polynomial does not live in the spanned space (degree above the bound)."""
 
@@ -52,6 +62,11 @@ class Basis:
             raise ValueError("duplicate monomials in basis")
         # the monomials as an N x dim int array, row k = monomials[k]
         self.exponents = np.array(self.monomials, dtype=np.int64).reshape(len(self.monomials), self.dim)
+        # a monomial in a coordinate past basis_variables is not a representative
+        eliminated = np.flatnonzero(self.exponents[:, statespace.basis_variables:].any(axis=1))
+        if len(eliminated):
+            raise ValueError(f"monomial {self.monomials[eliminated[0]]} involves a coordinate "
+                             f"the {statespace.family} state space eliminates")
 
     @property
     def dim(self) -> int:
@@ -63,9 +78,6 @@ class Basis:
 
     def __len__(self) -> int:
         return len(self.monomials)
-
-    def index_of(self, exponents: Exponents) -> int:
-        return self._index[tuple(exponents)]
 
     def evaluate(self, x) -> np.ndarray:
         """Basis vector H(x); batched input of shape (..., dim) gives (..., N)."""
@@ -104,7 +116,7 @@ class Basis:
 
     def csv_text(self) -> str:
         """One exponent vector per line, comma-separated."""
-        return "\n".join(",".join(str(k) for k in e) for e in self.monomials) + "\n"
+        return _csv_text(self.exponents)
 
     def __repr__(self):
         return f"Basis(dim={self.dim}, degree={self.degree}, size={len(self)})"

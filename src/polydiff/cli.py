@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 success (or Valid verdict), 1 for
 domain-negative outcomes (Invalid/Inconclusive verdicts, points outside the
 state space, degree overruns, bad state-price densities), 2 for unreadable
 or malformed input (non-finite points, horizons, steps or thresholds,
-negative horizons or degrees, non-positive simulation steps or horizons).
+negative horizons, degrees or ``--mc-paths``, non-positive simulation steps,
+horizons, ``--samples``, ``--paths`` or ``--store-stride``).
 Every failure is reported on one ``error:`` line.  All numeric JSON output
 is emitted at 17 significant digits so values round-trip exactly.
 """
@@ -139,6 +140,15 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
+def _at_least(low: int):
+    """Click callback: an integer option below ``low`` is malformed input (exit 2, one ``error:`` line)."""
+    def check(ctx, param, value):
+        if value < low:
+            _fail(f"{param.opts[0]}: expected an integer >= {low}, got {value}", EXIT_INPUT)
+        return value
+    return check
+
+
 def _exit_codes(command):
     """Map malformed input to exit 2 and library errors to exit 1, each
     reported on one ``error:`` line."""
@@ -156,7 +166,7 @@ def _exit_codes(command):
 @click.group()
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Write the primary output to this file instead of stdout.")
-@click.option("--samples", type=int, default=1000, show_default=True,
+@click.option("--samples", type=int, default=1000, show_default=True, callback=_at_least(1),
               help="Sample budget for sampled checks.")
 @click.option("--seed", type=int, default=0, show_default=True, help="RNG seed for simulation.")
 @click.option("--verify", is_flag=True, help="Cross-check closed forms against numerical oracles.")
@@ -206,12 +216,12 @@ def validate(ctx, spec_path):
 
 @main.command()
 @click.argument("spec_path", type=click.Path(exists=False))
-@click.option("--degree", type=int, required=True, help="Basis degree bound.")
+@click.option("--degree", type=int, required=True, callback=_at_least(0), help="Basis degree bound.")
 @click.option("--x", "x_text", required=True, help="Conditioning point, comma-separated.")
 @click.option("--tau", type=float, required=True, help="Time horizon (>= 0).")
 @click.option("--poly", "poly_text", required=True,
               help="Moment polynomial as JSON, or @file.json.")
-@click.option("--mc-paths", type=int, default=0,
+@click.option("--mc-paths", type=int, default=0, callback=_at_least(0),
               help="With --verify, also Monte Carlo cross-check using this many paths.")
 @click.option("--dt", type=float, default=1e-3, show_default=True,
               help="Step size for the Monte Carlo cross-check.")
@@ -222,7 +232,6 @@ def moments(ctx, spec_path, degree, x_text, tau, poly_text, mc_paths, dt):
     spec = load_model_spec(spec_path)
     x = _parse_point(x_text, spec.statespace.dim)
     p = _parse_poly(poly_text, spec.statespace.dim)
-    _check_nonnegative("--degree", degree)
     _check_nonnegative("--tau", tau)
     value = conditional_moment(spec.model, spec.statespace, degree, p, x, tau)
     report = {"value": value, "degree": degree, "tau": tau,
@@ -242,10 +251,10 @@ def moments(ctx, spec_path, degree, x_text, tau, poly_text, mc_paths, dt):
 @main.command()
 @click.argument("spec_path", type=click.Path(exists=False))
 @click.option("--x0", "x0_text", required=True, help="Starting point, comma-separated.")
-@click.option("--paths", type=int, default=1000, show_default=True)
+@click.option("--paths", type=int, default=1000, show_default=True, callback=_at_least(1))
 @click.option("--dt", type=float, default=1e-3, show_default=True)
 @click.option("--t-end", "--T", "t_end", type=float, required=True, help="Horizon T.")
-@click.option("--store-stride", type=int, default=1, show_default=True,
+@click.option("--store-stride", type=int, default=1, show_default=True, callback=_at_least(1),
               help="Keep every k-th step (the endpoint is always kept).")
 @click.option("--threshold", type=float, default=1e-6, show_default=True,
               help="Boundary-hit threshold for the summary statistics.")
@@ -356,7 +365,7 @@ def price(ctx, spec_path, instrument_path):
 
 @main.command("basis-dump")
 @click.argument("spec_path", type=click.Path(exists=False))
-@click.option("--degree", type=int, required=True, help="Basis degree bound.")
+@click.option("--degree", type=int, required=True, callback=_at_least(0), help="Basis degree bound.")
 @click.option("--generator", "with_generator", is_flag=True,
               help="Dump the generator matrix CSV instead of the monomial list.")
 @click.pass_context
@@ -364,7 +373,6 @@ def price(ctx, spec_path, instrument_path):
 def basis_dump(ctx, spec_path, degree, with_generator):
     """Dump the monomial basis (or the generator matrix on it) as CSV."""
     spec = load_model_spec(spec_path)
-    _check_nonnegative("--degree", degree)
     basis = monomial_basis(spec.statespace, degree)
     if with_generator:
         text = generator_matrix(spec.model, basis).csv_text()

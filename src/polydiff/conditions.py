@@ -272,8 +272,7 @@ def _validate_full(space: FullSpace, model: ModelCoefficients, samples: int, mar
                             f"constant diffusion matrix PSD (min eigenvalue {e:.6g})"))
     else:
         X = space.interior_samples(samples)
-        A = model.a_eval(X)
-        eig = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2))).min(axis=-1)
+        eig = np.linalg.eigvalsh(model.a_eval(X)).min(axis=-1)
         worst = int(np.argmin(eig))
         if eig[worst] < -margin:
             conds.append(ConditionResult("full.diffusion_psd", "fail",
@@ -337,15 +336,19 @@ class CheckReport:
 
 
 def _check_verdict(conditions: list[ConditionResult]) -> str:
-    if any(c.status == "fail" for c in conditions):
-        return "fail"
-    if any(c.status == "inconclusive" for c in conditions):
-        return "inconclusive"
-    return "pass"
+    return {"Invalid": "fail", "Inconclusive": "inconclusive", "Valid": "pass"}[_verdict(conditions)]
 
 
 def _eval_vector(polys: list[Polynomial], X: np.ndarray) -> np.ndarray:
     return np.column_stack([np.broadcast_to(np.asarray(p(X), dtype=float), (len(X),)) for p in polys])
+
+
+def _sampled_zero(cond_id: str, values: np.ndarray, points: np.ndarray, tol: float, detail: str) -> ConditionResult:
+    """Pass when every sampled row of ``values`` is within tol of zero, else fail at the worst point."""
+    worst = int(np.argmax(np.abs(values).max(axis=1)))
+    bad = np.abs(values[worst]).max()
+    return ConditionResult(cond_id, "pass" if bad <= tol else "fail", f"{detail} is {bad:.6g}",
+                           witness=None if bad <= tol else points[worst].tolist())
 
 
 def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 400,
@@ -361,14 +364,8 @@ def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 
     conds: list[ConditionResult] = []
     for k, p in enumerate(space.inequalities):
         X = space.boundary_samples(k, samples)
-        agp = _eval_vector(a_grad(model, p), X)
-        worst = int(np.argmax(np.abs(agp).max(axis=1)))
-        bad = np.abs(agp[worst]).max()
-        conds.append(ConditionResult(
-            f"necessary.a_gradp_zero[{k}]",
-            "pass" if bad <= tol else "fail",
-            f"max |a grad p| on stratum {k} is {bad:.6g}",
-            witness=None if bad <= tol else X[worst].tolist()))
+        conds.append(_sampled_zero(f"necessary.a_gradp_zero[{k}]", _eval_vector(a_grad(model, p), X), X, tol,
+                                   f"max |a grad p| on stratum {k}"))
         gp = np.asarray(apply_generator(model, p)(X), dtype=float)
         worst = int(np.argmin(gp))
         conds.append(ConditionResult(
@@ -379,21 +376,10 @@ def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 
     if space.equalities:
         X = space.all_samples(samples)
         for k, q in enumerate(space.equalities):
-            agq = _eval_vector(a_grad(model, q), X)
-            worst = int(np.argmax(np.abs(agq).max(axis=1)))
-            bad = np.abs(agq[worst]).max()
-            conds.append(ConditionResult(
-                f"necessary.a_gradq_zero[{k}]",
-                "pass" if bad <= tol else "fail",
-                f"max |a grad q| on E is {bad:.6g}",
-                witness=None if bad <= tol else X[worst].tolist()))
-            gq = np.abs(np.asarray(apply_generator(model, q)(X), dtype=float))
-            worst = int(np.argmax(gq))
-            conds.append(ConditionResult(
-                f"necessary.gq_zero[{k}]",
-                "pass" if gq[worst] <= tol else "fail",
-                f"max |G q| on E is {gq[worst]:.6g}",
-                witness=None if gq[worst] <= tol else X[worst].tolist()))
+            conds.append(_sampled_zero(f"necessary.a_gradq_zero[{k}]", _eval_vector(a_grad(model, q), X), X, tol,
+                                       "max |a grad q| on E"))
+            conds.append(_sampled_zero(f"necessary.gq_zero[{k}]", _eval_vector([apply_generator(model, q)], X), X,
+                                       tol, "max |G q| on E"))
     return CheckReport("necessary", _check_verdict(conds), conds)
 
 
@@ -421,8 +407,7 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
         raise ValueError("model and state space dimensions differ")
     conds: list[ConditionResult] = []
     X = space.all_samples(samples)
-    A = model.a_eval(X)
-    eig = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2))).min(axis=-1)
+    eig = np.linalg.eigvalsh(model.a_eval(X)).min(axis=-1)
     worst = int(np.argmin(eig))
     conds.append(ConditionResult(
         "sufficient.diffusion_psd",
@@ -483,9 +468,9 @@ class BoundaryVerdict:
 def _collar_points(space: StateSpace, p: Polynomial, X: np.ndarray, deltas) -> np.ndarray:
     """Interior points near the stratum: step inward along the tangentialized
     gradient of p and re-project."""
-    G = np.column_stack([np.broadcast_to(np.asarray(g(X), dtype=float), (len(X),)) for g in p.grad()])
+    G = _eval_vector(p.grad(), X)
     for q in space.equalities:
-        Nq = np.column_stack([np.broadcast_to(np.asarray(g(X), dtype=float), (len(X),)) for g in q.grad()])
+        Nq = _eval_vector(q.grad(), X)
         nn = np.einsum("ki,ki->k", Nq, Nq)
         nn[nn == 0.0] = 1.0
         G = G - (np.einsum("ki,ki->k", G, Nq) / nn)[:, None] * Nq

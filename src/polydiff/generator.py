@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .basis import Basis, monomial_basis
+from .basis import Basis, _csv_text, monomial_basis
 from .polynomial import Polynomial
 
 __all__ = [
@@ -99,7 +99,7 @@ class ModelCoefficients:
         return self._b
 
     def a_eval(self, x) -> np.ndarray:
-        """Diffusion matrix at x; batch shape (..., d) gives (..., d, d)."""
+        """Diffusion matrix at x, exactly symmetric; batch shape (..., d) gives (..., d, d)."""
         x = np.asarray(x, dtype=float)
         d = self._dim
         out = np.empty(x.shape[:-1] + (d, d))
@@ -231,10 +231,7 @@ class GeneratorMatrix:
     def csv_text(self) -> str:
         """Row-major CSV with monomial-exponent headers."""
         header = ",".join("x" + " ".join(str(k) for k in e) for e in self.basis.monomials)
-        lines = [header]
-        for row in self.matrix:
-            lines.append(",".join(format(v, ".17g") for v in row))
-        return "\n".join(lines) + "\n"
+        return _csv_text(self.matrix, header)
 
 
 def _coefficient_terms(model: ModelCoefficients):
@@ -273,25 +270,6 @@ def _exponent_codes(exps: np.ndarray, top: int) -> np.ndarray:
     return code
 
 
-def _substitute_last(space, target, value, col):
-    """Entries (target, value, col) with x'^t x_d^k replaced by the terms of
-    x'^t reduce(x_d^k), one reduce call per power k."""
-    d = space.dim
-    last = d - 1
-    keep = target[:, last] == 0
-    parts = [(target[keep], value[keep], col[keep])]
-    for k in np.unique(target[~keep, last]):
-        sub = space.reduce(Polynomial.monomial([0] * last + [int(k)]))
-        g = np.array(list(sub.terms), dtype=np.int64).reshape(-1, d)
-        c = np.array(list(sub.terms.values()))
-        sel = np.flatnonzero(target[:, last] == k)
-        head = target[sel]
-        head[:, last] = 0
-        parts.append(((head[:, None, :] + g).reshape(-1, d),
-                      (value[sel, None] * c).ravel(), np.repeat(col[sel], len(c))))
-    return tuple(np.concatenate(p) for p in zip(*parts))
-
-
 def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
     """Represent the generator on the basis, reducing by the equality ideal.
 
@@ -301,9 +279,10 @@ def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
     choice of representatives and NotPolynomialOnE is raised.
 
     The columns G x^e come from the coefficient terms in one pass over the
-    basis exponents (see _coefficient_terms).  A state space whose basis
-    drops the last coordinate eliminates it by substitution, so x'^t x_d^k
-    reduces to x'^t reduce(x_d^k), expanded once per power k.
+    basis exponents (see _coefficient_terms).  The state space rewrites the
+    coefficient terms into representatives first (StateSpace.reduce_terms):
+    the basis monomials are representatives already, and the rewriting is a
+    ring homomorphism, so it commutes with forming the images.
     """
     space = basis.statespace
     if model.dim != space.dim:
@@ -316,6 +295,8 @@ def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
     E = basis.exponents
     n, d = E.shape
     I, J, F, W = _coefficient_terms(model)
+    F, W, source = space.reduce_terms(F, W)
+    I, J = I[source], J[source]
     drift = J < 0
     factor = E[:, I].T * np.where(drift[:, None], 1, E[:, J].T - (I == J)[:, None])
     term, col = np.nonzero(factor)
@@ -324,8 +305,6 @@ def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
     target = E[col] + shift[term]
     with np.errstate(over="ignore"):  # an overflow raises below
         value = W[term] * factor[term, col]
-        if space.basis_variables < d:
-            target, value, col = _substitute_last(space, target, value, col)
     degree = E.sum(axis=1)
     top = int(degree.max(initial=0))
     # rows of G: the basis monomials within the degree bound, looked up by code

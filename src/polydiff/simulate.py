@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .basis import _csv_text
 from .generator import check_point
 from .polynomial import Polynomial
 
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 _STEP_BLOCK = 1024  # fixed internal step blocking; must not depend on inputs
+_CHUNK_PATHS = 8192  # paths simulated together; the paths do not depend on it
 
 
 class NotSymmetric(ValueError):
@@ -64,9 +66,7 @@ def _psd_sqrt_batch(A: np.ndarray) -> np.ndarray:
 
 def dispersion(model, x) -> np.ndarray:
     """PSD square root of the projected diffusion matrix a(x).  Batched."""
-    A = model.a_eval(x)
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
-    return _psd_sqrt_batch(A)
+    return _psd_sqrt_batch(model.a_eval(x))
 
 
 @dataclass
@@ -99,15 +99,11 @@ class PathSet:
 
     def csv_text(self) -> str:
         """Long-format CSV: path_id, step, t, x_1..x_d."""
-        d = self.dim
-        header = "path_id,step,t," + ",".join(f"x_{i + 1}" for i in range(d))
-        lines = [header]
-        steps = np.rint(self.times / self.dt).astype(int)
-        for pid in range(self.n_paths):
-            for k, t in enumerate(self.times):
-                coords = ",".join(format(v, ".17g") for v in self.paths[pid, k])
-                lines.append(f"{pid},{steps[k]},{format(t, '.17g')},{coords}")
-        return "\n".join(lines) + "\n"
+        header = "path_id,step,t," + ",".join(f"x_{i + 1}" for i in range(self.dim))
+        n, m = self.paths.shape[:2]
+        rows = np.column_stack([np.repeat(np.arange(n), m), np.tile(np.rint(self.times / self.dt), n),
+                                np.tile(self.times, n), self.paths.reshape(n * m, self.dim)])
+        return _csv_text(rows, header)
 
 
 def _path_stream(seed: int, path_index: int) -> np.random.Generator:
@@ -124,7 +120,6 @@ def simulate_paths(
     n_paths: int,
     seed: int,
     store_stride: int = 1,
-    chunk_paths: int = 8192,
 ) -> PathSet:
     """Euler-Maruyama with projection back onto the state space each step.
 
@@ -152,13 +147,12 @@ def simulate_paths(
     ineqs = statespace.inequalities
     stored_steps = sorted(set(range(0, n_steps + 1, store_stride)) | {n_steps})
     stored_pos = {s: i for i, s in enumerate(stored_steps)}
-    n_stored = len(stored_steps)
-    out = np.empty((n_paths, n_stored, d))
+    out = np.empty((n_paths, len(stored_steps), d))
     minima = np.empty((n_paths, len(ineqs))) if ineqs else None
     sqdt = np.sqrt(dt)
 
-    for start in range(0, n_paths, chunk_paths):
-        stop = min(start + chunk_paths, n_paths)
+    for start in range(0, n_paths, _CHUNK_PATHS):
+        stop = min(start + _CHUNK_PATHS, n_paths)
         streams = [_path_stream(seed, k) for k in range(start, stop)]
         c = stop - start
         x = np.tile(x0, (c, 1))
@@ -168,9 +162,7 @@ def simulate_paths(
         step = 0
         while step < n_steps:
             block = min(_STEP_BLOCK, n_steps - step)
-            u = np.empty((c, block, d))
-            for k, g in enumerate(streams):
-                u[k] = g.random((block, d))
+            u = np.stack([g.random((block, d)) for g in streams])
             # uniform draws live in [0, 1); keep the inverse CDF finite
             z = ndtri(np.clip(u, 1e-300, 1.0 - 2**-53))
             for j in range(block):
@@ -179,9 +171,8 @@ def simulate_paths(
                 x = x + drift * dt + sqdt * np.einsum("cij,cj->ci", sig, z[:, j])
                 x = statespace.project(x)
                 step += 1
-                if ineqs:
-                    for q, p in enumerate(ineqs):
-                        np.minimum(mins[:, q], p(x), out=mins[:, q])
+                for q, p in enumerate(ineqs):
+                    np.minimum(mins[:, q], p(x), out=mins[:, q])
                 pos = stored_pos.get(step)
                 if pos is not None:
                     out[start:stop, pos] = x

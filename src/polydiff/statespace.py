@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import monomial_exponents
 from .generator import ModelCoefficients
 from .polynomial import Polynomial
 
@@ -70,6 +71,11 @@ class StateSpace(ABC):
         if p.dim != self.dim:
             raise ValueError(f"polynomial dimension {p.dim} != state space dimension {self.dim}")
         return p
+
+    def reduce_terms(self, exps: np.ndarray, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Terms (exps: (m, dim) ints, coefs: m floats) rewritten one by one into
+        canonical representatives, unsummed: output i comes from input source[i]."""
+        return exps, coefs, np.arange(len(coefs))
 
     @abstractmethod
     def violation(self, x) -> np.ndarray | float:
@@ -338,34 +344,51 @@ class Simplex(StateSpace):
         self.dim = dim
         d = dim
         self.inequalities = tuple(Polynomial.variable(i, d) for i in range(d))
-        one = Polynomial.one(d)
-        total = sum((Polynomial.variable(i, d) for i in range(d)), Polynomial.zero(d))
-        self.equalities = (one - total,)
+        self.equalities = (Polynomial.one(d) - sum(self.inequalities, Polynomial.zero(d)),)
+        self._powers = (np.zeros((0, d), dtype=np.int64), np.zeros(0), np.zeros(1, dtype=np.int64))
 
     @property
     def basis_variables(self) -> int:
         return self.dim - 1
 
+    def _power_table(self, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(exps, coefs, start): rows start[k]:start[k+1] are the terms of
+        (1 - x_1 - ... - x_{d-1})^k, k <= top; each power is expanded once and kept."""
+        exps, coefs, start = self._powers
+        for k in range(len(start) - 1, top + 1):
+            new = monomial_exponents(self.dim - 1, self.dim, k)
+            # k! / ((k - |a|)! a_1! ... a_d!) with the sign of (-1)^|a|
+            w = [(-1) ** sum(e) * math.factorial(k) // math.prod(map(math.factorial, (k - sum(e), *e))) for e in new]
+            exps, coefs = np.concatenate([exps, new]), np.concatenate([coefs, np.array(w, dtype=float)])
+            start = np.append(start, len(coefs))
+        self._powers = (exps, coefs, start)
+        return self._powers
+
+    def reduce_terms(self, exps, coefs):
+        """Replace each term c x'^a x_d^k, in input order, by the terms of
+        c x'^a (1 - x_1 - ... - x_{d-1})^k."""
+        last = self.dim - 1
+        k = exps[:, last]
+        table, weight, start = self._power_table(int(k.max(initial=0)))
+        counts = start[k + 1] - start[k]
+        source = np.repeat(np.arange(len(k)), counts)
+        # table row of each output term: its power's first row plus its place in its block
+        pos = np.arange(len(source)) + np.repeat(start[k] - np.cumsum(counts) + counts, counts)
+        head = exps[source]
+        head[:, last] = 0
+        with np.errstate(over="ignore"):  # callers reject non-finite sums
+            return head + table[pos], coefs[source] * weight[pos], source
+
     def reduce(self, p: Polynomial) -> Polynomial:
         """Eliminate the last coordinate via x_d = 1 - x_1 - ... - x_{d-1}."""
-        if p.dim != self.dim:
-            raise ValueError(f"polynomial dimension {p.dim} != state space dimension {self.dim}")
-        d = self.dim
-        last = d - 1
-        sub = Polynomial.one(d) - sum(
-            (Polynomial.variable(i, d) for i in range(last)), Polynomial.zero(d)
-        )
-        powers = {0: Polynomial.one(d)}
-        out = Polynomial.zero(d)
-        for e, c in p.terms.items():
-            k = e[last]
-            if k not in powers:
-                # extend from the highest cached power below k, whatever the term order
-                base = max(j for j in powers if j < k)
-                powers[k] = powers[base] * sub ** (k - base)
-            head = Polynomial(d, {e[:last] + (0,): c})
-            out = out + head * powers[k]
-        return out
+        terms = super().reduce(p).terms
+        exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), self.dim)
+        exps, coefs, _ = self.reduce_terms(exps, np.array(list(terms.values()), dtype=float))
+        # equal monomials summed in input-term order, starting from zero
+        out = {}
+        for e, c in zip(map(tuple, exps.tolist()), coefs.tolist()):
+            out[e] = out.get(e, 0.0) + c
+        return Polynomial(self.dim, out)
 
     def violation(self, x):
         x = np.asarray(x, dtype=float)

@@ -120,3 +120,16 @@ def simplex_jacobi():
 @pytest.fixture(scope="session")
 def unit_ball():
     return unit_ball_model()
+
+
+def paths_csv_by_format(ps):
+    """PathSet.csv_text with one format() call per value: the byte reference
+    for the shared writer."""
+    header = "path_id,step,t," + ",".join(f"x_{i + 1}" for i in range(ps.dim))
+    lines = [header]
+    steps = np.rint(ps.times / ps.dt).astype(int)
+    for pid in range(ps.n_paths):
+        for k, t in enumerate(ps.times):
+            coords = ",".join(format(v, ".17g") for v in ps.paths[pid, k])
+            lines.append(f"{pid},{steps[k]},{format(t, '.17g')},{coords}")
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Monomial basis construction, ordering, and coordinate maps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,29 @@ class TestEvaluate:
             got, want = basis.evaluate(x), evaluate_by_loop(basis, x)
             assert np.array_equal(got, want)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def basis_csv_by_str(basis):
+    """Basis.csv_text with one str() call per exponent: the byte reference."""
+    return "\n".join(",".join(str(k) for k in e) for e in basis.monomials) + "\n"
+
+
+class TestCsv:
+    @pytest.mark.parametrize("name", sorted(TestEvaluate.BASES))
+    def test_bytes_match_per_value_writer(self, name):
+        basis = TestEvaluate.BASES[name]()
+        assert basis.csv_text() == basis_csv_by_str(basis)
+
+
+class TestEliminatedCoordinate:
+    @pytest.mark.parametrize("monomials, named", [(((0, 0, 0), (0, 0, 1)), "(0, 0, 1)"),
+                                                  (((1, 0, 0), (1, 0, 2), (0, 1, 0)), "(1, 0, 2)")])
+    def test_simplex_rejects_last_coordinate(self, monomials, named):
+        with pytest.raises(ValueError, match=re.escape(f"monomial {named} involves a coordinate")):
+            Basis(Simplex(3), 3, monomials)
+
+    def test_other_spaces_accept_every_coordinate(self):
+        assert len(Basis(FullSpace(3), 3, ((0, 0, 0), (0, 0, 1)))) == 2
 
 
 class TestExponentEnumeration:

@@ -23,7 +23,10 @@ import polydiff
 from polydiff import Polynomial
 from polydiff.cli import main
 from polydiff.pricing import PricingModel, bond_price, variance_swap_rate
+from polydiff.simulate import simulate_paths
 from polydiff.specfile import load_schema, parse_model_spec
+
+from conftest import paths_csv_by_format
 
 CIR_DOC = {
     "dimension": 1,
@@ -350,6 +353,16 @@ class TestMalformedInput:
                                     "--t-end", 0.5, "--threshold", "nan"], 2),
         "simulate_threshold_inf": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
                                     "--t-end", 0.5, "--threshold", "-inf"], 2),
+        "simulate_paths_zero": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
+                                 "--t-end", 0.5, "--paths", 0], 2),
+        "simulate_paths_negative": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
+                                     "--t-end", 0.5, "--paths", -3], 2),
+        "simulate_store_stride_zero": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
+                                        "--t-end", 0.5, "--store-stride", 0], 2),
+        "validate_samples_zero": (["--samples", 0, "validate", "jacobi"], 2),
+        "boundary_samples_negative": (["--samples", -5, "boundary", "jacobi"], 2),
+        "moments_mc_paths_negative": (["--verify", "moments", "jacobi", "--degree", 2, "--x", "0.2",
+                                       "--tau", 0.5, "--poly", X_POLY, "--mc-paths", -4], 2),
         "validate_malformed": (["validate", "malformed"], 2),
         "boundary_missing_file": (["boundary", "missing"], 2),
     }
@@ -454,6 +467,22 @@ class TestSimulate:
         # compression must not break bit-level reproducibility
         run(self.base_args(packed2, specs["jacobi"]) + ["--gzip"])
         assert packed.read_bytes() == packed2.read_bytes()
+
+    @pytest.mark.parametrize("spec, x0, stride", [("jacobi", "0.2", 1), ("simplex3", "0.2,0.3,0.5", 1),
+                                                  ("jacobi", "0.2", 7)])
+    @pytest.mark.parametrize("use_gzip", [False, True])
+    def test_csv_bytes_match_per_value_writer(self, specs, tmp_path, spec, x0, stride, use_gzip):
+        import gzip
+
+        out = tmp_path / "paths.csv"
+        r = run(["--out", out, "--seed", 7, "simulate", specs[spec], "--x0", x0, "--paths", 12,
+                 "--dt", 0.01, "--t-end", 0.5, "--store-stride", stride] + (["--gzip"] if use_gzip else []))
+        assert r.exit_code == 0, r.stderr
+        loaded = parse_model_spec(DOCS[spec])
+        ps = simulate_paths(loaded.model, loaded.statespace, [float(v) for v in x0.split(",")],
+                            0.5, 0.01, 12, 7, store_stride=stride)
+        want = paths_csv_by_format(ps).encode()
+        assert out.read_bytes() == (gzip.compress(want, mtime=0) if use_gzip else want)
 
     def test_uneven_grid_exits_one(self, specs, tmp_path):
         out = tmp_path / "paths.csv"

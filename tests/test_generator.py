@@ -50,6 +50,16 @@ def generator_matrix_by_images(model, basis):
     return np.column_stack(cols)
 
 
+def generator_csv_by_format(gm):
+    """GeneratorMatrix.csv_text with one format() call per entry: the byte
+    reference for the shared writer."""
+    header = ",".join("x" + " ".join(str(k) for k in e) for e in gm.basis.monomials)
+    lines = [header]
+    for row in gm.matrix:
+        lines.append(",".join(format(v, ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def _random_poly(rng, dim, degree, scale):
     terms = {e: scale * rng.uniform(-1.0, 1.0) for e in monomial_basis(FullSpace(dim), degree).monomials}
     return Polynomial(dim, terms)
@@ -172,6 +182,13 @@ class TestGeneratorMatrix:
         with pytest.raises(NotPolynomialOnE):
             generator_matrix(model, monomial_basis(space, 2))
 
+    @pytest.mark.parametrize("family", ["full", "simplex"])
+    def test_csv_bytes_match_per_value_writer(self, family):
+        model, space = non_dyadic_model(family, 3)
+        gm = generator_matrix(model, monomial_basis(space, 3))
+        assert (gm.matrix < 0).any() and (gm.matrix != np.round(gm.matrix)).any()
+        assert gm.csv_text() == generator_csv_by_format(gm)
+
     def test_csv_round_trip(self):
         model, space = jacobi_model()
         gm = generator_matrix(model, monomial_basis(space, 2))
@@ -218,11 +235,15 @@ class TestAssemblyAgainstImages:
         ("ou", 2, ((0,), (2,))),                # G x^2 has an x term: missing
         ("brownian", 1, ((0,), (1,), (2,))),    # image of x^2 within degree 1
         ("jacobi", 1, ((0,), (1,), (2,))),      # image of x^2 above degree 1
-        ("simplex_jacobi", 1, ((0, 0), (1, 0), (0, 1))),  # x_2 listed, reduced away
+        ("simplex_jacobi", 1, ((0, 0), (1, 0), (0, 1))),  # x_2 listed: eliminated, rejected
         ("simplex_jacobi", 2, ((0, 0), (2, 0))),          # x_1 missing
     ])
     def test_explicit_bases(self, name, degree, monomials):
         model, space = MODEL_MATRIX[name]()
+        if any(any(e[space.basis_variables:]) for e in monomials):
+            with pytest.raises(ValueError, match=r"monomial \(0, 1\) involves a coordinate"):
+                Basis(space, degree, monomials)
+            return
         basis = Basis(space, degree, monomials)
         try:
             want = generator_matrix_by_images(model, basis)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import polydiff.simulate
 from polydiff import (
     BoxOrthant,
     FullSpace,
     ModelCoefficients,
     NotSymmetric,
+    PathSet,
     PointOutsideStateSpace,
     Polynomial,
     boundary_hit_stats,
@@ -20,6 +22,7 @@ from polydiff import (
 
 from conftest import (
     MODEL_MATRIX,
+    paths_csv_by_format,
     brownian_model,
     cir_model,
     jacobi_model,
@@ -109,10 +112,11 @@ class TestSimulatePaths:
         b = simulate_paths(model, space, [0.2], 0.5, 0.01, 32, seed=8)
         assert not np.array_equal(a.paths, b.paths)
 
-    def test_chunking_invisible(self):
+    def test_chunking_invisible(self, monkeypatch):
         model, space = jacobi_model()
         a = simulate_paths(model, space, [0.2], 0.3, 0.01, 9, seed=3)
-        b = simulate_paths(model, space, [0.2], 0.3, 0.01, 9, seed=3, chunk_paths=2)
+        monkeypatch.setattr(polydiff.simulate, "_CHUNK_PATHS", 2)
+        b = simulate_paths(model, space, [0.2], 0.3, 0.01, 9, seed=3)
         assert np.array_equal(a.paths, b.paths)
 
     def test_adding_paths_extends(self):
@@ -162,6 +166,24 @@ class TestSimulatePaths:
         first = lines[1].split(",")
         assert first[:2] == ["0", "0"]
         assert float(first[2]) == 0.0
+
+
+class TestCsvWriter:
+    def test_special_values_match_per_value_writer(self):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+                   1.7976931348623157e308, 2.0**53, 2.0**53 + 2, 1 / 3, -0.1, 123456789.0]
+        paths = np.array(special * 2).reshape(2, 13, 1)
+        ps = PathSet(times=np.arange(13) * 0.1, paths=paths, seed=0, dt=0.1, n_steps=12,
+                     store_stride=1, scheme="euler-project", statespace_family="full")
+        assert ps.csv_text() == paths_csv_by_format(ps)
+
+    @pytest.mark.parametrize("name", ["jacobi", "simplex_jacobi", "unit_ball"])
+    def test_simulated_paths_match_per_value_writer(self, name):
+        model, space = MODEL_MATRIX[name]()
+        x0 = space.interior_samples(1)[0]
+        for stride in (1, 7):
+            ps = simulate_paths(model, space, x0, 0.5, 0.01, 6, seed=5, store_stride=stride)
+            assert ps.csv_text() == paths_csv_by_format(ps)
 
 
 class TestMonteCarlo:

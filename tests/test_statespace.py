@@ -1,7 +1,11 @@
 """State spaces: membership, projection, samplers, and family assembly."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydiff import (
     BoxOrthant,
@@ -15,6 +19,7 @@ from polydiff import (
     SimplexParams,
     assemble_model,
 )
+from polydiff.basis import monomial_basis
 from polydiff.statespace import skew_symmetric_basis
 
 ALL_SPACES = [
@@ -198,6 +203,136 @@ class TestSimplexReduce:
         q = space.reduce(p)
         assert set(q.terms) == {(0, 0, 0)}
         assert q.coefficient((0, 0, 0)) == pytest.approx(1.0, abs=1e-15)
+
+
+def reduce_by_products(space, p):
+    """Simplex.reduce by Polynomial products, one per term, with each power
+    of 1 - x_1 - ... - x_{d-1} extended from the highest one built so far;
+    the reference the term-array substitution must equal bit for bit."""
+    d = space.dim
+    last = d - 1
+    sub = Polynomial.one(d) - sum((Polynomial.variable(i, d) for i in range(last)), Polynomial.zero(d))
+    powers = {0: Polynomial.one(d)}
+    out = Polynomial.zero(d)
+    for e, c in p.terms.items():
+        k = e[last]
+        if k not in powers:
+            base = max(j for j in powers if j < k)
+            powers[k] = powers[base] * sub ** (k - base)
+        out = out + Polynomial(d, {e[:last] + (0,): c}) * powers[k]
+    return out
+
+
+def random_polynomial(rng, d, terms, top):
+    """Up to ``terms`` terms with exponents <= ``top`` and non-dyadic coefficients."""
+    exps = {tuple(int(k) for k in rng.integers(0, top + 1, d)) for _ in range(terms)}
+    return Polynomial(d, {e: rng.standard_normal() * 10.0 ** rng.integers(-3, 4) for e in exps})
+
+
+class TestSimplexReduceTerms:
+    def test_substitutes_each_term_without_summing(self):
+        space = Simplex(3)
+        exps = np.array([[1, 0, 2], [0, 1, 0]])
+        out, coefs, source = space.reduce_terms(exps, np.array([3.0, 5.0]))
+        # 3 x_1 (1 - x_1 - x_2)^2 has six terms, 5 x_2 one
+        assert source.tolist() == [0] * 6 + [1]
+        got = {}
+        for e, c in zip(out.tolist(), coefs.tolist()):
+            got[tuple(e)] = got.get(tuple(e), 0.0) + c
+        want = space.reduce(Polynomial(3, {(1, 0, 2): 3.0, (0, 1, 0): 5.0}))
+        assert got == want.terms
+        assert not out[:, 2].any()
+
+    def test_other_spaces_pass_terms_through(self):
+        exps, coefs = np.array([[1, 2], [0, 3]]), np.array([1.5, -2.0])
+        for space in (FullSpace(2), Quadric(np.eye(2)), BoxOrthant(1, 1)):
+            out, c, source = space.reduce_terms(exps, coefs)
+            assert out is exps and c is coefs and source.tolist() == [0, 1]
+
+
+class TestSimplexReduceReference:
+    def test_equals_products_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        checked = 0
+        for d in (2, 3, 4, 5):
+            space = Simplex(d)
+            for _ in range(61):
+                p = random_polynomial(rng, d, int(rng.integers(1, 9)), 4)
+                q, want = space.reduce(p), reduce_by_products(space, p)
+                assert q.terms == want.terms
+                checked += 1
+        assert checked >= 200
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_zero_and_last_coordinate_free_inputs(self, d):
+        space = Simplex(d)
+        assert space.reduce(Polynomial.zero(d)).is_zero()
+        rng = np.random.default_rng(d)
+        p = random_polynomial(rng, d, 6, 3)
+        p = Polynomial(d, {e[:-1] + (0,): c for e, c in p.terms.items()})
+        assert space.reduce(p) == p == reduce_by_products(space, p)
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimension"):
+            Simplex(3).reduce(Polynomial.variable(0, 2))
+
+    def test_overflowing_coefficient_raises(self):
+        # 1e308 x_3^2 carries 2e308 x_1 x_2
+        p = Polynomial.monomial((0, 0, 2), 1e308)
+        with pytest.raises(ValueError):
+            reduce_by_products(Simplex(3), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                Simplex(3).reduce(p)
+
+
+# integer coefficients and small exponents keep every sum and product exact,
+# so the ring laws hold with ==
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+
+def small_polynomials(d):
+    term = st.tuples(st.tuples(*[st.integers(0, 4)] * d), st.integers(-8, 8))
+    return st.lists(term, max_size=12).map(lambda ts: Polynomial(d, dict(ts)))
+
+
+polynomial_pairs = st.integers(2, 5).flatmap(
+    lambda d: st.tuples(st.just(Simplex(d)), small_polynomials(d), small_polynomials(d)))
+
+
+class TestSimplexReduceProperties:
+    @PROPERTY
+    @given(polynomial_pairs)
+    def test_eliminates_last_coordinate(self, case):
+        space, p, _ = case
+        assert all(e[-1] == 0 for e in space.reduce(p).terms)
+
+    @PROPERTY
+    @given(polynomial_pairs)
+    def test_idempotent(self, case):
+        space, p, _ = case
+        r = space.reduce(p)
+        assert space.reduce(r) == r
+
+    @PROPERTY
+    @given(polynomial_pairs)
+    def test_additive(self, case):
+        space, p, q = case
+        assert space.reduce(p + q) == space.reduce(p) + space.reduce(q)
+
+    @PROPERTY
+    @given(polynomial_pairs)
+    def test_multiplicative(self, case):
+        space, p, q = case
+        assert space.reduce(p * q) == space.reduce(space.reduce(p) * space.reduce(q))
+
+    @PROPERTY
+    @given(polynomial_pairs)
+    def test_basis_coordinates_round_trip(self, case):
+        space, p, _ = case
+        basis = monomial_basis(space, max(p.degree, 0))
+        assert basis.polynomial(basis.coordinates(p)) == space.reduce(p)
 
 
 class TestSkewBasis:
