@@ -47,26 +47,23 @@ def monomial_exponents(free_vars: int, dim: int, degree: int) -> list[Exponents]
 
 
 class Basis:
-    """Ordered monomial basis attached to a state space."""
+    """The graded monomial basis of Pol_n(E) in the free coordinates (module docstring)."""
 
-    def __init__(self, statespace, degree: int, monomials: tuple[Exponents, ...] | None = None):
+    def __init__(self, statespace, degree: int):
         if degree < 0:
             raise ValueError("degree must be >= 0")
         self.statespace = statespace
         self.degree = int(degree)
-        if monomials is None:
-            monomials = tuple(monomial_exponents(statespace.basis_variables, statespace.dim, degree))
-        self.monomials = tuple(monomials)
+        m = statespace.basis_variables
+        self.monomials = tuple(monomial_exponents(m, statespace.dim, self.degree))
         self._index = {e: k for k, e in enumerate(self.monomials)}
-        if len(self._index) != len(self.monomials):
-            raise ValueError("duplicate monomials in basis")
         # the monomials as an N x dim int array, row k = monomials[k]
         self.exponents = np.array(self.monomials, dtype=np.int64).reshape(len(self.monomials), self.dim)
-        # a monomial in a coordinate past basis_variables is not a representative
-        eliminated = np.flatnonzero(self.exponents[:, statespace.basis_variables:].any(axis=1))
-        if len(eliminated):
-            raise ValueError(f"monomial {self.monomials[eliminated[0]]} involves a coordinate "
-                             f"the {statespace.family} state space eliminates")
+        # C(r, k) for r < degree + m, k <= m: Pascal's rule summed down each column
+        self._binom = np.zeros((self.degree + m, m + 1), dtype=np.int64)
+        self._binom[:, 0] = 1
+        for k in range(1, m + 1):
+            self._binom[1:, k] = np.cumsum(self._binom[:-1, k - 1])
 
     @property
     def dim(self) -> int:
@@ -93,6 +90,19 @@ class Basis:
                 out = out * powers[..., col]
         return out
 
+    def rows(self, exps) -> np.ndarray:
+        """Position of each exponent row, a basis monomial, in the basis.  With m free
+        coordinates, t = |e| and r_k = t - sum_{l<k} e_l, it counts C(m+t-1, m) monomials
+        of lower degree and sum_k C(r_k+m-k-1, m-k-1) - C(r_k-e_k+m-k-1, m-k-1) lex-below e."""
+        m = self.statespace.basis_variables
+        e = np.asarray(exps, dtype=np.int64)[:, :m]
+        room = e.sum(axis=1)
+        row = self._binom[room + m - 1, m]
+        for k in range(m):
+            row = row + self._binom[room + m - k - 1, m - k - 1] - self._binom[room - e[:, k] + m - k - 1, m - k - 1]
+            room = room - e[:, k]
+        return row
+
     def coordinates(self, p: Polynomial) -> np.ndarray:
         """Coordinate vector of p (after reduction by the equality ideal)."""
         if p.dim != self.dim:
@@ -102,10 +112,7 @@ class Basis:
             raise DegreeTooHigh(f"degree {q.degree} exceeds basis degree {self.degree}")
         v = np.zeros(len(self.monomials))
         for e, c in q.terms.items():
-            try:
-                v[self._index[e]] = c
-            except KeyError:
-                raise DegreeTooHigh(f"monomial {e} not spanned by this basis") from None
+            v[self._index[e]] = c
         return v
 
     def polynomial(self, values) -> Polynomial:

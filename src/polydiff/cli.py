@@ -43,7 +43,7 @@ from .pricing import (
     variance_swap_rate,
 )
 from .simulate import boundary_hit_stats, mc_moment, simulate_paths
-from .specfile import SpecError, load_instrument, load_model_spec
+from .specfile import SpecError, _validate_against, load_instrument, load_model_spec
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -127,8 +127,9 @@ def _parse_poly(text: str, dim: int) -> Polynomial:
         except json.JSONDecodeError as exc:
             raise SpecError(f"--poly: {exc.msg} at column {exc.colno}")
     try:
+        _validate_against(doc, "modelspec.schema.json", "polynomial")
         p = Polynomial.from_json_dict(doc)
-    except ValueError as exc:
+    except ValueError as exc:  # the schema check raises SpecError, a ValueError
         raise SpecError(f"--poly: {exc}")
     if p.dim != dim:
         raise SpecError(f"--poly: polynomial dimension {p.dim} does not match model dimension {dim}")

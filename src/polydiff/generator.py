@@ -14,7 +14,6 @@ independent cross-check of the exponential route.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -254,22 +253,6 @@ def _coefficient_terms(model: ModelCoefficients):
     return I, J, F, W
 
 
-def _exponent_codes(exps: np.ndarray, top: int) -> np.ndarray:
-    """Rank of each exponent row in lex order among all vectors of its
-    length with total degree <= top.  The ranks stay below C(d + top, d), the
-    size of the full basis; a mixed-radix code would need (top + 1)^d, which
-    overflows int64 for quadratics in 40 variables."""
-    d = exps.shape[1]
-    binom = np.array([[math.comb(n, k) for k in range(d + 1)] for n in range(top + d + 1)], dtype=np.int64)
-    code = np.zeros(len(exps), dtype=np.int64)
-    room = np.full(len(exps), top, dtype=np.int64)
-    for k in range(d):
-        m = d - k
-        code += binom[room + m, m] - binom[room - exps[:, k] + m, m]
-        room -= exps[:, k]
-    return code
-
-
 def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
     """Represent the generator on the basis, reducing by the equality ideal.
 
@@ -282,7 +265,9 @@ def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
     basis exponents (see _coefficient_terms).  The state space rewrites the
     coefficient terms into representatives first (StateSpace.reduce_terms):
     the basis monomials are representatives already, and the rewriting is a
-    ring homomorphism, so it commutes with forming the images.
+    ring homomorphism, so it commutes with forming the images.  Each image term
+    is a basis monomial, placed by its rank (Basis.rows): deg a <= 2, deg b <= 1,
+    a nonzero weight needs e_i > 0 (and e_j > 0), and no term has an eliminated coordinate.
     """
     space = basis.statespace
     if model.dim != space.dim:
@@ -305,25 +290,7 @@ def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
     target = E[col] + shift[term]
     with np.errstate(over="ignore"):  # an overflow raises below
         value = W[term] * factor[term, col]
-    degree = E.sum(axis=1)
-    top = int(degree.max(initial=0))
-    # rows of G: the basis monomials within the degree bound, looked up by code
-    spanned = np.flatnonzero(degree <= basis.degree)
-    code, bcode = np.split(_exponent_codes(np.concatenate([target, E[spanned]]), top), [len(target)])
-    found = np.isin(code, bcode)
-    if not found.all():
-        # an image leaves the basis space unless its stray terms cancel exactly
-        stray = np.flatnonzero(~found)
-        _, first, inverse = np.unique(np.stack([col[stray], code[stray]], axis=1), axis=0,
-                                      return_index=True, return_inverse=True)
-        sums = np.bincount(inverse.ravel(), weights=value[stray])
-        if np.any(sums != 0.0):
-            k = stray[first[np.flatnonzero(sums)[0]]]
-            raise NotPolynomialOnE(f"image of monomial {basis.monomials[col[k]]} leaves the basis space: "
-                                   f"monomial {tuple(target[k].tolist())} is not spanned")
-    order = np.argsort(bcode)
-    row = spanned[order[np.searchsorted(bcode[order], code[found])]]
-    G = np.bincount(row * n + col[found], weights=value[found], minlength=n * n).reshape(n, n)
+    G = np.bincount(basis.rows(target) * n + col, weights=value, minlength=n * n).reshape(n, n)
     if not np.all(np.isfinite(G)):
         raise ValueError("generator matrix entries overflow the floating-point range")
     return GeneratorMatrix(basis, G)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from polydiff.generator import ModelCoefficients
 from polydiff.polynomial import Polynomial
@@ -13,6 +14,13 @@ from polydiff.statespace import (
     SimplexParams,
     assemble_model,
 )
+
+
+@pytest.hookimpl(trylast=True)  # after the tmpdir plugin has made its factory
+def pytest_configure(config):
+    # hypothesis caches the literals of local modules under its home directory,
+    # ./.hypothesis by default, even without an example database
+    set_hypothesis_home_dir(config._tmp_path_factory.mktemp("hypothesis"))
 
 
 def _const(dim, c):

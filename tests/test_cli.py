@@ -364,6 +364,14 @@ class TestMalformedInput:
         "moments_mc_paths_negative": (["--verify", "moments", "jacobi", "--degree", 2, "--x", "0.2",
                                        "--tau", 0.5, "--poly", X_POLY, "--mc-paths", -4], 2),
         "validate_malformed": (["validate", "malformed"], 2),
+        "poly_exponent_float": (["moments", "jacobi", "--degree", 2, "--x", "0.2", "--tau", 0.5, "--poly",
+                                 '{"dim": 1, "terms": [{"e": [1.5], "c": 1}]}'], 2),
+        "poly_exponent_bool": (["moments", "jacobi", "--degree", 2, "--x", "0.2", "--tau", 0.5, "--poly",
+                                '{"dim": 1, "terms": [{"e": [true], "c": 1}]}'], 2),
+        "poly_coefficient_string": (["moments", "jacobi", "--degree", 2, "--x", "0.2", "--tau", 0.5, "--poly",
+                                     '{"dim": 1, "terms": [{"e": [1], "c": "2"}]}'], 2),
+        "poly_terms_object": (["moments", "jacobi", "--degree", 2, "--x", "0.2", "--tau", 0.5, "--poly",
+                               '{"dim": 1, "terms": {}}'], 2),
         "boundary_missing_file": (["boundary", "missing"], 2),
     }
 
@@ -376,7 +384,7 @@ class TestMalformedInput:
         assert r.exception is None or isinstance(r.exception, SystemExit)
         assert "Traceback" not in r.stderr
         lines = r.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines) == 1 and lines[0].startswith("error: --poly: " if case.startswith("poly_") else "error: ")
 
     def test_unknown_pricer_type_names_the_field(self, specs, instrument):
         path = instrument({"kind": "equity_option", "x": [0.3, 0.7],

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from polydiff import (
-    Basis,
     BoxOrthant,
     BoxOrthantParams,
     DegreeTooHigh,
@@ -220,39 +219,6 @@ class TestAssemblyAgainstImages:
             assert np.array_equal(generator_matrix(model, basis).matrix,
                                   generator_matrix_by_images(model, basis))
 
-    @pytest.mark.parametrize("name", DYADIC)
-    def test_permuted_basis_permutes_matrix(self, name):
-        model, space = MODEL_MATRIX[name]()
-        canonical = monomial_basis(space, 5)
-        perm = np.random.default_rng(11).permutation(len(canonical))
-        shuffled = Basis(space, 5, tuple(canonical.monomials[i] for i in perm))
-        got = generator_matrix(model, shuffled).matrix
-        assert np.array_equal(got, generator_matrix(model, canonical).matrix[np.ix_(perm, perm)])
-        assert np.array_equal(got, generator_matrix_by_images(model, shuffled))
-
-    @pytest.mark.parametrize("name, degree, monomials", [
-        ("brownian", 2, ((0,), (2,))),          # G x^2 = 1: spanned
-        ("ou", 2, ((0,), (2,))),                # G x^2 has an x term: missing
-        ("brownian", 1, ((0,), (1,), (2,))),    # image of x^2 within degree 1
-        ("jacobi", 1, ((0,), (1,), (2,))),      # image of x^2 above degree 1
-        ("simplex_jacobi", 1, ((0, 0), (1, 0), (0, 1))),  # x_2 listed: eliminated, rejected
-        ("simplex_jacobi", 2, ((0, 0), (2, 0))),          # x_1 missing
-    ])
-    def test_explicit_bases(self, name, degree, monomials):
-        model, space = MODEL_MATRIX[name]()
-        if any(any(e[space.basis_variables:]) for e in monomials):
-            with pytest.raises(ValueError, match=r"monomial \(0, 1\) involves a coordinate"):
-                Basis(space, degree, monomials)
-            return
-        basis = Basis(space, degree, monomials)
-        try:
-            want = generator_matrix_by_images(model, basis)
-        except NotPolynomialOnE:
-            with pytest.raises(NotPolynomialOnE, match="leaves the basis space"):
-                generator_matrix(model, basis)
-        else:
-            assert np.array_equal(generator_matrix(model, basis).matrix, want)
-
     def test_overflowing_entries_raise(self):
         # G x^4 carries 6 a x^2, which overflows for a = 1e308
         model = ModelCoefficients([[Polynomial.monomial((2,), 1e308)]], [Polynomial.zero(1)])
@@ -444,6 +410,28 @@ class TestAnalyticMoments:
         for degree in range(3, 7):
             got = conditional_moment(model, space, degree, p, x, 0.9)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
+class TestDynkinIdentity:
+    """E f(X_tau) - f(x) = int_0^tau E[(Gf)(X_s)] ds, with Gf from the
+    Polynomial route (apply_generator) and the integral by Gauss-Legendre."""
+
+    NODES, WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_MATRIX))
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_increment_is_integral_of_generator(self, name, degree):
+        model, space = MODEL_MATRIX[name]()
+        x, tau, d = MATRIX_POINTS[name], 0.8, space.dim
+        f = (Polynomial.variable(0, d) ** degree
+             - 0.5 * Polynomial.variable(d - 1, d) ** (degree - 1) * Polynomial.variable(0, d)
+             + Polynomial.constant(d, 0.3))
+        gf = apply_generator(model, f)
+        s = 0.5 * tau * (self.NODES + 1.0)
+        integral = 0.5 * tau * sum(w * conditional_moment(model, space, degree, gf, x, t)
+                                   for w, t in zip(self.WEIGHTS, s))
+        increment = conditional_moment(model, space, degree, f, x, tau) - f(x)
+        assert integral == pytest.approx(increment, rel=1e-12)
 
 
 class TestJointMoment:
