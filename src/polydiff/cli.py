@@ -4,8 +4,8 @@ Exit codes are a stable contract: 0 success (or Valid verdict), 1 for
 domain-negative outcomes (Invalid/Inconclusive verdicts, points outside the
 state space, degree overruns, bad state-price densities), 2 for unreadable
 or malformed input (non-finite points, horizons, steps or thresholds,
-negative horizons, degrees or ``--mc-paths``, non-positive simulation steps,
-horizons, ``--samples``, ``--paths`` or ``--store-stride``).
+negative horizons, degrees, ``--seed`` or ``--mc-paths``, non-positive
+simulation steps, horizons, ``--samples``, ``--paths`` or ``--store-stride``).
 Every failure is reported on one ``error:`` line.  All numeric JSON output
 is emitted at 17 significant digits so values round-trip exactly.
 """
@@ -169,7 +169,8 @@ def _exit_codes(command):
               help="Write the primary output to this file instead of stdout.")
 @click.option("--samples", type=int, default=1000, show_default=True, callback=_at_least(1),
               help="Sample budget for sampled checks.")
-@click.option("--seed", type=int, default=0, show_default=True, help="RNG seed for simulation.")
+@click.option("--seed", type=int, default=0, show_default=True, callback=_at_least(0),
+              help="RNG seed for simulation.")
 @click.option("--verify", is_flag=True, help="Cross-check closed forms against numerical oracles.")
 @click.option("--quiet", is_flag=True, help="Suppress warnings and informational messages.")
 @click.pass_context

@@ -204,7 +204,7 @@ class Polynomial:
             raise ValueError(f"point has shape {x.shape}, expected trailing dim {self._dim}")
         out = np.zeros(x.shape[:-1])
         for e, c in self._terms.items():
-            term = np.full(x.shape[:-1], c)
+            term = c
             for i, k in enumerate(e):
                 if k:
                     term = term * x[..., i] ** k

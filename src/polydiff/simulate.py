@@ -2,10 +2,16 @@
 
 Dispersion is the PSD square root of the (projected) diffusion matrix, so
 slightly inadmissible coefficients off the constraint set never produce
-complex noise.  Randomness comes from counter-based per-path streams: path k
-draws from Philox seeded by (seed, k), and normal variates go through the
-inverse CDF, so results are bit-identical across runs, platforms, and chunk
-sizes, and adding paths never reshuffles existing ones.
+complex noise.
+
+Stream contract: path k draws from numpy's ``Philox`` keyed by
+``SeedSequence(entropy=seed, spawn_key=(k,))``, one double (u >> 11) * 2**-53
+per 64-bit output u, d doubles per step in step order; normal variates go
+through the inverse CDF.  So ``Generator(Philox(SeedSequence(entropy=seed,
+spawn_key=(k,)))).random((n_steps, d))`` reproduces the uniforms of path k
+with numpy alone.  The contract holds across chunk and step-block
+boundaries: paths are bit-identical across runs, platforms and chunk sizes,
+and adding paths never reshuffles existing ones.
 """
 
 from __future__ import annotations
@@ -32,6 +38,16 @@ __all__ = [
 
 _STEP_BLOCK = 1024  # fixed internal step blocking; must not depend on inputs
 _CHUNK_PATHS = 8192  # paths simulated together; the paths do not depend on it
+# a block of d-dimensional steps is a whole number of 4-word Philox outputs,
+# so every block starts on an empty buffer at counter step * d / 4
+assert _STEP_BLOCK % 4 == 0
+
+# numpy SeedSequence constants (O'Neill's seed_seq_fe with a 4-word pool)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 class NotSymmetric(ValueError):
@@ -59,6 +75,9 @@ def nearest_psd(A, sym_tol: float = 1e-12) -> np.ndarray:
 
 def _psd_sqrt_batch(A: np.ndarray) -> np.ndarray:
     """PSD square root of a batch (..., d, d) of symmetric matrices."""
+    if A.shape[-1] == 1:
+        # a 1x1 eigh returns w = a and V = 1, so this is the same root bit for bit
+        return np.sqrt(np.maximum(A, 0.0))
     w, V = np.linalg.eigh(A)
     root = np.sqrt(np.maximum(w, 0.0))
     return np.einsum("...ik,...k,...jk->...ij", V, root, V)
@@ -106,9 +125,91 @@ class PathSet:
         return _csv_text(rows, header)
 
 
-def _path_stream(seed: int, path_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(path_index),))
-    return np.random.Generator(np.random.Philox(ss))
+def _words(n: int) -> list[np.ndarray]:
+    """Little-endian 32-bit words of a non-negative integer ([0] for zero)."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return [np.array([w], dtype=np.uint32) for w in words]
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> 16)
+
+
+def _hash(v: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One seed_seq_fe hash of the words v; returns them and the next constant."""
+    v = v ^ np.uint32(const)
+    const = const * mult & _MASK32
+    v = v * np.uint32(const)
+    return v ^ (v >> 16), const
+
+
+def _seed_keys(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence`` pool mixing and ``generate_state(2, uint64)`` on word
+    arrays: word i of every row is entropy[i], broadcast over rows."""
+    const = _INIT_A
+
+    def hashmix(v):
+        nonlocal const
+        v, const = _hash(v, const, _MULT_A)
+        return v
+
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    const = _INIT_B
+    state = []
+    for w in pool:
+        w, const = _hash(w, const, _MULT_B)
+        state.append(w.astype(np.uint64))
+    return np.column_stack([state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)])
+
+
+def _path_keys(seed: int, indices) -> np.ndarray:
+    """Philox keys (n, 2) uint64 of ``SeedSequence(entropy=seed, spawn_key=(k,))``
+    for every path index k, all at once."""
+    run = _words(int(seed))
+    # numpy pads the seed words to the pool size when a spawn key follows
+    run += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(run))
+    idx = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    lo = (idx & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (idx >> np.uint64(32)).astype(np.uint32)
+    keys = np.empty((idx.size, 2), dtype=np.uint64)
+    # an index >= 2**32 is a two-word spawn key, which runs one more mixing round
+    for two in (False, True):
+        rows = (hi != 0) == two
+        if rows.any():
+            keys[rows] = _seed_keys(run + [lo[rows]] + ([hi[rows]] if two else []))
+    return keys
+
+
+def _uniforms(gen: np.random.Generator, keys: list, step: int, block: int, d: int) -> np.ndarray:
+    """Uniforms (len(keys), block, d) of steps [step, step + block) of the
+    Philox streams keyed by ``keys``, all drawn through the one generator ``gen``.
+
+    Each path sets its key and counter step * d / 4 on an empty buffer, which
+    is where its own fresh stream stands after ``step`` steps whenever
+    step * d is a multiple of 4 (Philox counts 4-word outputs).
+    """
+    u = np.empty((len(keys), block, d))
+    bitgen = gen.bit_generator
+    state = {"bit_generator": "Philox", "state": {"counter": [step * d // 4, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for i, key in enumerate(keys):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.random((block, d), out=u[i])
+    return u
 
 
 def simulate_paths(
@@ -128,7 +229,8 @@ def simulate_paths(
     model, statespace : coefficients and the set they must respect.
     x0 : starting state, must satisfy the constraints to tolerance.
     T, dt : horizon and step; T must be an integer multiple of dt.
-    n_paths, seed : path count and the master seed of the per-path streams.
+    n_paths, seed : path count and the master seed (an integer >= 0) of the
+        per-path streams; see the module docstring for the stream contract.
     store_stride : keep every stride-th step (the final step is always kept);
         running constraint minima are tracked at full resolution regardless.
     """
@@ -150,10 +252,11 @@ def simulate_paths(
     out = np.empty((n_paths, len(stored_steps), d))
     minima = np.empty((n_paths, len(ineqs))) if ineqs else None
     sqdt = np.sqrt(dt)
+    gen = np.random.Generator(np.random.Philox(0))  # every path overwrites its state
 
     for start in range(0, n_paths, _CHUNK_PATHS):
         stop = min(start + _CHUNK_PATHS, n_paths)
-        streams = [_path_stream(seed, k) for k in range(start, stop)]
+        keys = _path_keys(seed, np.arange(start, stop)).tolist()
         c = stop - start
         x = np.tile(x0, (c, 1))
         out[start:stop, 0] = x
@@ -162,7 +265,7 @@ def simulate_paths(
         step = 0
         while step < n_steps:
             block = min(_STEP_BLOCK, n_steps - step)
-            u = np.stack([g.random((block, d)) for g in streams])
+            u = _uniforms(gen, keys, step, block, d)
             # uniform draws live in [0, 1); keep the inverse CDF finite
             z = ndtri(np.clip(u, 1e-300, 1.0 - 2**-53))
             for j in range(block):

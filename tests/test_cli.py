@@ -359,6 +359,8 @@ class TestMalformedInput:
                                      "--t-end", 0.5, "--paths", -3], 2),
         "simulate_store_stride_zero": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
                                         "--t-end", 0.5, "--store-stride", 0], 2),
+        "simulate_seed_negative": (["--seed", -1, "--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
+                                   "--t-end", 0.5], 2),
         "validate_samples_zero": (["--samples", 0, "validate", "jacobi"], 2),
         "boundary_samples_negative": (["--samples", -5, "boundary", "jacobi"], 2),
         "moments_mc_paths_negative": (["--verify", "moments", "jacobi", "--degree", 2, "--x", "0.2",
@@ -385,6 +387,12 @@ class TestMalformedInput:
         assert "Traceback" not in r.stderr
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: --poly: " if case.startswith("poly_") else "error: ")
+
+    def test_negative_seed_names_the_option(self, specs, tmp_path):
+        r = run(["--seed", -1, "--out", tmp_path / "paths.csv", "simulate", specs["jacobi"],
+                 "--x0", "0.2", "--t-end", 0.5])
+        assert r.exit_code == 2
+        assert r.stderr == "error: --seed: expected an integer >= 0, got -1\n"
 
     def test_unknown_pricer_type_names_the_field(self, specs, instrument):
         path = instrument({"kind": "equity_option", "x": [0.3, 0.7],
@@ -491,6 +499,32 @@ class TestSimulate:
                             0.5, 0.01, 12, 7, store_stride=stride)
         want = paths_csv_by_format(ps).encode()
         assert out.read_bytes() == (gzip.compress(want, mtime=0) if use_gzip else want)
+
+    # sha256 and length of the CSV bytes as written by the per-path generator
+    # streams; keys, counters, draws and the step kernel all show in them
+    GOLDEN = {
+        "jacobi": ("jacobi", 2026, ["--x0", "0.2", "--paths", 16, "--dt", 0.01, "--t-end", 0.5],
+                   "ac7ec46810b3bebc905b0476dc8bf2b13f27a1f77dd1205c85e7b4f8afc01e9f", 33272),
+        # 1100 steps straddle the 1024-step block; the seed has two 32-bit words
+        "jacobi_two_blocks": ("jacobi", 2**32 + 1, ["--x0", "0.2", "--paths", 3, "--dt", 0.001,
+                                                     "--t-end", 1.1, "--store-stride", 25],
+                              "b2e21ecbedc0121e2625cb4693a4a77bc4047dc461ba3dfbb83ad249715c0f59", 5748),
+        "simplex2": ("simplex_plain", 2026, ["--x0", "0.3,0.7", "--paths", 16, "--dt", 0.01, "--t-end", 0.5],
+                     "21a0f8da567e5ac72ca2825cf2f82b33c585b62c5a812dcfe271c24cad4f6ab1", 49494),
+        "simplex3": ("simplex3", 7, ["--x0", "0.2,0.3,0.5", "--paths", 8, "--dt", 0.01, "--t-end", 0.5],
+                     "89bed86a6ac1c1c6b93a604e176e377fc4fc694f417ab6d2b56e952b8ae4dfe9", 32649),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_csv_golden_hash(self, specs, tmp_path, case):
+        import hashlib
+
+        spec, seed, args, digest, size = self.GOLDEN[case]
+        out = tmp_path / "paths.csv"
+        r = run(["--out", out, "--seed", seed, "simulate", specs[spec], *args])
+        assert r.exit_code == 0, r.stderr
+        data = out.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
 
     def test_uneven_grid_exits_one(self, specs, tmp_path):
         out = tmp_path / "paths.csv"

@@ -117,6 +117,53 @@ class TestEvaluation:
         assert p(X).shape == (4, 5)
 
 
+def full_array_eval(p, X):
+    """Reference evaluation: every term starts from a full array of its coefficient."""
+    X = np.asarray(X, dtype=float)
+    out = np.zeros(X.shape[:-1])
+    for e, c in p.terms.items():
+        term = np.full(X.shape[:-1], c)
+        for i, k in enumerate(e):
+            if k:
+                term = term * X[..., i] ** k
+        out = out + term
+    return float(out) if out.ndim == 0 else out
+
+
+class TestEvaluationMatchesReference:
+    """``__call__`` does the same multiplications and additions in the same
+    order as the full-array reference, so the values agree bit for bit."""
+
+    SHAPES = [(2048,), (16,), (3, 4), ()]
+
+    def _check(self, p, X):
+        got, want = p(X), full_array_eval(p, X)
+        if np.ndim(X) == 1:
+            assert type(got) is float and type(want) is float
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim,degree", [(1, 6), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_random(self, dim, degree, shape):
+        rng = np.random.default_rng([dim, degree, len(shape)])
+        X = rng.uniform(-2.0, 2.0, size=shape + (dim,))
+        for _ in range(5):
+            self._check(random_poly(rng, dim, degree), X)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_constant_and_zero(self, shape):
+        X = np.random.default_rng(1).uniform(-1.0, 1.0, size=shape + (2,))
+        self._check(Polynomial.constant(2, -0.3), X)
+        self._check(Polynomial.zero(2), X)
+
+    def test_single_point_returns_float(self):
+        p = random_poly(np.random.default_rng(2), 2, 4)
+        for q in (p, Polynomial.constant(2, 1.5), Polynomial.zero(2)):
+            value = q(np.array([0.25, -0.75]))
+            assert type(value) is float
+            assert value == full_array_eval(q, np.array([0.25, -0.75]))
+
+
 class TestCalculus:
     def test_grad_product_monomial(self):
         p = x(0, 2) ** 2 * x(1, 2)

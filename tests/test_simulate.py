@@ -20,6 +20,8 @@ from polydiff import (
     simulate_paths,
 )
 
+from polydiff.simulate import _path_keys, _uniforms
+
 from conftest import (
     MODEL_MATRIX,
     paths_csv_by_format,
@@ -67,7 +69,102 @@ class TestNearestPsd:
                 assert np.linalg.norm(A - S) >= d_proj - 1e-12
 
 
+def eigh_root(A):
+    """PSD square root through the eigendecomposition, for any d."""
+    w, V = np.linalg.eigh(A)
+    return np.einsum("...ik,...k,...jk->...ij", V, np.sqrt(np.maximum(w, 0.0)), V)
+
+
+def reference_stream(seed, k):
+    """Path k's stream as the documented contract states it, in numpy alone."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
+
+
+def brownian(d):
+    a = [[Polynomial.constant(d, float(i == j)) for j in range(d)] for i in range(d)]
+    return ModelCoefficients(a, [Polynomial.zero(d)] * d), FullSpace(d)
+
+
+SEEDS = [0, 2**32 + 1, 2**130 + 5]
+INDICES = [0, 1, 2**32 - 1, 2**32, 2**50]
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", SEEDS + [1, 2026, 2**31 - 1, 2**40 + 7])
+    def test_keys_match_seed_sequence(self, seed):
+        want = [np.random.SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(2, np.uint64)
+                for k in INDICES]
+        keys = _path_keys(seed, INDICES)
+        assert keys.dtype == np.uint64 and keys.shape == (len(INDICES), 2)
+        assert np.array_equal(keys, want)
+        assert np.array_equal(keys[1], reference_stream(seed, 1).bit_generator.state["state"]["key"])
+
+    def test_keys_of_a_chunk(self):
+        idx = np.arange(8190, 8200)
+        want = [np.random.SeedSequence(entropy=7, spawn_key=(int(k),)).generate_state(2, np.uint64)
+                for k in idx]
+        assert np.array_equal(_path_keys(7, idx), want)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _path_keys(-1, [0])
+        model, space = jacobi_model()
+        with pytest.raises(ValueError, match="non-negative"):
+            simulate_paths(model, space, [0.2], 0.1, 0.01, 4, seed=-1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_uniforms_at_any_block_start(self, seed, d):
+        keys = _path_keys(seed, INDICES).tolist()
+        gen = np.random.Generator(np.random.Philox(0))
+        for step, block in [(0, 5), (4, 3), (8, 9), (0, 1)]:
+            u = _uniforms(gen, keys, step, block, d)
+            for i, k in enumerate(INDICES):
+                assert np.array_equal(u[i], reference_stream(seed, k).random((step + block, d))[step:])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_simulation_draws_the_reference_uniforms(self, monkeypatch, seed, d):
+        # blocks of 4 steps and chunks of 3 paths: 11 steps end on a short
+        # block, and 7 paths on a short chunk
+        monkeypatch.setattr(polydiff.simulate, "_STEP_BLOCK", 4)
+        monkeypatch.setattr(polydiff.simulate, "_CHUNK_PATHS", 3)
+        drawn = []
+        ndtri = polydiff.simulate.ndtri
+        monkeypatch.setattr(polydiff.simulate, "ndtri", lambda u: drawn.append(u.copy()) or ndtri(u))
+        model, space = brownian(d)
+        simulate_paths(model, space, [0.0] * d, 1.375, 0.125, 7, seed)
+        assert [u.shape[:2] for u in drawn] == [(c, b) for c in (3, 3, 1) for b in (4, 4, 3)]
+        u = np.concatenate([np.concatenate(drawn[i:i + 3], axis=1) for i in (0, 3, 6)])
+        want = np.stack([reference_stream(seed, k).random((11, d)) for k in range(7)])
+        assert np.array_equal(u, np.clip(want, 1e-300, 1.0 - 2**-53))
+
+    @pytest.mark.parametrize("make", [jacobi_model, simplex_jacobi_model])
+    def test_step_block_invisible(self, monkeypatch, make):
+        model, space = make()
+        x0 = [0.2] if space.dim == 1 else [0.3, 0.7]
+        a = simulate_paths(model, space, x0, 0.11, 0.01, 5, seed=3)
+        monkeypatch.setattr(polydiff.simulate, "_STEP_BLOCK", 4)
+        b = simulate_paths(model, space, x0, 0.11, 0.01, 5, seed=3)
+        assert np.array_equal(a.paths, b.paths)
+        assert np.array_equal(a.constraint_minima, b.constraint_minima)
+
+
 class TestDispersion:
+    @pytest.mark.parametrize("make", [jacobi_model, cir_model])
+    def test_one_dimensional_root_is_the_eigh_root(self, make):
+        # a = 0 on the boundary points and slightly negative just outside
+        model, _ = make()
+        rng = np.random.default_rng(5)
+        X = np.concatenate([[0.0, 1.0, -1e-9, 1.0 + 1e-9, -1e-300, -2**-52, 1.0 + 2**-52, 0.5],
+                            rng.uniform(-0.01, 1.01, 200)]).reshape(-1, 1)
+        A = model.a_eval(X)
+        assert (A == 0.0).any() and (A < 0.0).any()
+        got = dispersion(model, X)
+        assert got.shape == (len(X), 1, 1)
+        assert np.array_equal(got, eigh_root(A))
+        assert got.tobytes() == eigh_root(A).tobytes()
+
     def test_cir_scalar(self):
         model, _ = cir_model(0.5, -0.5)
         assert float(dispersion(model, [[4.0]])[0, 0, 0]) == pytest.approx(2.0)
