@@ -59,6 +59,8 @@ class Basis:
         self._index = {e: k for k, e in enumerate(self.monomials)}
         # the monomials as an N x dim int array, row k = monomials[k]
         self.exponents = np.array(self.monomials, dtype=np.int64).reshape(len(self.monomials), self.dim)
+        # total degree of each monomial, nondecreasing in graded order
+        self.degrees = self.exponents.sum(axis=1)
         # C(r, k) for r < degree + m, k <= m: Pascal's rule summed down each column
         self._binom = np.zeros((self.degree + m, m + 1), dtype=np.int64)
         self._binom[:, 0] = 1
@@ -107,7 +109,10 @@ class Basis:
         """Coordinate vector of p (after reduction by the equality ideal)."""
         if p.dim != self.dim:
             raise ValueError(f"polynomial dimension {p.dim} != basis dimension {self.dim}")
-        q = self.statespace.reduce(p)
+        return self.reduced_coordinates(self.statespace.reduce(p))
+
+    def reduced_coordinates(self, q: Polynomial) -> np.ndarray:
+        """Coordinate vector of q, a representative already reduced by the equality ideal."""
         if q.degree > self.degree:
             raise DegreeTooHigh(f"degree {q.degree} exceeds basis degree {self.degree}")
         v = np.zeros(len(self.monomials))

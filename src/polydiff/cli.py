@@ -2,12 +2,17 @@
 
 Exit codes are a stable contract: 0 success (or Valid verdict), 1 for
 domain-negative outcomes (Invalid/Inconclusive verdicts, points outside the
-state space, degree overruns, bad state-price densities), 2 for unreadable
-or malformed input (non-finite points, horizons, steps or thresholds,
-negative horizons, degrees, ``--seed`` or ``--mc-paths``, non-positive
-simulation steps, horizons, ``--samples``, ``--paths`` or ``--store-stride``).
-Every failure is reported on one ``error:`` line.  All numeric JSON output
-is emitted at 17 significant digits so values round-trip exactly.
+state space, degree overruns, bad state-price densities, a moment or price
+that is not a finite number), 2 for unreadable or malformed input
+(non-finite points, horizons, steps or thresholds, non-finite instrument
+numbers, reported as ``instrument.<field>``, negative horizons, degrees,
+``--seed`` or ``--mc-paths``, non-positive simulation steps, horizons,
+``--samples``, ``--paths`` or ``--store-stride``).  Every failure is
+reported on one ``error:`` line.  All numeric JSON output is emitted at 17
+significant digits so values round-trip exactly; JSON has no inf or nan.
+
+``moments --degree`` bounds the degree of the payoff p; the closed form
+runs on Pol_{deg p}, the leading block of the generator, whatever the bound.
 """
 
 from __future__ import annotations
@@ -55,25 +60,30 @@ EXIT_INPUT = 2
 _DOMAIN_ERRORS = (ValueError, ArithmeticError, RuntimeError, DivisionFailure)
 
 
-def _format_json(obj, indent=0) -> str:
-    """JSON with floats at 17 significant digits (round-trip exact)."""
+def _format_json(obj, indent=0, where="report") -> str:
+    """JSON with floats at 17 significant digits (round-trip exact).  JSON has
+    no token for inf or nan, so a non-finite float raises FloatingPointError
+    (exit 1) naming its field."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join(f'{pad}  {json.dumps(k)}: {_format_json(v, indent + 1)}'
+        items = ",\n".join(f'{pad}  {json.dumps(k)}: {_format_json(v, indent + 1, f"{where}.{k}")}'
                            for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(f"{pad}  {_format_json(v, indent + 1)}" for v in obj)
+        items = ",\n".join(f"{pad}  {_format_json(v, indent + 1, f'{where}[{i}]')}"
+                           for i, v in enumerate(obj))
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise FloatingPointError(f"{where}: result {float(obj)} is not a finite number")
         return format(float(obj), ".17g")
     return json.dumps(obj)
 
@@ -218,7 +228,8 @@ def validate(ctx, spec_path):
 
 @main.command()
 @click.argument("spec_path", type=click.Path(exists=False))
-@click.option("--degree", type=int, required=True, callback=_at_least(0), help="Basis degree bound.")
+@click.option("--degree", type=int, required=True, callback=_at_least(0),
+              help="Bound on the payoff degree; the closed form runs on Pol_{deg p}, the leading block.")
 @click.option("--x", "x_text", required=True, help="Conditioning point, comma-separated.")
 @click.option("--tau", type=float, required=True, help="Time horizon (>= 0).")
 @click.option("--poly", "poly_text", required=True,

@@ -8,8 +8,15 @@ finite matrix and conditional moments are matrix exponentials:
 
     E[p(X_{t+tau}) | X_t = x] = H(x)' expm(tau G) pvec.
 
-An adaptive RK4 integration of the transpose flow dF/ds = G' F serves as an
-independent cross-check of the exponential route.
+Because G maps Pol_k into Pol_k for every k, it is block upper-triangular by
+degree on the graded basis, and expm(tau G) pvec only involves the leading
+block of G on Pol_{deg p}.  Every moment and price is propagated on that
+block (GeneratorMatrix.propagate); a degree bound such as the CLI's
+``--degree`` caps the payoff degree but does not size the exponential.
+
+An adaptive RK4 integration of the transpose flow dF/ds = G' F on the full
+basis of the given degree serves as an independent cross-check of the
+exponential route.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .basis import Basis, _csv_text, monomial_basis
+from .basis import Basis, DegreeTooHigh, _csv_text, monomial_basis
 from .polynomial import Polynomial
 
 __all__ = [
@@ -218,14 +225,35 @@ class GeneratorMatrix:
         return len(self.basis)
 
     def propagator(self, tau: float) -> np.ndarray:
-        """expm(tau G)."""
+        """expm(tau G) on the whole basis, the dense reference for propagate."""
         with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp raises instead
             return matrix_exp(tau * self.matrix)
+
+    def leading(self, v) -> int:
+        """n_m, the number of basis monomials of degree <= m, where m is the
+        degree of the last nonzero entry of v (0 when v = 0).  G maps Pol_m
+        into Pol_m, so G[n_m:, :n_m] = 0 and v only meets the leading block."""
+        nonzero = np.flatnonzero(v)
+        degrees = self.basis.degrees
+        m = degrees[nonzero[-1]] if nonzero.size else 0
+        return int(np.searchsorted(degrees, m, side="right"))
+
+    def propagate(self, tau: float, v) -> np.ndarray:
+        """expm(tau G) v as expm(tau G[:n, :n]) v[:n] for n = leading(v),
+        padded with exact zeros."""
+        v = np.asarray(v, dtype=float)
+        n = self.leading(v)
+        out = np.zeros(len(v))
+        with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp raises instead
+            out[:n] = matrix_exp(tau * self.matrix[:n, :n]) @ v[:n]
+        return out
 
     def expectation(self, H, tau: float, v) -> float:
         """H(x)' expm(tau G) v: the expectation at tau of the polynomial with
         coordinates v, given the basis row H = H(x) of a checked point x."""
-        return float(H @ self.propagator(tau) @ v)
+        n = self.leading(v)
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller reports a non-finite value
+            return float(H[:n] @ self.propagate(tau, v)[:n])
 
     def csv_text(self) -> str:
         """Row-major CSV with monomial-exponent headers."""
@@ -323,12 +351,20 @@ def augmented_exp(A, c, tau: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def conditional_moment(model: ModelCoefficients, statespace, degree: int, p: Polynomial, x, tau: float) -> float:
-    """E[p(X_{t+tau}) | X_t = x] through the generator-matrix exponential."""
+    """E[p(X_{t+tau}) | X_t = x] through the generator-matrix exponential.
+
+    ``degree`` bounds the payoff degree (DegreeTooHigh above it); the
+    generator is built and exponentiated on Pol_{deg p} alone."""
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     x = check_point(statespace, x)
-    basis = monomial_basis(statespace, degree)
-    pvec = basis.coordinates(p)
+    q = statespace.reduce(p)
+    if q.degree > degree:
+        raise DegreeTooHigh(f"degree {q.degree} exceeds basis degree {degree}")
+    basis = monomial_basis(statespace, max(q.degree, 0))
+    pvec = basis.reduced_coordinates(q)
     return generator_matrix(model, basis).expectation(basis.evaluate(x), tau, pvec)
 
 
@@ -356,7 +392,7 @@ def joint_moment(
     gm = generator_matrix(model, basis)
     v = basis.coordinates(Polynomial.monomial(exps[-1], dim=statespace.dim))
     for k in range(len(times) - 1, 0, -1):
-        v = gm.propagator(times[k] - times[k - 1]) @ v
+        v = gm.propagate(times[k] - times[k - 1], v)
         carried = basis.polynomial(v) * Polynomial.monomial(exps[k - 1], dim=statespace.dim)
         v = basis.coordinates(carried)
     return gm.expectation(basis.evaluate(x), times[0], v)
@@ -373,7 +409,9 @@ def moment_by_ode(
     atol: float = 1e-13,
 ) -> float:
     """Independent moment evaluation: integrate dF/ds = G' F, F(0) = H(x),
-    with step-doubling adaptive RK4, then return F(tau) . pvec."""
+    with step-doubling adaptive RK4, then return F(tau) . pvec.  G is the
+    full matrix on the degree-``degree`` basis, not the leading block that
+    conditional_moment exponentiates."""
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
     x = check_point(statespace, x)

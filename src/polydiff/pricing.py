@@ -119,7 +119,7 @@ def swaption_payoff_vector(pm: PricingModel, coupons, T: float) -> np.ndarray:
     for c_i, T_i in coupons:
         if T_i < T:
             raise ValueError("coupon dates must not precede the exercise date")
-        w += float(c_i) * math.exp(-pm.alpha * T_i) * (pm.gm.propagator(T_i - T) @ pm.pvec)
+        w += float(c_i) * math.exp(-pm.alpha * T_i) * pm.gm.propagate(T_i - T, pm.pvec)
     return w
 
 
@@ -149,13 +149,15 @@ def swaption_price_mc(
 
 def variance_swap_rate(pm: PricingModel, x, t: float, T: float) -> float:
     """Annualized expected integrated spot variance: here pm.p is the spot
-    variance polynomial and VS(t,T) = H(x)'(int_0^{T-t} expm(sG) ds) pvec / (T-t)."""
+    variance polynomial and VS(t,T) = H(x)'(int_0^{T-t} expm(sG) ds) pvec / (T-t),
+    integrated on the leading block of G that pvec spans."""
     if T <= t:
         raise ValueError("need T > t")
     x = check_point(pm.statespace, x)
     tau = T - t
-    _, integral = augmented_exp(pm.gm.matrix, pm.pvec, tau)
-    return float(pm.basis.evaluate(x) @ integral) / tau
+    n = pm.gm.leading(pm.pvec)
+    _, integral = augmented_exp(pm.gm.matrix[:n, :n], pm.pvec[:n], tau)
+    return float(pm.basis.evaluate(x)[:n] @ integral) / tau
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ actionable diagnostics and exit with the input-error code.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -216,8 +217,26 @@ def load_model_spec(path: str) -> ModelSpec:
     return parse_model_spec(_read_json(path))
 
 
+def _check_finite(value, where: str) -> None:
+    """SpecError naming the first non-finite number inside value (JSON's
+    NaN and Infinity tokens pass the schema's "number" type)."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _check_finite(v, f"{where}.{k}")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _check_finite(v, f"{where}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise SpecError(f"{where}: expected a finite number, got {value}")
+
+
 def parse_instrument(doc: dict) -> dict:
+    """The validated instrument; every number but the point x, which the
+    caller checks against the model dimension, must be finite."""
     _validate_against(doc, "instrument.schema.json")
+    for k, v in doc.items():
+        if k != "x":
+            _check_finite(v, f"instrument.{k}")
     return doc
 
 

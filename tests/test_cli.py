@@ -104,6 +104,18 @@ SIMPLEX4_DOC = {
         "B": [[-1.5 if i == j else 1 / 6 for j in range(4)] for i in range(4)]}},
 }
 
+# dX = (1/4 - X) dt + dW in R^4 as raw coefficients
+FULL4_DOC = {
+    "dimension": 4,
+    "state_space": {"family": "full"},
+    "coefficients": {"kind": "raw",
+                     "a": [[{"dim": 4, "terms": [{"e": [0, 0, 0, 0], "c": 1.0}] if i == j else []}
+                            for j in range(4)] for i in range(4)],
+                     "b": [{"dim": 4, "terms": [{"e": [0, 0, 0, 0], "c": 0.25},
+                                                {"e": [int(k == i) for k in range(4)], "c": -1.0}]}
+                           for i in range(4)]},
+}
+
 
 def _variant(doc, **params):
     out = copy.deepcopy(doc)
@@ -122,6 +134,7 @@ DOCS = {
     "raw_simplex": RAW_SIMPLEX_DOC,
     "simplex3": SIMPLEX3_DOC,
     "simplex4": SIMPLEX4_DOC,
+    "full4": FULL4_DOC,
 }
 
 
@@ -247,6 +260,29 @@ class TestMoments:
         assert v["mc_paths"] == 600
         assert v["mc_standard_error"] > 0
         assert abs(v["mc_value"] - doc["value"]) < 6 * v["mc_standard_error"] + 0.05
+
+    def test_verify_checks_the_leading_block_against_the_full_degree_ode(self, specs):
+        # the closed form exponentiates the 5 x 5 linear block, the ODE
+        # oracle integrates the full 495 x 495 degree-8 generator
+        poly = json.dumps({"dim": 4, "terms": [{"e": [0, 0, 0, 0], "c": 0.5},
+                                                {"e": [1, 0, 0, 0], "c": 1.0},
+                                                {"e": [0, 0, 0, 1], "c": -0.75}]})
+        r = run(["--verify", "moments", specs["full4"], "--degree", 8, "--x", "0.5,-0.25,0.125,1",
+                 "--tau", 0.5, "--poly", poly])
+        assert r.exit_code == 0, r.stderr
+        doc = json.loads(r.output)
+        check_report(doc, "moments_report")
+        assert doc["verify"]["abs_diff"] <= 1e-9
+        mean = 0.25 + (np.array([0.5, 1.0]) - 0.25) * math.exp(-0.5)
+        assert doc["value"] == pytest.approx(0.5 + mean[0] - 0.75 * mean[1], rel=1e-13)
+
+    def test_non_finite_value_exits_one(self, specs):
+        # 1e308 (E[X] + 1) overflows: JSON has no token for inf
+        poly = json.dumps({"dim": 1, "terms": [{"e": [1], "c": 1e308}, {"e": [0], "c": 1e308}]})
+        r = run(["moments", specs["cir"], "--degree", 2, "--x", "0.8", "--tau", 1.0, "--poly", poly])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: report.value: result inf is not a finite number\n"
 
     def test_poly_from_file(self, specs, tmp_path):
         p = tmp_path / "poly.json"
@@ -418,6 +454,40 @@ class TestMalformedInput:
         r = run(["price", specs["cir"], path])
         assert r.exit_code == 2
         assert r.stderr.startswith("error: instrument.x")
+
+    BOND = {"kind": "bond", "x": [0.8], "t": 0.0, "T": 1.0}
+    SWAPTION = {"kind": "swaption", "x": [0.8], "expiry": 0.5, "coupons": [[1.0, 1.0], [1.0, 2.0]],
+                "n_paths": 200, "dt": 0.01}
+    EQUITY = {"kind": "equity_option", "x": [0.3, 0.7], "constituent": 0, "T": 1.0, "K": 0.4,
+              "horizon": 2.0, "pricer": {"type": "lognormal", "spot": 1.0, "rate": 0.02, "vol": 0.3}}
+    TABLE = {"type": "table", "strikes": [0.5, 1.0], "prices": [0.5, 0.1]}
+    NON_FINITE = {
+        "bond_T_nan": ("cir", {**BOND, "T": math.nan}, "T", "nan"),
+        "bond_T_inf": ("cir", {**BOND, "T": math.inf}, "T", "inf"),
+        "bond_t_nan": ("cir", {**BOND, "t": math.nan}, "t", "nan"),
+        "vswap_T_inf": ("cir", {**BOND, "kind": "vswap", "T": math.inf}, "T", "inf"),
+        "swaption_expiry_nan": ("cir", {**SWAPTION, "expiry": math.nan}, "expiry", "nan"),
+        "swaption_coupon_amount_nan": ("cir", {**SWAPTION, "coupons": [[math.nan, 1.0]]},
+                                       "coupons[0][0]", "nan"),
+        "swaption_coupon_date_inf": ("cir", {**SWAPTION, "coupons": [[1.0, 1.0], [1.0, math.inf]]},
+                                     "coupons[1][1]", "inf"),
+        "swaption_dt_nan": ("cir", {**SWAPTION, "dt": math.nan}, "dt", "nan"),
+        "equity_T_nan": ("simplex_pricing", {**EQUITY, "T": math.nan}, "T", "nan"),
+        "equity_K_inf": ("simplex_pricing", {**EQUITY, "K": math.inf}, "K", "inf"),
+        "equity_horizon_nan": ("simplex_pricing", {**EQUITY, "horizon": math.nan}, "horizon", "nan"),
+        "equity_pricer_vol_nan": ("simplex_pricing", {**EQUITY, "pricer": {**EQUITY["pricer"], "vol": math.nan}},
+                                  "pricer.vol", "nan"),
+        "equity_pricer_price_inf": ("simplex_pricing",
+                                    {**EQUITY, "pricer": {**TABLE, "prices": [0.5, math.inf]}},
+                                    "pricer.prices[1]", "inf"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_instrument_number_names_the_field(self, case, specs, instrument):
+        spec, doc, field, token = self.NON_FINITE[case]
+        r = run(["price", specs[spec], instrument(doc)])  # json.dumps writes NaN / Infinity
+        assert r.exit_code == 2
+        assert r.stderr == f"error: instrument.{field}: expected a finite number, got {token}\n"
 
 
 class TestSimulate:

@@ -21,17 +21,21 @@ from polydiff import (
     check_sufficient,
     conditional_moment,
     constituent_option_price,
+    fit_index_payoff,
     generator_matrix,
     index_weights,
     joint_moment,
     monomial_basis,
+    price_cashflow,
     simulate_paths,
+    swaption_payoff_vector,
     validate_params,
     variance_swap_rate,
 )
 from polydiff.generator import augmented_exp, check_point, manifold_defects
 
 from conftest import jacobi_model, ou_model, simplex_params
+from test_generator import FAMILY_MODELS, full_ou4
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +96,87 @@ class TestPropagationStep:
         v = np.array([0.3, -1.0, 2.0, 0.5, 0.25])
         want = float(gm.basis.evaluate([0.2]) @ expm(0.9 * gm.matrix) @ v)
         assert gm.expectation(gm.basis.evaluate([0.2]), 0.9, v) == pytest.approx(want, rel=1e-14)
+
+
+def dense_expectation(gm, x, tau, v):
+    """The full-size route: H(x)' expm(tau G) v with the dense exponential of all of G."""
+    return float(gm.basis.evaluate(x) @ gm.propagator(tau) @ v)
+
+
+def dense_joint_moment(model, space, degree, x, times, exponents):
+    basis = monomial_basis(space, degree)
+    gm = generator_matrix(model, basis)
+    monomial = lambda e: Polynomial.monomial(e, dim=space.dim)
+    v = basis.coordinates(monomial(exponents[-1]))
+    for k in range(len(times) - 1, 0, -1):
+        v = gm.propagator(times[k] - times[k - 1]) @ v
+        v = basis.coordinates(basis.polynomial(v) * monomial(exponents[k - 1]))
+    return dense_expectation(gm, x, times[0], v)
+
+
+ORACLE_MODELS = {**FAMILY_MODELS, "full_ou4": full_ou4}
+
+
+def oracle_case(name):
+    model, space = ORACLE_MODELS[name]()
+    return model, space, space.interior_samples(3)[1]
+
+
+class TestDenseOracle:
+    """Every trimmed caller against the dense exponential of the whole
+    degree-5 basis."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_conditional_moment(self, name):
+        model, space, x = oracle_case(name)
+        d = space.dim
+        gm = generator_matrix(model, monomial_basis(space, 5))
+        base = Polynomial.one(d) + 0.5 * Polynomial.variable(0, d) - 0.25 * Polynomial.variable(d - 1, d)
+        for k in range(4):
+            p = base ** k
+            for tau in (0.3, 1.1):
+                want = dense_expectation(gm, x, tau, gm.basis.coordinates(p))
+                assert conditional_moment(model, space, 5, p, x, tau) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_joint_moment(self, name):
+        model, space, x = oracle_case(name)
+        d = space.dim
+        first, last = (1,) + (0,) * (d - 1), (0,) * (d - 1) + (1,)
+        for times, exps in (([0.4, 0.9], [first, last]), ([0.2, 0.5, 1.0], [first, first, last])):
+            want = dense_joint_moment(model, space, 5, x, times, exps)
+            assert joint_moment(model, space, 5, x, times, exps) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_pricing(self, name):
+        model, space, x = oracle_case(name)
+        d = space.dim
+        pm = PricingModel(model, space, degree=5, p=Polynomial.one(d) + Polynomial.variable(0, d) ** 2,
+                          alpha=0.05)
+        H = pm.basis.evaluate(x)
+        denom = float(H @ pm.pvec)
+        q = Polynomial.variable(0, d) + Polynomial.constant(d, 2.0)
+        for T in (0.5, 2.0):
+            want = math.exp(-0.05 * T) * dense_expectation(pm.gm, x, T, pm.basis.coordinates(pm.p)) / denom
+            assert bond_price(pm, x, 0.0, T) == pytest.approx(want, rel=1e-12)
+            want = (math.exp(-0.05 * (T - 0.25))
+                    * dense_expectation(pm.gm, x, T - 0.25, pm.basis.coordinates(pm.p * q)) / denom)
+            assert price_cashflow(pm, q, x, 0.25, T) == pytest.approx(want, rel=1e-12)
+            _, integral = augmented_exp(pm.gm.matrix, pm.pvec, T)
+            assert variance_swap_rate(pm, x, 0.0, T) == pytest.approx(float(H @ integral) / T, rel=1e-12)
+        coupons = [(0.5, 1.0), (-1.0, 1.5), (1.5, 2.5)]
+        want = sum(c * math.exp(-0.05 * T_i) * (pm.gm.propagator(T_i - 0.75) @ pm.pvec) for c, T_i in coupons)
+        got = swaption_payoff_vector(pm, coupons, 0.75)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("cheb_degree", [2, 4, 6])
+    def test_constituent_option_price(self, index_model, cheb_degree):
+        x0 = np.array([0.35, 0.65])
+        payoff, _ = fit_index_payoff(index_model, None, 1, 1.0, 0.6, cheb_degree=cheb_degree)
+        want = dense_expectation(index_model.gm, x0, 1.0, index_model.basis.coordinates(payoff))
+        got = constituent_option_price(index_model, None, 1, 1.0, 0.6, x0, cheb_degree=cheb_degree,
+                                       residual_warn=1.0)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestAugmentedExp:

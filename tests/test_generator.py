@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import polydiff.generator
 from polydiff import (
     BoxOrthant,
     BoxOrthantParams,
@@ -251,6 +254,117 @@ class TestAssemblyAgainstImages:
         assert len(gm.basis) == 495
 
 
+def full_ou4():
+    """dX = (1/4 - X) dt + dW in R^4, whose degree-8 basis has 495 monomials."""
+    d = 4
+    model = ModelCoefficients(
+        [[Polynomial.constant(d, float(i == j)) for j in range(d)] for i in range(d)],
+        [Polynomial.constant(d, 0.25) - Polynomial.variable(i, d) for i in range(d)])
+    return model, FullSpace(d)
+
+
+# one model per state-space family, dyadic fixtures and non-dyadic alike
+FAMILY_MODELS = {
+    **{name: MODEL_MATRIX[name] for name in sorted(MODEL_MATRIX)},
+    "simplex_square": simplex_square_model,
+    **{f"non_dyadic_{family}": (lambda family=family: non_dyadic_model(family, 0))
+       for family in ("full", "quadric", "box_orthant", "simplex")},
+}
+
+
+class TestLeadingBlock:
+    """G maps Pol_m into Pol_m: the invariant every trimmed propagation relies on."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_MODELS))
+    def test_degree_blocks_are_exact(self, name):
+        model, space = FAMILY_MODELS[name]()
+        for degree in range(9):
+            G = generator_matrix(model, monomial_basis(space, degree)).matrix
+            for m in range(degree + 1):
+                block = monomial_basis(space, m)
+                n = len(block)
+                assert np.all(G[n:, :n] == 0.0)
+                assert np.array_equal(generator_matrix(model, block).matrix, G[:n, :n])
+
+    def test_leading_counts_monomials_up_to_the_last_nonzero_degree(self):
+        model, space = full_ou4()
+        gm = generator_matrix(model, monomial_basis(space, 3))
+        sizes = [len(monomial_basis(space, m)) for m in range(4)]  # 1, 5, 15, 35
+        v = np.zeros(35)
+        assert gm.leading(v) == 1
+        for k in range(35):
+            v[:] = 0.0
+            v[k] = 1.0
+            assert gm.leading(v) == sizes[int(gm.basis.degrees[k])]
+
+    def test_linear_payoff_exponentiates_five_by_five(self, monkeypatch):
+        model, space = full_ou4()
+        shapes = []
+        inner = polydiff.generator.matrix_exp
+
+        def recorded(A):
+            shapes.append(np.shape(A))
+            return inner(A)
+
+        monkeypatch.setattr(polydiff.generator, "matrix_exp", recorded)
+        p = Polynomial.variable(0, 4) - 0.5 * Polynomial.variable(3, 4) + Polynomial.constant(4, 0.5)
+        got = conditional_moment(model, space, 8, p, [0.25, -0.5, 0.125, 0.75], 0.5)
+        assert shapes == [(5, 5)]
+        mean = 0.25 + (np.array([0.25, 0.75]) - 0.25) * np.exp(-0.5)
+        assert got == pytest.approx(mean[0] - 0.5 * mean[1] + 0.5, rel=1e-13)
+
+    def test_degree_bound_still_rejects(self):
+        model, space = full_ou4()
+        with pytest.raises(DegreeTooHigh):
+            conditional_moment(model, space, 2, Polynomial.variable(1, 4) ** 3, [0.0] * 4, 1.0)
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            conditional_moment(model, space, -1, Polynomial.zero(4), [0.0] * 4, 1.0)
+
+    def test_zero_payoff_runs_on_the_constants(self):
+        for name in sorted(MODEL_MATRIX):
+            model, space = MODEL_MATRIX[name]()
+            assert conditional_moment(model, space, 3, Polynomial.zero(space.dim), MATRIX_POINTS[name], 0.7) == 0.0
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+propagation_cases = st.tuples(
+    st.sampled_from(sorted(MODEL_MATRIX)), st.integers(0, 4),
+    st.lists(st.floats(-1.0, 1.0), min_size=70, max_size=70),
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+class TestTrimmedPropagation:
+    @PROPERTY
+    @given(propagation_cases)
+    def test_semigroup(self, case):
+        name, m, coefs, s, t = case
+        model, space = MODEL_MATRIX[name]()
+        gm = generator_matrix(model, monomial_basis(space, 4))
+        n = len(monomial_basis(space, m))
+        v = np.zeros(len(gm.basis))
+        v[:n] = coefs[:n]
+        lhs = gm.propagate(s + t, v)
+        rhs = gm.propagate(s, gm.propagate(t, v))
+        assert np.all(lhs[n:] == 0.0) and np.all(rhs[n:] == 0.0)
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(lhs), 1.0)
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_MODELS))
+    def test_propagate_matches_dense_propagator(self, name):
+        model, space = FAMILY_MODELS[name]()
+        gm = generator_matrix(model, monomial_basis(space, 5))
+        rng = np.random.default_rng(4)
+        for m in range(6):
+            n = len(monomial_basis(space, m))
+            v = np.zeros(len(gm.basis))
+            v[:n] = rng.uniform(-1.0, 1.0, n)
+            want = gm.propagator(0.7) @ v
+            got = gm.propagate(0.7, v)
+            # the dense exponential leaves rounding-level entries past the block
+            assert np.all(got[n:] == 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestMatrixExp:
     def test_identity_at_zero(self):
         assert np.array_equal(matrix_exp(np.zeros((4, 4))), np.eye(4))
@@ -457,6 +571,16 @@ class TestJointMoment:
         got = joint_moment(model, space, 3, [x], [r, s, t], [(1,), (1,), (1,)])
         want = x**3 + x * (r + r + s)
         assert got == pytest.approx(want, rel=1e-11)
+
+    def test_degree_bound_counts_the_exact_product(self):
+        # the dense expm(0.5 G) on the degree-3 unit-ball basis leaves entries
+        # of order 1e-17 below the linear block; carried into x * v they used to
+        # read as degree 4 and raise DegreeTooHigh at degree 3 only
+        model, space = MODEL_MATRIX["unit_ball"]()
+        got = [joint_moment(model, space, degree, [0.3, -0.4], [0.5, 1.0], [(1, 0), (1, 0)])
+               for degree in (2, 3, 4)]
+        assert got[1] == pytest.approx(got[0], rel=1e-14)
+        assert got[2] == pytest.approx(got[0], rel=1e-14)
 
     def test_decreasing_times_rejected(self):
         model, space = brownian_model()
