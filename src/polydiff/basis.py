@@ -71,10 +71,6 @@ class Basis:
     def dim(self) -> int:
         return self.statespace.dim
 
-    @property
-    def size(self) -> int:
-        return len(self.monomials)
-
     def __len__(self) -> int:
         return len(self.monomials)
 

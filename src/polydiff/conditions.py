@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generator import ModelCoefficients, a_grad, apply_generator, manifold_defects
+from .generator import ModelCoefficients, _images, a_grad, manifold_defects
 from .polynomial import DivisionFailure, Polynomial, divide_exact
 from .simulate import dispersion
 from .statespace import (
@@ -364,9 +364,10 @@ def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 
     conds: list[ConditionResult] = []
     for k, p in enumerate(space.inequalities):
         X = space.boundary_samples(k, samples)
-        conds.append(_sampled_zero(f"necessary.a_gradp_zero[{k}]", _eval_vector(a_grad(model, p), X), X, tol,
+        Gp, *agp = _images(model, p)
+        conds.append(_sampled_zero(f"necessary.a_gradp_zero[{k}]", _eval_vector(agp, X), X, tol,
                                    f"max |a grad p| on stratum {k}"))
-        gp = np.asarray(apply_generator(model, p)(X), dtype=float)
+        gp = np.asarray(Gp(X), dtype=float)
         worst = int(np.argmin(gp))
         conds.append(ConditionResult(
             f"necessary.gp_nonneg[{k}]",
@@ -376,10 +377,10 @@ def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 
     if space.equalities:
         X = space.all_samples(samples)
         for k, q in enumerate(space.equalities):
-            conds.append(_sampled_zero(f"necessary.a_gradq_zero[{k}]", _eval_vector(a_grad(model, q), X), X, tol,
+            Gq, *agq = _images(model, q)
+            conds.append(_sampled_zero(f"necessary.a_gradq_zero[{k}]", _eval_vector(agq, X), X, tol,
                                        "max |a grad q| on E"))
-            conds.append(_sampled_zero(f"necessary.gq_zero[{k}]", _eval_vector([apply_generator(model, q)], X), X,
-                                       tol, "max |G q| on E"))
+            conds.append(_sampled_zero(f"necessary.gq_zero[{k}]", _eval_vector([Gq], X), X, tol, "max |G q| on E"))
     return CheckReport("necessary", _check_verdict(conds), conds)
 
 
@@ -415,8 +416,9 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
         f"min diffusion eigenvalue on E samples is {eig[worst]:.6g}",
         witness=None if eig[worst] >= -margin else X[worst].tolist()))
     for k, p in enumerate(space.inequalities):
+        Gp, *agp = _images(model, p)
         try:
-            h = h_factor(model, space, p)
+            h = [divide_exact(c, p, modulus=space.equalities) for c in agp]
             conds.append(ConditionResult(
                 f"sufficient.gradient_certificate[{k}]", "pass",
                 "a grad p = h p with h = [" + ", ".join(str(c) for c in h) + "]"))
@@ -425,7 +427,7 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
                 f"sufficient.gradient_certificate[{k}]", "inconclusive",
                 f"no exact factorization found: {exc}"))
         Xb = space.boundary_samples(k, samples)
-        gp = np.asarray(apply_generator(model, p)(Xb), dtype=float)
+        gp = np.asarray(Gp(Xb), dtype=float)
         conds.append(_sampled_sign(f"sufficient.boundary_drift[{k}]", gp, Xb, "pos", margin,
                                    f"G p > 0 on stratum {k}"))
     for k, (q, drift, diffusion) in enumerate(manifold_defects(model, space)):
@@ -504,11 +506,11 @@ def classify_boundary(
         stratum = list(space.inequalities).index(p)
     except ValueError:
         raise ValueError("p must be one of the state-space inequality polynomials") from None
+    gp, *agp = _images(model, p)
     try:
-        h = h_factor(model, space, p)
+        h = [divide_exact(c, p, modulus=space.equalities) for c in agp]
     except DivisionFailure as exc:
         return BoundaryVerdict("Inconclusive", stratum, f"no gradient certificate: {exc}")
-    gp = apply_generator(model, p)
     grad = p.grad()
     e = 2.0 * gp
     for hi, gi in zip(h, grad):

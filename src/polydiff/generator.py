@@ -17,10 +17,14 @@ block (GeneratorMatrix.propagate); a degree bound such as the CLI's
 An adaptive RK4 integration of the transpose flow dF/ds = G' F on the full
 basis of the given degree serves as an independent cross-check of the
 exponential route.
+
+One closed form on term arrays (_image_terms, over a table of the coefficient
+terms built with the model) serves G, G p, a grad p and the manifold check.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .basis import Basis, DegreeTooHigh, _csv_text, monomial_basis
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _summed, _term_arrays
 
 __all__ = [
     "ModelCoefficients",
@@ -61,11 +65,18 @@ class StepSizeUnderflow(RuntimeError):
     """Adaptive integrator could not meet the tolerance with a sane step."""
 
 
+# G and a grad in closed form, one row (label, i, j, f, w) per coefficient term c x^f:
+# it sends x^e to w e_i (e_j - same) x^(e + shift) in G x^e (label -1) or in
+# (a grad x^e)_label, with same = delta_ij and shift = f - 1_i - 1_j.  A first-order
+# row has j = d, a coordinate standing for the constant 1: e_j - same = 1, 1_j = 0.
+_TermTable = namedtuple("_TermTable", "label i j same shift f w")
+
+
 class ModelCoefficients:
     """Symmetric polynomial diffusion matrix ``a`` (degree <= 2) and affine
     drift ``b`` (degree <= 1) in a common dimension."""
 
-    __slots__ = ("_a", "_b", "_dim")
+    __slots__ = ("_a", "_b", "_dim", "_table")
 
     def __init__(self, a: Sequence[Sequence[Polynomial]], b: Sequence[Polynomial]):
         b = tuple(b)
@@ -88,9 +99,19 @@ class ModelCoefficients:
         for i, p in enumerate(b):
             if p.degree > 1:
                 raise ValueError(f"drift entry {i} has degree {p.degree} > 1")
-        self._a = a
-        self._b = b
-        self._dim = d
+        self._a, self._b, self._dim = a, b, d
+        # rows of G first: b_i gives (-1, i, d, f, c) and a_ij, i <= j, gives (-1, i, j, f, w)
+        # with w = c/2 on the diagonal and w = c off it, where a_ij and a_ji give c/2 each
+        rows = [(-1, i, d, f, c) for i, p in enumerate(b) for f, c in p.terms.items()]
+        rows += [(-1, i, j, f, (0.5 if i == j else 1.0) * c)
+                 for i in range(d) for j in range(i, d) for f, c in a[i][j].terms.items()]
+        # then a grad by component: a_kj gives (k, j, d, f, c)
+        rows += [(k, j, d, f, c) for k in range(d) for j in range(d) for f, c in a[k][j].terms.items()]
+        label, i, j = (np.array([r[k] for r in rows], dtype=np.int64) for k in range(3))
+        f = np.array([r[3] for r in rows], dtype=np.int64).reshape(len(rows), d)
+        unit = np.eye(d + 1, d, dtype=np.int64)  # row d is zero
+        self._table = _TermTable(label, i, j, (i == j)[:, None].astype(np.int64), f - unit[i] - unit[j], f,
+                                 np.array([r[4] for r in rows], dtype=float))
 
     @property
     def dim(self) -> int:
@@ -133,37 +154,43 @@ class ModelCoefficients:
         return f"ModelCoefficients(dim={self._dim})"
 
 
-def apply_generator(model: ModelCoefficients, p: Polynomial) -> Polynomial:
-    """G p = tr(a Hess p)/2 + b . grad p."""
+def _image_terms(table: _TermTable, exps: np.ndarray, coefs: np.ndarray):
+    """The closed form on term arrays: row t of the table sends the term c x^e
+    at index ``source`` to w_t (c factor) x^(e + shift_t), with the integer
+    factor e_i (e_j - same_t).  Returns the unsummed image terms (row, source,
+    exps, values), ordered by row and then by source, without zero factors."""
+    t, (n, d) = table, exps.shape
+    E = np.ones((d + 1, n), dtype=np.int64)
+    E[:d] = exps.T
+    factor = E[t.i] * (E[t.j] - t.same)
+    row, source = np.nonzero(factor)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers reject non-finite values
+        values = t.w[row] * (coefs[source] * factor[row, source])
+    return row, source, exps[source] + t.shift[row], values
+
+
+def _images(model: ModelCoefficients, p: Polynomial, space=None) -> list[Polynomial]:
+    """[G p, (a grad p)_0, ..., (a grad p)_{d-1}]: the image terms of each label summed
+    in order, after StateSpace.reduce_terms when a state space is given."""
     if p.dim != model.dim:
         raise ValueError(f"polynomial dimension {p.dim} != model dimension {model.dim}")
-    d = model.dim
-    grad = p.grad()
-    out = Polynomial.zero(d)
-    for i in range(d):
-        if not grad[i].is_zero():
-            out = out + model.b[i] * grad[i]
-        for j in range(d):
-            hij = grad[i].partial(j)
-            if not hij.is_zero():
-                out = out + 0.5 * model.a[i][j] * hij
-    return out
+    row, _, exps, values = _image_terms(model._table, *_term_arrays(p))
+    if space is not None:
+        exps, values, source = space.reduce_terms(exps, values)
+        row = row[source]
+    # the rows are ordered by label, so each label's terms are one slice
+    cut = np.searchsorted(model._table.label[row], np.arange(-1, model.dim + 1)).tolist()
+    return [Polynomial(model.dim, _summed(exps[lo:hi], values[lo:hi])) for lo, hi in zip(cut, cut[1:])]
+
+
+def apply_generator(model: ModelCoefficients, p: Polynomial) -> Polynomial:
+    """G p = tr(a Hess p)/2 + b . grad p."""
+    return _images(model, p)[0]
 
 
 def a_grad(model: ModelCoefficients, p: Polynomial) -> list[Polynomial]:
     """The vector a grad p."""
-    grad = p.grad()
-    out = []
-    for i in range(model.dim):
-        s = Polynomial.zero(model.dim)
-        for j in range(model.dim):
-            if not grad[j].is_zero():
-                s = s + model.a[i][j] * grad[j]
-        out.append(s)
-    return out
-
-
-_TANGENCY_TOL = 1e-12
+    return _images(model, p)[1:]
 
 
 def _max_coeff(p: Polynomial) -> float:
@@ -178,18 +205,13 @@ def manifold_defects(model: ModelCoefficients, space) -> list[tuple]:
     model coefficient, so rounding in the parameters is not a defect."""
     if not space.equalities:
         return []
-    scale = max(_max_coeff(p) for p in model.b + tuple(c for row in model.a for c in row))
-    tol = _TANGENCY_TOL * (1.0 + scale)
+    # the first-order rows carry the model's coefficients as given: b in G, a in a grad
+    tol = 1e-12 * (1.0 + np.abs(model._table.w[model._table.j == model.dim]).max(initial=0.0))
     out = []
     for q in space.equalities:
-        gq = space.reduce(apply_generator(model, q))
+        gq, *agq = _images(model, q, space)
         drift = gq if _max_coeff(gq) > tol else None
-        diffusion = None
-        for i, c in enumerate(a_grad(model, q)):
-            r = space.reduce(c)
-            if _max_coeff(r) > tol:
-                diffusion = (i, r)
-                break
+        diffusion = next(((i, r) for i, r in enumerate(agq) if _max_coeff(r) > tol), None)
         out.append((q, drift, diffusion))
     return out
 
@@ -261,42 +283,17 @@ class GeneratorMatrix:
         return _csv_text(self.matrix, header)
 
 
-def _coefficient_terms(model: ModelCoefficients):
-    """Every term c x^f of the coefficients as arrays (i, j, f, w): G x^e gets
-    w e_i x^(e - 1_i + f) from b_i (j = -1) and w e_i (e_j - delta_ij)
-    x^(e - 1_i - 1_j + f) from a_ij, i <= j.  The weight w is c/2 on the
-    diagonal and c off it, where a_ij and a_ji contribute c/2 each."""
-    d = model.dim
-    rows = []
-    for i, p in enumerate(model.b):
-        rows.extend((i, -1, f, c) for f, c in p.terms.items())
-    for i in range(d):
-        for j in range(i, d):
-            w = 0.5 if i == j else 1.0
-            rows.extend((i, j, f, w * c) for f, c in model.a[i][j].terms.items())
-    I = np.array([r[0] for r in rows], dtype=np.int64)
-    J = np.array([r[1] for r in rows], dtype=np.int64)
-    F = np.array([r[2] for r in rows], dtype=np.int64).reshape(len(rows), d)
-    W = np.array([r[3] for r in rows], dtype=float)
-    return I, J, F, W
-
-
 def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
     """Represent the generator on the basis, reducing by the equality ideal.
 
-    When the state space carries equalities, the generator must be well
-    defined on the quotient: for each equality q both G q and a grad q have
-    to vanish on the manifold (see manifold_defects).  Otherwise the matrix would depend on the
-    choice of representatives and NotPolynomialOnE is raised.
-
-    The columns G x^e come from the coefficient terms in one pass over the
-    basis exponents (see _coefficient_terms).  The state space rewrites the
-    coefficient terms into representatives first (StateSpace.reduce_terms):
-    the basis monomials are representatives already, and the rewriting is a
-    ring homomorphism, so it commutes with forming the images.  Each image term
-    is a basis monomial, placed by its rank (Basis.rows): deg a <= 2, deg b <= 1,
-    a nonzero weight needs e_i > 0 (and e_j > 0), and no term has an eliminated coordinate.
-    """
+    With equalities, G must be well defined on the quotient: G q and a grad q
+    have to vanish on the manifold for each equality q (manifold_defects), or
+    NotPolynomialOnE is raised.  The columns G x^e are the image terms of the
+    basis monomials under the G rows of the coefficient table, whose terms are
+    rewritten into representatives first (StateSpace.reduce_terms, a ring
+    homomorphism, so it commutes with forming the images).  Each image term is
+    a basis monomial, placed by its rank (Basis.rows): deg a <= 2, deg b <= 1, a
+    nonzero factor needs e_i > 0 (and e_j > 0), and no term has an eliminated coordinate."""
     space = basis.statespace
     if model.dim != space.dim:
         raise ValueError("model and basis dimensions differ")
@@ -305,19 +302,13 @@ def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
             raise NotPolynomialOnE(f"G q = {drift} does not vanish on the manifold (q = {q})")
         if diffusion is not None:
             raise NotPolynomialOnE(f"(a grad q)_{diffusion[0]} does not vanish on the manifold (q = {q})")
-    E = basis.exponents
-    n, d = E.shape
-    I, J, F, W = _coefficient_terms(model)
-    F, W, source = space.reduce_terms(F, W)
-    I, J = I[source], J[source]
-    drift = J < 0
-    factor = E[:, I].T * np.where(drift[:, None], 1, E[:, J].T - (I == J)[:, None])
-    term, col = np.nonzero(factor)
-    unit = np.eye(d, dtype=np.int64)
-    shift = F - unit[I] - np.where(drift[:, None], 0, unit[J])
-    target = E[col] + shift[term]
-    with np.errstate(over="ignore"):  # an overflow raises below
-        value = W[term] * factor[term, col]
+    t = model._table
+    rows = np.searchsorted(t.label, 0)  # the rows of G, label -1, come first
+    f, w, source = space.reduce_terms(t.f[:rows], t.w[:rows])
+    n = len(basis)
+    # each reduced term keeps its row's derivative, so shift moves with f
+    table = _TermTable(*(c[source] for c in t[:4]), f + (t.shift - t.f)[source], f, w)
+    _, col, target, value = _image_terms(table, basis.exponents, np.ones(n))  # an overflow raises below
     G = np.bincount(basis.rows(target) * n + col, weights=value, minlength=n * n).reshape(n, n)
     if not np.all(np.isfinite(G)):
         raise ValueError("generator matrix entries overflow the floating-point range")

@@ -278,6 +278,19 @@ class Polynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _term_arrays(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of p as arrays (exps: (m, dim) ints, coefs: m floats), in term order."""
+    return np.array(list(p._terms), dtype=np.int64).reshape(-1, p.dim), np.array(list(p._terms.values()), dtype=float)
+
+
+def _summed(exps: np.ndarray, coefs: np.ndarray) -> dict[Exponents, float]:
+    """Coefficients of equal exponent rows summed in input order, starting from zero."""
+    out: dict[Exponents, float] = {}
+    for e, c in zip(map(tuple, exps.tolist()), coefs.tolist()):
+        out[e] = out.get(e, 0.0) + c
+    return out
+
+
 def _exponent_divides(e1: Exponents, e2: Exponents) -> bool:
     return all(a <= b for a, b in zip(e1, e2))
 

@@ -119,7 +119,8 @@ def swaption_payoff_vector(pm: PricingModel, coupons, T: float) -> np.ndarray:
     for c_i, T_i in coupons:
         if T_i < T:
             raise ValueError("coupon dates must not precede the exercise date")
-        w += float(c_i) * math.exp(-pm.alpha * T_i) * pm.gm.propagate(T_i - T, pm.pvec)
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller reports a non-finite price
+            w += float(c_i) * math.exp(-pm.alpha * T_i) * pm.gm.propagate(T_i - T, pm.pvec)
     return w
 
 
@@ -134,16 +135,19 @@ def swaption_price_mc(
 ) -> tuple[float, float]:
     """Monte Carlo swaption price E[(H(X_T)'w)^+] / (H(x0)'pvec), with its
     standard error.  The payoff vector w is exact; only X_T is simulated."""
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     x0 = check_point(pm.statespace, x0)
     w = swaption_payoff_vector(pm, coupons, expiry)
     # store only the endpoint; the payoff needs X_T alone
     paths = simulate_paths(pm.model, pm.statespace, x0, expiry, dt, n_paths, seed,
                            store_stride=max(int(round(expiry / dt)), 1))
     XT = paths.paths[:, -1, :]
-    vals = np.maximum(pm.basis.evaluate(XT) @ w, 0.0)
     denom = _denominator(pm, pm.basis.evaluate(x0))
-    price = float(vals.mean()) / denom
-    se = float(vals.std(ddof=1) / np.sqrt(len(vals))) / denom
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports a non-finite price
+        vals = np.maximum(pm.basis.evaluate(XT) @ w, 0.0)
+        price = float(vals.mean()) / denom
+        se = float(vals.std(ddof=1) / np.sqrt(len(vals))) / denom
     return price, se
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import monomial_exponents
 from .generator import ModelCoefficients
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _summed, _term_arrays
 
 __all__ = [
     "StateSpace",
@@ -381,14 +381,8 @@ class Simplex(StateSpace):
 
     def reduce(self, p: Polynomial) -> Polynomial:
         """Eliminate the last coordinate via x_d = 1 - x_1 - ... - x_{d-1}."""
-        terms = super().reduce(p).terms
-        exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), self.dim)
-        exps, coefs, _ = self.reduce_terms(exps, np.array(list(terms.values()), dtype=float))
-        # equal monomials summed in input-term order, starting from zero
-        out = {}
-        for e, c in zip(map(tuple, exps.tolist()), coefs.tolist()):
-            out[e] = out.get(e, 0.0) + c
-        return Polynomial(self.dim, out)
+        exps, coefs, _ = self.reduce_terms(*_term_arrays(super().reduce(p)))
+        return Polynomial(self.dim, _summed(exps, coefs))
 
     def violation(self, x):
         x = np.asarray(x, dtype=float)

@@ -23,6 +23,51 @@ def pytest_configure(config):
     set_hypothesis_home_dir(config._tmp_path_factory.mktemp("hypothesis"))
 
 
+def oracle_apply_generator(model, p):
+    """G p = tr(a Hess p)/2 + b . grad p by Polynomial arithmetic: the
+    independent oracle for the closed form on term arrays."""
+    if p.dim != model.dim:
+        raise ValueError(f"polynomial dimension {p.dim} != model dimension {model.dim}")
+    d = model.dim
+    grad = p.grad()
+    out = Polynomial.zero(d)
+    for i in range(d):
+        if not grad[i].is_zero():
+            out = out + model.b[i] * grad[i]
+        for j in range(d):
+            hij = grad[i].partial(j)
+            if not hij.is_zero():
+                out = out + 0.5 * model.a[i][j] * hij
+    return out
+
+
+def oracle_a_grad(model, p):
+    """The vector a grad p by Polynomial arithmetic."""
+    grad = p.grad()
+    out = []
+    for i in range(model.dim):
+        s = Polynomial.zero(model.dim)
+        for j in range(model.dim):
+            if not grad[j].is_zero():
+                s = s + model.a[i][j] * grad[j]
+        out.append(s)
+    return out
+
+
+def oracle_reduce(space, p):
+    """p modulo the simplex mass equality by Polynomial arithmetic: each term
+    c x'^a x_d^k becomes c x'^a (1 - x_1 - ... - x_{d-1})^k.  Other spaces
+    have no equalities and return p."""
+    if not space.equalities:
+        return p
+    d = space.dim
+    last = Polynomial.one(d) - sum((Polynomial.variable(i, d) for i in range(d - 1)), Polynomial.zero(d))
+    out = Polynomial.zero(d)
+    for e, c in p.terms.items():
+        out = out + Polynomial.monomial(e[:-1] + (0,), c) * last ** e[-1]
+    return out
+
+
 def _const(dim, c):
     return Polynomial.constant(dim, c)
 

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -708,6 +709,28 @@ class TestPrice:
         path = instrument({"kind": "bond", "x": [0.8], "t": 1.0, "T": 0.5})
         r = run(["price", specs["cir"], path])
         assert r.exit_code == 1
+
+    def test_overflowing_swaption_prints_one_error_line(self, tmp_path, instrument):
+        # p = 1e300 (1 + x) and coupons of 1e300 overflow the payoff vector
+        doc = copy.deepcopy(CIR_DOC)
+        doc["pricing"]["p"] = {"dim": 1, "terms": [{"e": [0], "c": 1e300}, {"e": [1], "c": 1e300}]}
+        spec = tmp_path / "cir_huge.json"
+        spec.write_text(json.dumps(doc))
+        path = instrument({"kind": "swaption", "x": [0.8], "expiry": 0.5,
+                           "coupons": [[1e300, 1.0], [1e300, 2.0]], "n_paths": 200, "dt": 0.01})
+        # pytest records warnings rather than printing them; raised, they cannot hide
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run(["price", spec, path])
+        assert r.exit_code == 1
+        assert r.stderr == "error: report.price: result inf is not a finite number\n"
+
+    def test_swaption_needs_two_paths(self, specs, instrument):
+        path = instrument({"kind": "swaption", "x": [0.8], "expiry": 0.5,
+                           "coupons": [[1.0, 1.0], [1.0, 2.0]], "n_paths": 1, "dt": 0.01})
+        r = run(["price", specs["cir"], path])
+        assert r.exit_code == 2
+        assert r.stderr == "error: $.n_paths: 1 is less than the minimum of 2\n"
 
 
 class TestBasisDump:

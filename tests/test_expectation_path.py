@@ -2,6 +2,7 @@
 augmented exponential, and the manifold tangency test they rely on."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from scipy.linalg import expm
 
 from polydiff import (
     LognormalIndexPricer,
+    ModelCoefficients,
+    NotPolynomialOnE,
     PointOutsideStateSpace,
     Polynomial,
     PricingModel,
@@ -34,8 +37,8 @@ from polydiff import (
 )
 from polydiff.generator import augmented_exp, check_point, manifold_defects
 
-from conftest import jacobi_model, ou_model, simplex_params
-from test_generator import FAMILY_MODELS, full_ou4
+from conftest import jacobi_model, oracle_a_grad, oracle_apply_generator, oracle_reduce, ou_model, simplex_params
+from test_generator import FAMILY_MODELS, full_ou4, non_dyadic_model
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +225,71 @@ def rounding_simplex(d=4):
     return SimplexParams(alpha=off / 8, beta=np.full(d, 0.25), B=off / 6 - 1.5 * np.eye(d))
 
 
+def oracle_defects(model, space):
+    """manifold_defects by Polynomial arithmetic: the reduced G q and the first
+    reduced (a grad q)_i with a coefficient above 1e-12 (1 + largest model
+    coefficient), per equality q."""
+    coefs = [abs(c) for p in model.b + tuple(c for row in model.a for c in row) for c in p.terms.values()]
+    tol = 1e-12 * (1.0 + max(coefs, default=0.0))
+
+    def defect(r):
+        return max((abs(c) for c in r.terms.values()), default=0.0) > tol
+
+    out = []
+    for q in space.equalities:
+        gq = oracle_reduce(space, oracle_apply_generator(model, q))
+        reduced = [(i, oracle_reduce(space, c)) for i, c in enumerate(oracle_a_grad(model, q))]
+        out.append((q, gq if defect(gq) else None, next(((i, r) for i, r in reduced if defect(r)), None)))
+    return out
+
+
+def tangency_cases():
+    """rounding_simplex, its drifting variant, and the 18 non-dyadic simplex
+    models with one drift and one diffusion perturbation each."""
+    space = Simplex(4)
+    params = rounding_simplex()
+    cases = {"rounding": (assemble_model(space, params), space)}
+    params.beta = params.beta + 1e-6
+    cases["rounding_perturbed"] = (assemble_model(space, params), space)
+    for seed in range(6):
+        for scale in (1.0, 1e3, 1e-3):
+            model, space = non_dyadic_model("simplex", seed, scale)
+            bump = Polynomial.constant(model.dim, 1e-6 * scale)
+            a = [list(row) for row in model.a]
+            a[1][1] = a[1][1] + bump
+            cases[f"simplex_{seed}_{scale:g}"] = (model, space)
+            cases[f"simplex_{seed}_{scale:g}_drift"] = (ModelCoefficients(model.a, (model.b[0] + bump,) + model.b[1:]),
+                                                         space)
+            cases[f"simplex_{seed}_{scale:g}_diffusion"] = (ModelCoefficients(a, model.b), space)
+    return cases
+
+
+TANGENCY_CASES = tangency_cases()
+
+
+def verdicts(defects):
+    return [(drift is None, None if diffusion is None else diffusion[0]) for _, drift, diffusion in defects]
+
+
 class TestTangency:
+    @pytest.mark.parametrize("name", sorted(TANGENCY_CASES))
+    def test_verdicts_match_the_polynomial_route(self, name):
+        model, space = TANGENCY_CASES[name]
+        got, want = manifold_defects(model, space), oracle_defects(model, space)
+        assert verdicts(got) == verdicts(want)
+        # (drift vanishes, first diffusion component that does not)
+        expected = {"perturbed": (False, None), "drift": (False, None), "diffusion": (True, 1)}
+        assert verdicts(got) == [expected.get(name.rsplit("_", 1)[-1], (True, None))]
+        q, drift, diffusion = want[0]
+        if drift is None and diffusion is None:
+            generator_matrix(model, monomial_basis(space, 3))
+            return
+        # the residual in the drift message may differ in rounding-level terms
+        message = ("G q = .* does not vanish on the manifold " + re.escape(f"(q = {q})") if drift is not None
+                   else re.escape(f"(a grad q)_{diffusion[0]} does not vanish on the manifold (q = {q})"))
+        with pytest.raises(NotPolynomialOnE, match=message):
+            generator_matrix(model, monomial_basis(space, 3))
+
     def test_rounding_level_drift_is_tangent_everywhere(self):
         params = rounding_simplex()
         space = Simplex(4)

@@ -29,9 +29,19 @@ from polydiff import (
     moment_by_ode,
     monomial_basis,
 )
-from polydiff.generator import apply_generator
+from polydiff.generator import a_grad, apply_generator
 
-from conftest import MODEL_MATRIX, MATRIX_POINTS, brownian_model, cir_model, jacobi_model, ou_model
+from conftest import (
+    MATRIX_POINTS,
+    MODEL_MATRIX,
+    brownian_model,
+    cir_model,
+    jacobi_model,
+    oracle_a_grad,
+    oracle_apply_generator,
+    ou_model,
+    unit_ball_model,
+)
 
 EPS = np.finfo(float).eps
 
@@ -40,11 +50,12 @@ DYADIC = ("brownian", "cir", "jacobi", "simplex_jacobi", "unit_ball")
 
 
 def generator_matrix_by_images(model, basis):
-    """Oracle for generator_matrix: one Polynomial image G x^e per basis
-    monomial, reduced by the equality ideal and read off by Basis.coordinates."""
+    """Oracle for generator_matrix: one Polynomial-arithmetic image G x^e per
+    basis monomial, reduced by the equality ideal and read off by
+    Basis.coordinates."""
     cols = []
     for e in basis.monomials:
-        image = apply_generator(model, Polynomial.monomial(e))
+        image = oracle_apply_generator(model, Polynomial.monomial(e))
         try:
             cols.append(basis.coordinates(image))
         except DegreeTooHigh as exc:
@@ -141,6 +152,68 @@ class TestApplyGenerator:
         model, space = jacobi_model()
         got = apply_generator(model, Polynomial.variable(0, 1))
         assert got == Polynomial.constant(1, 0.5) - Polynomial.variable(0, 1)
+
+
+def simplex3_model():
+    # dyadic drift on the simplex in R^3, tangent to the mass constraint exactly
+    alpha = 0.5 * (np.ones((3, 3)) - np.eye(3))
+    B = np.full((3, 3), 0.25) - 1.5 * np.eye(3)
+    space = Simplex(3)
+    return assemble_model(space, SimplexParams(alpha=alpha, beta=[0.25] * 3, B=B)), space
+
+
+def polynomials(dim, coefficients):
+    """Polynomials of degree <= 4 in dim variables, over every coordinate (so
+    with powers of x_d on the simplex), with up to eight terms."""
+    exponents = st.sampled_from(monomial_basis(FullSpace(dim), 4).monomials)
+    return st.dictionaries(exponents, coefficients, max_size=8).map(lambda terms: Polynomial(dim, terms))
+
+
+DYADIC_COEFFICIENTS = st.integers(-16, 16).map(lambda k: k / 8)
+FULL_MANTISSA_COEFFICIENTS = st.floats(1 / 16, 1.0) | st.floats(-1.0, -1 / 16)
+
+
+def assert_within_ulps(got, want, ulps):
+    """The coefficients of got and want differ by at most ulps ulp of want's largest."""
+    g, w = got.terms, want.terms
+    scale = max((abs(c) for c in w.values()), default=0.0)
+    for e in set(g) | set(w):
+        assert abs(g.get(e, 0.0) - w.get(e, 0.0)) <= ulps * EPS * scale, e
+
+
+class TestClosedFormAgainstOracle:
+    """apply_generator and a_grad run the closed form on term arrays; the
+    Polynomial-arithmetic route in conftest is the oracle."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(st.sampled_from(sorted(DYADIC)
+                           + ["simplex_square", "unit_ball3", "simplex3", "full_ou4"]), st.data())
+    def test_equal_on_dyadic_models(self, name, data):
+        factories = {"simplex_square": simplex_square_model, "unit_ball3": lambda: unit_ball_model(3),
+                     "simplex3": simplex3_model, "full_ou4": full_ou4}
+        model, space = factories[name]() if name in factories else MODEL_MATRIX[name]()
+        p = data.draw(polynomials(model.dim, DYADIC_COEFFICIENTS))
+        assert apply_generator(model, p) == oracle_apply_generator(model, p)
+        assert a_grad(model, p) == oracle_a_grad(model, p)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(st.sampled_from(["full", "quadric", "box_orthant", "simplex"]), st.integers(0, 5),
+           st.sampled_from([1.0, 1e3, 1e-3]), st.data())
+    def test_within_four_ulp_on_non_dyadic_models(self, family, seed, scale, data):
+        model, space = non_dyadic_model(family, seed, scale)
+        p = data.draw(polynomials(model.dim, FULL_MANTISSA_COEFFICIENTS))
+        assert_within_ulps(apply_generator(model, p), oracle_apply_generator(model, p), 4)
+        got, want = a_grad(model, p), oracle_a_grad(model, p)
+        assert len(got) == len(want) == model.dim
+        for g, w in zip(got, want):
+            assert_within_ulps(g, w, 4)
+
+    def test_dimension_mismatch_raises(self):
+        model, space = jacobi_model()
+        with pytest.raises(ValueError, match="dimension"):
+            apply_generator(model, Polynomial.variable(0, 2))
+        with pytest.raises(ValueError, match="dimension"):
+            a_grad(model, Polynomial.variable(0, 2))
 
 
 class TestGeneratorMatrix:
@@ -528,7 +601,7 @@ class TestAnalyticMoments:
 
 class TestDynkinIdentity:
     """E f(X_tau) - f(x) = int_0^tau E[(Gf)(X_s)] ds, with Gf from the
-    Polynomial route (apply_generator) and the integral by Gauss-Legendre."""
+    Polynomial-arithmetic oracle and the integral by Gauss-Legendre."""
 
     NODES, WEIGHTS = np.polynomial.legendre.leggauss(20)
 
@@ -540,7 +613,7 @@ class TestDynkinIdentity:
         f = (Polynomial.variable(0, d) ** degree
              - 0.5 * Polynomial.variable(d - 1, d) ** (degree - 1) * Polynomial.variable(0, d)
              + Polynomial.constant(d, 0.3))
-        gf = apply_generator(model, f)
+        gf = oracle_apply_generator(model, f)
         s = 0.5 * tau * (self.NODES + 1.0)
         integral = 0.5 * tau * sum(w * conditional_moment(model, space, degree, gf, x, t)
                                    for w, t in zip(self.WEIGHTS, s))

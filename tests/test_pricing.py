@@ -203,6 +203,19 @@ class TestSwaptions:
         b = swaption_price_mc(*args, n_paths=2000, seed=11)
         assert a == b
 
+    @pytest.mark.parametrize("n_paths", [1, 0])
+    def test_one_path_has_no_standard_error(self, jacobi_pm, n_paths):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_paths must be >= 2"):
+                swaption_price_mc(jacobi_pm, [(1.0, 1.0)], 0.5, [0.3], n_paths=n_paths, seed=0)
+
+    def test_two_paths_are_enough(self, jacobi_pm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            price, se = swaption_price_mc(jacobi_pm, [(1.0, 1.0)], 0.5, [0.3], n_paths=2, seed=0)
+        assert np.isfinite(price) and np.isfinite(se)
+
 
 @pytest.fixture(scope="module")
 def index_model():
