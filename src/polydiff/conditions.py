@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import ModelCoefficients, _images, a_grad, manifold_defects
-from .polynomial import DivisionFailure, Polynomial, divide_exact
+from .polynomial import DivisionFailure, Polynomial
 from .simulate import dispersion
 from .statespace import (
     BoxOrthant,
@@ -385,12 +385,14 @@ def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 
 
 
 def h_factor(model: ModelCoefficients, space: StateSpace, p: Polynomial) -> list[Polynomial]:
-    """Certificate vector h with a grad p = h p modulo the equality ideal.
+    """Certificate vector h with a grad p = h p on the manifold of the
+    state space's equalities, each entry one ``space.divide``.
 
-    Raises DivisionFailure when no exact factorization is found; that is a
-    cannot-certify signal, not a disproof.
+    In exact arithmetic that division decides whether h exists; rounding can
+    still leave a remainder, so DivisionFailure is a cannot-certify signal,
+    not a disproof.
     """
-    return [divide_exact(c, p, modulus=space.equalities) for c in a_grad(model, p)]
+    return [space.divide(c, p) for c in a_grad(model, p)]
 
 
 def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int = 400,
@@ -398,11 +400,12 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
     """Sufficient-condition battery for existence of the diffusion on E.
 
     The diffusion matrix is sampled for positive semidefiniteness on E; the
-    gradient condition a grad p = h p is certified symbolically by exact
-    division; the strict boundary drift G p > 0 is sampled with a margin; and
-    equality invariance (G q and a grad q vanish on the manifold) is checked
-    symbolically after ideal reduction, by the same test generator_matrix
-    applies.
+    gradient condition a grad p = h p modulo the equalities is certified by
+    one exact division (``space.divide``), and a remainder left by rounding
+    reads inconclusive, not fail; the strict boundary drift G p > 0 is
+    sampled with a margin; and equality invariance (G q and a grad q vanish
+    on the manifold) is checked symbolically after ideal reduction, by the
+    same test generator_matrix applies.
     """
     if model.dim != space.dim:
         raise ValueError("model and state space dimensions differ")
@@ -418,7 +421,7 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
     for k, p in enumerate(space.inequalities):
         Gp, *agp = _images(model, p)
         try:
-            h = [divide_exact(c, p, modulus=space.equalities) for c in agp]
+            h = [space.divide(c, p) for c in agp]
             conds.append(ConditionResult(
                 f"sufficient.gradient_certificate[{k}]", "pass",
                 "a grad p = h p with h = [" + ", ".join(str(c) for c in h) + "]"))
@@ -497,10 +500,13 @@ def classify_boundary(
 ) -> BoundaryVerdict:
     """Decide whether the stratum {p = 0} is attained by the diffusion.
 
-    Uses the certificate h (a grad p = h p) and the test expression
-    e = 2 G p - h . grad p:  e identically zero on the stratum (after ideal
-    reduction) or e >= 0 near the stratum rule attainment out; a boundary
-    point with G p >= 0 and e < 0 certifies attainment.
+    Uses the certificate h (a grad p = h p modulo the equalities) and the
+    test expression e = 2 G p - h . grad p:  e identically zero on the
+    stratum or e >= 0 near the stratum rule attainment out; a boundary point
+    with G p >= 0 and e < 0 certifies attainment.  Both the certificate and
+    "e vanishes on the stratum" (p divides the reduced e) are one
+    ``space.divide`` each, exact in exact arithmetic; a certificate that
+    rounding defeats reads Inconclusive, meaning cannot certify.
     """
     try:
         stratum = list(space.inequalities).index(p)
@@ -508,7 +514,7 @@ def classify_boundary(
         raise ValueError("p must be one of the state-space inequality polynomials") from None
     gp, *agp = _images(model, p)
     try:
-        h = [divide_exact(c, p, modulus=space.equalities) for c in agp]
+        h = [space.divide(c, p) for c in agp]
     except DivisionFailure as exc:
         return BoundaryVerdict("Inconclusive", stratum, f"no gradient certificate: {exc}")
     grad = p.grad()
@@ -521,7 +527,7 @@ def classify_boundary(
         return BoundaryVerdict("NonAttainCritical", stratum,
                                "e = 2 G p - h . grad p vanishes identically on the manifold", h=h)
     try:
-        divide_exact(e_red, p, modulus=space.equalities)
+        space.divide(e_red, p)
         return BoundaryVerdict("NonAttainCritical", stratum,
                                "e = 2 G p - h . grad p vanishes identically on the stratum", h=h)
     except DivisionFailure:

@@ -8,7 +8,6 @@ construction; approximate cleanup is only ever done explicitly through
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Mapping
 
@@ -291,66 +290,34 @@ def _summed(exps: np.ndarray, coefs: np.ndarray) -> dict[Exponents, float]:
     return out
 
 
-def _exponent_divides(e1: Exponents, e2: Exponents) -> bool:
-    return all(a <= b for a, b in zip(e1, e2))
+def divide_exact(f: Polynomial, p: Polynomial) -> Polynomial:
+    """Exact quotient h with f = h*p, by division under the graded lex order.
 
-
-def _reduce_by(divisors: list[Polynomial], f: Polynomial):
-    """One full pass of multivariate division of f by the ordered divisor list.
-
-    Returns (quotients, remainder).  Leading terms are cancelled exactly by
-    popping them before subtracting the divisor tail, so floating-point
-    round-off never stalls the descent in the monomial order.
+    One polynomial is a Groebner basis of the ideal it generates, so in exact
+    arithmetic one division decides divisibility: p divides f if and only if
+    every leading term met is a multiple of p's.  Leading terms are cancelled
+    exactly by popping them before the divisor tail is subtracted, so round-off
+    never stalls the descent in the monomial order; it can still leave a
+    remainder, so :class:`DivisionFailure` is a cannot-certify signal, not a
+    proof that no quotient exists.
     """
-    dim = f.dim
-    quotients = [dict() for _ in divisors]
-    remainder: dict[Exponents, float] = {}
-    work = dict(f.terms)
-    leads = [g.leading_term() for g in divisors]
-    while work:
-        e = max(work, key=grlex_key)
-        c = work.pop(e)
-        if c == 0.0:
-            continue
-        for i, g in enumerate(divisors):
-            le, lc = leads[i]
-            if _exponent_divides(le, e):
-                q = c / lc
-                shift = tuple(a - b for a, b in zip(e, le))
-                quotients[i][shift] = quotients[i].get(shift, 0.0) + q
-                for ge, gc in g.terms.items():
-                    if ge == le:
-                        continue
-                    te = tuple(a + b for a, b in zip(ge, shift))
-                    work[te] = work.get(te, 0.0) - q * gc
-                    if work[te] == 0.0:
-                        del work[te]
-                break
-        else:
-            remainder[e] = remainder.get(e, 0.0) + c
-    return [Polynomial(dim, q) for q in quotients], Polynomial(dim, remainder)
-
-
-def divide_exact(f: Polynomial, p: Polynomial, modulus: Iterable[Polynomial] = ()) -> Polynomial:
-    """Exact quotient h with f = h*p modulo the ideal generated by ``modulus``.
-
-    Division is multivariate reduction under the graded lex order, retried
-    over divisor orderings so every modulus generator gets a chance to act as
-    a rewrite rule first.  Raises :class:`DivisionFailure` if no ordering
-    leaves a zero remainder; a nonzero remainder is a cannot-certify signal,
-    not a proof that no quotient exists.
-    """
-    mods = list(modulus)
+    if f.dim != p.dim:
+        raise ValueError(f"dimension mismatch between dividend ({f.dim}) and divisor ({p.dim})")
     if p.is_zero():
         raise DivisionFailure("division by the zero polynomial")
-    if f.is_zero():
-        return Polynomial.zero(f.dim)
-    if f.dim != p.dim or any(q.dim != f.dim for q in mods):
-        raise ValueError("dimension mismatch between dividend, divisor, and modulus")
-    entries = [p, *mods]
-    for order in itertools.permutations(range(len(entries))):
-        divisors = [entries[i] for i in order]
-        quotients, remainder = _reduce_by(divisors, f)
-        if remainder.is_zero():
-            return quotients[order.index(0)]
-    raise DivisionFailure(f"no exact quotient of ({f}) by ({p}) modulo {len(mods)} generator(s)")
+    le, lc = p.leading_term()
+    tail = [(e, c) for e, c in p._terms.items() if e != le]
+    quotient: dict[Exponents, float] = {}
+    work = dict(f._terms)
+    while work:
+        e = max(work, key=grlex_key)
+        shift = tuple(a - b for a, b in zip(e, le))
+        if min(shift) < 0:
+            raise DivisionFailure(f"no exact quotient of ({f}) by ({p})")
+        q = quotient[shift] = work.pop(e) / lc
+        for ge, gc in tail:
+            te = tuple(a + b for a, b in zip(ge, shift))
+            work[te] = work.get(te, 0.0) - q * gc
+            if work[te] == 0.0:
+                del work[te]
+    return Polynomial(f.dim, quotient)

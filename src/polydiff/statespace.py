@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import monomial_exponents
 from .generator import ModelCoefficients
-from .polynomial import Polynomial, _summed, _term_arrays
+from .polynomial import DivisionFailure, Polynomial, _summed, _term_arrays, divide_exact
 
 __all__ = [
     "StateSpace",
@@ -76,6 +76,18 @@ class StateSpace(ABC):
         """Terms (exps: (m, dim) ints, coefs: m floats) rewritten one by one into
         canonical representatives, unsummed: output i comes from input source[i]."""
         return exps, coefs, np.arange(len(coefs))
+
+    def divide(self, f: Polynomial, p: Polynomial) -> Polynomial:
+        """Exact quotient h with f = h p on the manifold {equalities = 0}.
+
+        Raises DivisionFailure, naming f, p and the number of equalities, when
+        no exact quotient is found; that is a cannot-certify signal.
+        """
+        try:
+            return divide_exact(f, p)
+        except DivisionFailure:
+            raise DivisionFailure(
+                f"no exact quotient of ({f}) by ({p}) modulo {len(self.equalities)} generator(s)") from None
 
     @abstractmethod
     def violation(self, x) -> np.ndarray | float:
@@ -383,6 +395,19 @@ class Simplex(StateSpace):
         """Eliminate the last coordinate via x_d = 1 - x_1 - ... - x_{d-1}."""
         exps, coefs, _ = self.reduce_terms(*_term_arrays(super().reduce(p)))
         return Polynomial(self.dim, _summed(exps, coefs))
+
+    def divide(self, f: Polynomial, p: Polynomial) -> Polynomial:
+        """The plain quotient of f by p when there is one, since that is the
+        certificate reports print; else the quotient of the normal forms that
+        ``reduce`` gives.  Those live in the quotient ring, polynomials in
+        x_1..x_{d-1}, where one division decides divisibility."""
+        try:
+            return super().divide(f, p)
+        except DivisionFailure as plain:
+            try:
+                return divide_exact(self.reduce(f), self.reduce(p))
+            except DivisionFailure:
+                raise plain from None
 
     def violation(self, x):
         x = np.asarray(x, dtype=float)

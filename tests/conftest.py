@@ -120,6 +120,14 @@ def simplex_jacobi_model():
     return assemble_model(space, simplex_params()), space
 
 
+def simplex_x2_form_model():
+    """The simplex Jacobi model written with x2 - x2^2 for x1*x2, its value on
+    E: a grad x1 is a multiple of x1 only modulo the mass equality."""
+    s = _var(1, 2) - _var(1, 2) ** 2
+    b = [_const(2, 1.0) - 2.0 * _var(i, 2) for i in range(2)]
+    return ModelCoefficients([[s, -s], [-s, s]], b), Simplex(2)
+
+
 def ball_params(dim=2):
     return QuadricParams(alpha=np.eye(dim), beta=np.zeros(dim), B=-np.eye(dim))
 

@@ -14,7 +14,7 @@ import polydiff
 import polydiff.cli  # noqa: F401  (the tracer patches every loaded polydiff module)
 from polydiff import Polynomial
 
-from conftest import jacobi_model
+from conftest import jacobi_model, simplex_x2_form_model
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spans.py")
 
@@ -62,6 +62,9 @@ def test_install_records_spans_and_uninstall_restores():
         got = polydiff.conditional_moment(model, space, 2, Polynomial.variable(0, 1) ** 2, [0.25], 0.5)
         assert polydiff.check_necessary(model, space, samples=20).verdict == "pass"
         polydiff.classify_boundary(model, space, space.inequalities[0], samples=20)
+        # the simplex certificate divides modulo the mass equality
+        simplex_model, simplex = simplex_x2_form_model()
+        assert polydiff.classify_boundary(simplex_model, simplex, simplex.inequalities[0], samples=20).h is not None
     finally:
         tracer.uninstall()
     after = package_namespaces()
@@ -73,7 +76,8 @@ def test_install_records_spans_and_uninstall_restores():
     assert metrics["generator.conditional_moment.calls"] == 1
     assert metrics["generator.generator_matrix.calls"] == 1
     assert metrics["conditions.check_necessary.calls"] == 1
-    assert metrics["conditions.classify_boundary.calls"] == 1
+    assert metrics["conditions.classify_boundary.calls"] == 2
+    assert metrics["polynomial.divide_exact.calls"] > 0
     assert metrics["basis.evaluate.calls"] >= 1
     assert metrics["polynomial.eval_calls"] > 0
     assert np.isfinite(got)

@@ -84,6 +84,18 @@ RAW_SIMPLEX_DOC = {
                      "b": [{"dim": 2, "terms": []}, {"dim": 2, "terms": []}]},
 }
 
+# the simplex Jacobi model with x2 - x2^2 written for x1*x2, its value on E
+_S = [{"e": [0, 1], "c": 1.0}, {"e": [0, 2], "c": -1.0}]
+_NEG_S = [{"e": e["e"], "c": -e["c"]} for e in _S]
+RAW_SIMPLEX_X2_DOC = {
+    "dimension": 2,
+    "state_space": {"family": "simplex"},
+    "coefficients": {"kind": "raw",
+                     "a": [[{"dim": 2, "terms": _S}, {"dim": 2, "terms": _NEG_S}],
+                           [{"dim": 2, "terms": _NEG_S}, {"dim": 2, "terms": _S}]],
+                     "b": [{"dim": 2, "terms": [{"e": [0, 0], "c": 1.0}, {"e": [1, 0], "c": -2.0}]},
+                           {"dim": 2, "terms": [{"e": [0, 0], "c": 1.0}, {"e": [0, 1], "c": -2.0}]}]},
+}
 
 # 3-d simplex with a drift tangent to the mass constraint in exact arithmetic
 SIMPLEX3_DOC = {
@@ -133,6 +145,7 @@ DOCS = {
     "simplex_plain": {k: v for k, v in SIMPLEX_PRICING_DOC.items() if k != "pricing"},
     "simplex_pricing": SIMPLEX_PRICING_DOC,
     "raw_simplex": RAW_SIMPLEX_DOC,
+    "raw_simplex_x2": RAW_SIMPLEX_X2_DOC,
     "simplex3": SIMPLEX3_DOC,
     "simplex4": SIMPLEX4_DOC,
     "full4": FULL4_DOC,
@@ -204,6 +217,14 @@ class TestValidate:
         check_report(doc, "validate_report")
         assert doc["parameter_conditions"] is None
         assert doc["verdict"] == "Valid"
+
+    def test_certificate_modulo_the_mass_equality(self, specs):
+        r = run(["validate", specs["raw_simplex_x2"]])
+        assert r.exit_code == 0
+        doc = json.loads(r.output)
+        assert doc["verdict"] == "Valid"
+        cert = [c for c in doc["sufficient"]["conditions"] if c["id"] == "sufficient.gradient_certificate[0]"]
+        assert cert[0]["status"] == "pass"
 
     def test_missing_file_exits_two(self, specs):
         r = run(["validate", specs["cir"] + ".nope"])
@@ -620,6 +641,12 @@ class TestBoundary:
         entry = json.loads(r.output)["inequalities"][0]
         assert entry["verdict"] == "Attain"
         assert entry["witness"] == pytest.approx([0.0], abs=1e-12)
+
+    def test_simplex_certificate_modulo_the_mass_equality(self, specs):
+        r = run(["boundary", specs["raw_simplex_x2"]])
+        assert r.exit_code == 0
+        doc = json.loads(r.output)
+        assert [e["verdict"] for e in doc["inequalities"]] == ["NonAttainStrict"] * 2
 
     def test_jacobi_has_two_critical_faces(self, specs):
         r = run(["boundary", specs["jacobi"]])

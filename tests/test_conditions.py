@@ -23,7 +23,7 @@ from polydiff import (
     validate_params,
 )
 
-from conftest import ball_params, cir_model, cir_params, jacobi_params, simplex_params
+from conftest import ball_params, cir_model, cir_params, jacobi_params, simplex_params, simplex_x2_form_model
 
 
 def _quadric_valid():
@@ -258,6 +258,13 @@ class TestHFactor:
         model = ModelCoefficients([[Polynomial.one(1)]], [Polynomial.one(1)])
         with pytest.raises(DivisionFailure):
             h_factor(model, space, space.inequalities[0])
+
+    def test_simplex_certificate_modulo_the_mass_equality(self):
+        model, space = simplex_x2_form_model()
+        x1 = Polynomial.variable(0, 2)
+        assert h_factor(model, space, space.inequalities[0]) == [1.0 - x1, x1 - 1.0]
+        assert check_sufficient(model, space).verdict == "pass"
+        assert [classify_boundary(model, space, p).verdict for p in space.inequalities] == ["NonAttainStrict"] * 2
 
 
 class TestBoundaryClassification:

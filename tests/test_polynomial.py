@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polydiff.polynomial import DivisionFailure, Polynomial, divide_exact, grlex_key
+from polydiff.statespace import Simplex
+
+from test_statespace import PROPERTY, small_polynomials
 
 
 def x(i, dim):
@@ -230,17 +235,17 @@ class TestDivision:
         with pytest.raises(DivisionFailure):
             divide_exact(x(0, 1) + 1.0, x(0, 1))
 
+    def test_zero_dividend_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            divide_exact(Polynomial.zero(3), x(0, 2))
+
     def test_modulus_rewrite(self):
-        # x1*x2 is divisible by x1 trivially; x2 alone needs the simplex relation
-        mass = Polynomial.one(2) - x(0, 2) - x(1, 2)
-        f = x(0, 2) - x(0, 2) ** 2  # = x1*(1-x1) = x1*x2 mod (1-x1-x2)
-        h = divide_exact(f, x(0, 2), modulus=[mass])
-        # verify f - h*x1 reduces to zero modulo the mass constraint
-        assert not (f - h * x(0, 2)).is_zero() or h == Polynomial.one(2) - x(0, 2)
-        resid = f - h * x(0, 2)
-        if not resid.is_zero():
-            q = divide_exact(resid, mass)
-            assert q * mass == resid
+        # x1 - x1^2 = x1*(1 - x1), which is x1*x2 on the simplex
+        f = x(0, 2) - x(0, 2) ** 2
+        space = Simplex(2)
+        h = space.divide(f, x(0, 2))
+        assert h == Polynomial.one(2) - x(0, 2)
+        assert space.reduce(f - h * x(0, 2)).is_zero()
 
     def test_remultiplication_random(self):
         # monic divisors with integer coefficients keep every reduction step
@@ -258,6 +263,27 @@ class TestDivision:
                 h = h + Polynomial.monomial(e, float(rng.integers(-5, 6)))
             got = divide_exact(h * p, p)
             assert got * p == h * p
+
+
+def unit_leading(p, sign):
+    e, c = p.leading_term()
+    return p + Polynomial(p.dim, {e: sign - c})
+
+
+# integer coefficients and a leading coefficient of +-1 keep every step of the
+# division exact, so the round trip holds with ==
+division_cases = st.integers(1, 4).flatmap(lambda d: st.tuples(
+    small_polynomials(d, 3, 8),
+    st.builds(unit_leading, small_polynomials(d, 2, 8).filter(lambda p: not p.is_zero()),
+              st.sampled_from([-1.0, 1.0]))))
+
+
+class TestDivisionProperties:
+    @PROPERTY
+    @given(division_cases)
+    def test_round_trip(self, case):
+        h, p = case
+        assert divide_exact(h * p, p) == h
 
 
 class TestOrderingAndUtilities:

@@ -292,9 +292,9 @@ class TestSimplexReduceReference:
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
 
-def small_polynomials(d):
-    term = st.tuples(st.tuples(*[st.integers(0, 4)] * d), st.integers(-8, 8))
-    return st.lists(term, max_size=12).map(lambda ts: Polynomial(d, dict(ts)))
+def small_polynomials(d, top=4, size=12):
+    term = st.tuples(st.tuples(*[st.integers(0, top)] * d), st.integers(-8, 8))
+    return st.lists(term, max_size=size).map(lambda ts: Polynomial(d, dict(ts)))
 
 
 polynomial_pairs = st.integers(2, 5).flatmap(
@@ -333,6 +333,18 @@ class TestSimplexReduceProperties:
         space, p, _ = case
         basis = monomial_basis(space, max(p.degree, 0))
         assert basis.polynomial(basis.coordinates(p)) == space.reduce(p)
+
+
+class TestSimplexDivideProperties:
+    @PROPERTY
+    @given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+        st.just(Simplex(d)), small_polynomials(d, 2, 6), small_polynomials(d, 2, 6))))
+    def test_divides_every_inequality_modulo_the_mass_equality(self, case):
+        space, h, g = case
+        q = space.equalities[0]
+        for p in space.inequalities:
+            f = h * p + g * q
+            assert space.reduce(f - space.divide(f, p) * p).is_zero()
 
 
 class TestSkewBasis:
