@@ -271,7 +271,7 @@ class Polynomial:
             factors = [f"x{i + 1}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k]
             if factors:
                 body = "*".join(factors)
-                parts.append(f"{c:g}*{body}" if c != 1.0 else body)
+                parts.append(body if c == 1.0 else f"-{body}" if c == -1.0 else f"{c:g}*{body}")
             else:
                 parts.append(f"{c:g}")
         return " + ".join(parts).replace("+ -", "- ")

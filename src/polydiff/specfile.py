@@ -4,16 +4,21 @@ Both are JSON documents validated against the schemas shipped under
 ``polydiff/schemas``; parse failures raise SpecError with the offending
 field path (or line/column for malformed JSON) so the CLI can report
 actionable diagnostics and exit with the input-error code.
+
+Each schema is compiled once into a plain-Python validity predicate that
+mirrors Draft 2020-12 on the keywords the shipped schemas use.  A document
+the predicate accepts is valid; only a rejected one goes to jsonschema,
+which is imported then and words the error.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-
-import jsonschema
+from typing import TYPE_CHECKING, Callable
 
 from .generator import ModelCoefficients
 from .polynomial import Polynomial
@@ -29,6 +34,9 @@ from .statespace import (
     assemble_model,
 )
 
+if TYPE_CHECKING:
+    import jsonschema
+
 __all__ = ["SpecError", "PricingBlock", "ModelSpec", "load_model_spec",
            "load_instrument", "load_schema", "parse_model_spec", "parse_instrument"]
 
@@ -43,11 +51,143 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+_Check = Callable[[object], bool]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the Draft 2020-12 types as jsonschema checks them: a bool is neither an
+# integer nor a number, and a float of integral value is an integer
+_TYPES: dict[str, _Check] = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+
+def _all_of(checks: list[_Check]) -> _Check:
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(v):
+        for c in checks:
+            if not c(v):
+                return False
+        return True
+    return check
+
+
+def _compile(schema: dict, defs: dict) -> _Check:
+    """A predicate equal to Draft 2020-12 validity under ``schema``, with
+    ``$ref`` resolved in ``defs``.  It covers exactly the keywords the
+    shipped schemas use, each skipping instances of other types as the
+    draft says, and raises ValueError on any other keyword, so an edit to a
+    schema cannot drift silently from jsonschema, which words the errors."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"schema {schema!r} is not an object")
+    checks: list[_Check] = []
+    for key, value in schema.items():
+        if key in ("$schema", "$id", "title", "$defs"):
+            continue
+        if key == "type" and isinstance(value, str) and value in _TYPES:
+            checks.append(_TYPES[value])
+        elif key == "required":
+            checks.append(_required(frozenset(value)))
+        elif key == "properties":
+            checks.append(_properties({name: _compile(sub, defs) for name, sub in value.items()}))
+        elif key == "additionalProperties" and value is False:
+            checks.append(_no_additional(frozenset(schema.get("properties", ()))))
+        elif key == "items":
+            checks.append(_items(_compile(value, defs), len(schema.get("prefixItems", ()))))
+        elif key == "prefixItems":
+            checks.append(_prefix_items([_compile(sub, defs) for sub in value]))
+        elif key in ("minItems", "maxItems") and isinstance(value, int):
+            checks.append(_length(value, key == "minItems"))
+        elif key in ("minimum", "exclusiveMinimum") and _is_number(value):
+            checks.append(_lower_bound(value, key == "exclusiveMinimum"))
+        elif key == "enum" and all(isinstance(option, str) for option in value):
+            checks.append(_one_of_strings(tuple(value)))
+        elif key == "const" and isinstance(value, str):
+            checks.append(_one_of_strings((value,)))
+        elif key == "oneOf":
+            checks.append(_exactly_one([_compile(sub, defs) for sub in value]))
+        elif key == "$ref" and isinstance(value, str) and value.startswith("#/$defs/") and value[8:] in defs:
+            checks.append(_compile(defs[value[8:]], defs))
+        else:
+            raise ValueError(f"schema keyword {key!r} with value {value!r} is not supported")
+    return _all_of(checks)
+
+
+def _required(names: frozenset) -> _Check:
+    return lambda v: not isinstance(v, dict) or v.keys() >= names
+
+
+def _no_additional(names: frozenset) -> _Check:
+    return lambda v: not isinstance(v, dict) or v.keys() <= names
+
+
+def _properties(subs: dict[str, _Check]) -> _Check:
+    def check(v):
+        if isinstance(v, dict):
+            for name, x in v.items():
+                sub = subs.get(name)
+                if sub is not None and not sub(x):
+                    return False
+        return True
+    return check
+
+
+def _items(item: _Check, start: int) -> _Check:
+    return lambda v: not isinstance(v, list) or all(map(item, v[start:] if start else v))
+
+
+def _prefix_items(firsts: list[_Check]) -> _Check:
+    return lambda v: not isinstance(v, list) or all(f(x) for f, x in zip(firsts, v))
+
+
+def _length(bound: int, at_least: bool) -> _Check:
+    if at_least:
+        return lambda v: not isinstance(v, list) or len(v) >= bound
+    return lambda v: not isinstance(v, list) or len(v) <= bound
+
+
+def _lower_bound(bound, exclusive: bool) -> _Check:
+    # written as "not below" so that NaN passes, as it does in jsonschema
+    if exclusive:
+        return lambda v: not _is_number(v) or not v <= bound
+    return lambda v: not _is_number(v) or not v < bound
+
+
+def _one_of_strings(options: tuple[str, ...]) -> _Check:
+    return lambda v: isinstance(v, str) and v in options
+
+
+def _exactly_one(branches: list[_Check]) -> _Check:
+    return lambda v: sum(b(v) for b in branches) == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _schema_check(schema_name: str, defs_key: str | None) -> tuple[dict, _Check]:
+    """A shipped schema, or its ``$defs[defs_key]``, with its compiled
+    predicate; read and compiled once per process."""
+    schema = load_schema(schema_name)
+    if defs_key is not None:
+        schema = {"$defs": schema["$defs"], **schema["$defs"][defs_key]}
+    return schema, _compile(schema, schema.get("$defs", {}))
+
+
 def _reported(error: jsonschema.ValidationError) -> str:
     """One line for a schema failure.  Inside a ``oneOf`` whose branches are
     told apart by a ``const`` property, report from the branch whose const
     matched, or, when none did, the const property with its allowed values;
     elsewhere, jsonschema's best match."""
+    import jsonschema
+
     while error.validator == "oneOf" and error.context:
         branches: dict = {}
         for sub in error.context:
@@ -66,11 +206,13 @@ def _reported(error: jsonschema.ValidationError) -> str:
 
 
 def _validate_against(instance: dict, schema_name: str, defs_key: str | None = None):
-    schema = load_schema(schema_name)
-    if defs_key is not None:
-        schema = {"$defs": schema["$defs"], **schema["$defs"][defs_key]}
-    # the shipped schemas are checked against their metaschema by the tests,
-    # not on every load
+    schema, is_valid = _schema_check(schema_name, defs_key)
+    if is_valid(instance):
+        return
+    # only a rejected document needs jsonschema, to word the error; the
+    # shipped schemas are checked against their metaschema by the tests
+    import jsonschema
+
     validator = jsonschema.validators.validator_for(schema)(schema)
     error = max(validator.iter_errors(instance), key=jsonschema.exceptions.relevance, default=None)
     if error is not None:
@@ -108,7 +250,7 @@ _FAMILY_PARAM_FIELDS = {
 def _build_statespace(doc: dict) -> StateSpace:
     ss = doc["state_space"]
     family = ss["family"]
-    dim = doc["dimension"]
+    dim = int(doc["dimension"])  # the schema's integers include 2.0
     extra = set(ss) - {"family"}
     if family == "full":
         if extra:
@@ -128,9 +270,10 @@ def _build_statespace(doc: dict) -> StateSpace:
             raise SpecError(f"state_space: unexpected fields {sorted(extra - {'m', 'n'})} for family 'box_orthant'")
         if "m" not in ss or "n" not in ss:
             raise SpecError("state_space: family 'box_orthant' requires fields m and n")
-        if ss["m"] + ss["n"] != dim:
-            raise SpecError(f"state_space: m + n = {ss['m'] + ss['n']} does not match dimension {dim}")
-        return BoxOrthant(ss["m"], ss["n"])
+        m, n = int(ss["m"]), int(ss["n"])
+        if m + n != dim:
+            raise SpecError(f"state_space: m + n = {m + n} does not match dimension {dim}")
+        return BoxOrthant(m, n)
     if extra:
         raise SpecError(f"state_space: unexpected fields {sorted(extra)} for family 'simplex'")
     return Simplex(dim)
@@ -230,14 +373,19 @@ def _check_finite(value, where: str) -> None:
         raise SpecError(f"{where}: expected a finite number, got {value}")
 
 
+# the schema's integers include integral floats such as 64.0; these are counts
+_INSTRUMENT_INTEGERS = ("constituent", "grid_size", "cheb_degree", "n_paths")
+
+
 def parse_instrument(doc: dict) -> dict:
-    """The validated instrument; every number but the point x, which the
-    caller checks against the model dimension, must be finite."""
+    """The validated instrument, with its integer fields as ints; every
+    number but the point x, which the caller checks against the model
+    dimension, must be finite."""
     _validate_against(doc, "instrument.schema.json")
     for k, v in doc.items():
         if k != "x":
             _check_finite(v, f"instrument.{k}")
-    return doc
+    return {**doc, **{k: int(doc[k]) for k in _INSTRUMENT_INTEGERS if k in doc}}
 
 
 def load_instrument(path: str) -> dict:

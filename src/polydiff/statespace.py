@@ -488,6 +488,15 @@ def _as_matrix(x, shape, name):
     return a
 
 
+def _beta_dim(beta) -> int:
+    """The length of the vector beta, which sets the dimension of the quadric
+    and simplex parameter families."""
+    shape = np.asarray(beta, dtype=float).shape
+    if len(shape) != 1:
+        raise ValueError(f"beta must be a vector, got shape {shape}")
+    return shape[0]
+
+
 def _require_symmetric(a, name, tol=1e-12):
     if not np.allclose(a, a.T, rtol=0.0, atol=tol * (1.0 + np.abs(a).max(initial=0.0))):
         raise ValueError(f"{name} must be symmetric")
@@ -508,7 +517,7 @@ class QuadricParams:
     gamma: np.ndarray | None = None
 
     def __post_init__(self):
-        d = np.asarray(self.beta, dtype=float).shape[0]
+        d = _beta_dim(self.beta)
         self.alpha = _require_symmetric(_as_matrix(self.alpha, (d, d), "alpha"), "alpha")
         self.beta = _as_matrix(self.beta, (d,), "beta")
         self.B = _as_matrix(self.B, (d, d), "B")
@@ -567,7 +576,7 @@ class SimplexParams:
     B: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.beta, dtype=float).shape[0]
+        d = _beta_dim(self.beta)
         self.alpha = _require_symmetric(_as_matrix(self.alpha, (d, d), "alpha"), "alpha")
         self.beta = _as_matrix(self.beta, (d,), "beta")
         self.B = _as_matrix(self.B, (d, d), "B")

@@ -1,5 +1,9 @@
+import copy
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from polydiff.generator import ModelCoefficients
@@ -194,3 +198,59 @@ def paths_csv_by_format(ps):
             coords = ",".join(format(v, ".17g") for v in ps.paths[pid, k])
             lines.append(f"{pid},{steps[k]},{format(t, '.17g')},{coords}")
     return "\n".join(lines) + "\n"
+
+
+# what the spec-file fuzzing puts in place of a node of a valid document:
+# every JSON type, the non-finite floats, integral floats, and strings that
+# select another branch of a schema
+FUZZ_LEAVES = (True, False, None, math.nan, math.inf, -math.inf, 0.0, 1.0, 2.0, 64.0, -1.0,
+               "", "raw", "family", "simplex", "bond", "table", [], {})
+
+
+def _node_paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _node_paths(value, path + (key,))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _as_float(node):
+    """node with every integer in it as an integral float."""
+    if isinstance(node, dict):
+        return {k: _as_float(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_as_float(v) for v in node]
+    return float(node) if isinstance(node, int) and not isinstance(node, bool) else node
+
+
+@st.composite
+def json_mutants(draw, docs):
+    """A copy of one of ``docs`` after one to three mutations, each at a
+    node drawn depth first, so that the few shallow nodes are hit as often
+    as the many leaves: replace it by a fuzz leaf, write its integers as
+    integral floats, drop one of its keys, or add an unknown key."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_node_paths(doc))
+        depth = draw(st.integers(0, max(map(len, paths))))
+        path = draw(st.sampled_from([p for p in paths if len(p) == depth]))
+        node = _node(doc, path)
+        action = draw(st.sampled_from(["replace", "float", "drop", "add"]))
+        if action == "drop" and isinstance(node, dict) and node:
+            del node[draw(st.sampled_from(sorted(node)))]
+            continue
+        if action == "add" and isinstance(node, dict):
+            node["extra"] = copy.deepcopy(draw(st.sampled_from(FUZZ_LEAVES)))
+            continue
+        new = _as_float(node) if action == "float" else copy.deepcopy(draw(st.sampled_from(FUZZ_LEAVES)))
+        if path:
+            _node(doc, path[:-1])[path[-1]] = new
+        else:
+            doc = new
+    return doc

@@ -18,6 +18,8 @@ import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import polydiff
@@ -27,7 +29,7 @@ from polydiff.pricing import PricingModel, bond_price, variance_swap_rate
 from polydiff.simulate import simulate_paths
 from polydiff.specfile import load_schema, parse_model_spec
 
-from conftest import paths_csv_by_format
+from conftest import json_mutants, paths_csv_by_format
 
 CIR_DOC = {
     "dimension": 1,
@@ -461,12 +463,32 @@ class TestMalformedInput:
         assert r.exit_code == 2
         assert r.stderr == "error: $.pricer.type: 'tabulated' is not one of ['lognormal', 'table']\n"
 
-    def test_import_leaves_scipy_stats_out(self):
-        code = "import sys, polydiff.cli; sys.exit('scipy.stats' in sys.modules)"
+    @staticmethod
+    def _fresh_python(code):
         src = os.path.dirname(os.path.dirname(polydiff.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120)
+
+    def test_import_leaves_scipy_stats_out(self):
+        done = self._fresh_python("import sys, polydiff.cli; sys.exit('scipy.stats' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+
+    def test_valid_input_leaves_jsonschema_out(self):
+        # the compiled schemas accept valid files; jsonschema only words a rejection
+        done = self._fresh_python(
+            "import sys, polydiff.cli\n"
+            "from polydiff.specfile import _validate_against, parse_instrument, parse_model_spec\n"
+            f"parse_model_spec({FULL4_DOC!r}); parse_model_spec({CIR_DOC!r})\n"
+            f"parse_instrument({self.EQUITY!r}); _validate_against({json.loads(X_POLY)!r}, "
+            "'modelspec.schema.json', 'polynomial')\n"
+            "sys.exit('jsonschema' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        done = self._fresh_python(
+            "import sys, polydiff.cli\n"
+            "from polydiff.specfile import SpecError, parse_instrument\n"
+            "try:\n    parse_instrument({'kind': 'bond'})\nexcept SpecError:\n    pass\n"
+            "sys.exit('jsonschema' not in sys.modules)")
         assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
@@ -790,3 +812,114 @@ class TestBasisDump:
         r = run(["--out", target, "basis-dump", specs["jacobi"], "--degree", 2])
         assert r.exit_code == 0
         assert target.read_text() == "0\n1\n2\n"
+
+
+# valid instruments, each with the model it is priced on, and valid --poly
+# documents: with DOCS, the seeds of the spec-file fuzzing
+FUZZ_INSTRUMENTS = {
+    "bond": ("cir", {"kind": "bond", "x": [0.8], "t": 0.0, "T": 1.0}),
+    "vswap": ("cir", {"kind": "vswap", "x": [0.8], "t": 0.0, "T": 1.0}),
+    "swaption": ("cir", {"kind": "swaption", "x": [0.8], "expiry": 0.5,
+                         "coupons": [[1.0, 1.0], [-0.9, 2.0]], "n_paths": 64, "dt": 0.05}),
+    "equity": ("simplex_pricing", {"kind": "equity_option", "x": [0.3, 0.7], "constituent": 0,
+                                   "T": 1.0, "K": 0.4, "horizon": 2.0, "grid_size": 16,
+                                   "cheb_degree": 4, "pricer": {"type": "lognormal", "spot": 1.0,
+                                                                "rate": 0.02, "vol": 0.3}}),
+    "equity_table": ("simplex_pricing", {"kind": "equity_option", "x": [0.3, 0.7], "constituent": 1,
+                                         "T": 0.5, "K": 0.4, "horizon": 2.0,
+                                         "pricer": {"type": "table", "strikes": [0.5, 1.0],
+                                                    "prices": [0.5, 0.1]}}),
+}
+FUZZ_POLYS = [{"dim": 1, "terms": [{"e": [1], "c": 1.0}]},
+              {"dim": 1, "terms": [{"e": [0], "c": 0.5}, {"e": [2], "c": -1.0}]}]
+
+
+def _moments_args(spec_path, dim, poly=None):
+    """A moments command at the point with every coordinate 1/dim, which lies
+    in every state space of DOCS; the polynomial defaults to x1."""
+    if poly is None:
+        poly = {"dim": dim, "terms": [{"e": [1] + [0] * (dim - 1), "c": 1.0}]}
+    return ["moments", spec_path, "--degree", 2, "--x", ",".join([str(1 / dim)] * dim),
+            "--tau", 0.5, "--poly", json.dumps(poly)]
+
+
+class TestIntegralFloatFields:
+    """The schemas' integers include integral floats, as Draft 2020-12 says;
+    each such field reads as its integer spelling."""
+
+    FIELDS = {
+        "dimension": ("simplex_plain", None, ("dimension",)),
+        "state_space.m": ("cir", None, ("state_space", "m")),
+        "state_space.n": ("cir", None, ("state_space", "n")),
+        "n_paths": ("cir", "swaption", ("n_paths",)),
+        "constituent": ("simplex_pricing", "equity", ("constituent",)),
+        "grid_size": ("simplex_pricing", "equity", ("grid_size",)),
+        "cheb_degree": ("simplex_pricing", "equity", ("cheb_degree",)),
+    }
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_reads_as_its_integer(self, field, tmp_path):
+        model, instrument, (*parents, key) = self.FIELDS[field]
+        doc = copy.deepcopy(DOCS[model] if instrument is None else FUZZ_INSTRUMENTS[instrument][1])
+        node = doc
+        for name in parents:
+            node = node[name]
+        assert isinstance(node[key], int)
+        runs = []
+        for spelling in (node[key], float(node[key])):
+            node[key] = spelling
+            path = tmp_path / f"{spelling!r}.json"
+            path.write_text(json.dumps(doc))
+            if instrument is None:
+                commands = [["--samples", 16, "validate", path], _moments_args(path, DOCS[model]["dimension"])]
+            else:
+                spec = tmp_path / "model.json"
+                spec.write_text(json.dumps(DOCS[model]))
+                commands = [["--quiet", "price", spec, path]]
+            runs.append([(r.exit_code, r.output, r.stderr, r.exception) for r in map(run, commands)])
+        assert runs[0] == runs[1]
+        assert all(code == 0 and exc is None for code, _, _, exc in runs[1])
+
+
+FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=60,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _check_contract(r, command):
+    """Exit 0, 1 or 2, no exception but SystemExit, and a failure reported
+    on exactly one ``error:`` line; validate's exit 1 is its verdict, with
+    the report on stdout."""
+    assert r.exit_code in (0, 1, 2), (command, r.output)
+    assert r.exception is None or isinstance(r.exception, SystemExit), (command, repr(r.exception))
+    if r.exit_code and not (command == "validate" and r.exit_code == 1 and not r.stderr):
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (command, r.stderr)
+
+
+class TestSpecFileFuzz:
+    """Mutated model files, instrument files and --poly documents keep the
+    exit-code contract: never a traceback, one ``error:`` line."""
+
+    @pytest.mark.parametrize("name", sorted(DOCS))
+    @FUZZ
+    @given(data=st.data())
+    def test_model_files(self, name, data, tmp_path):
+        doc = data.draw(json_mutants([DOCS[name]]))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        _check_contract(run(["--samples", 16, "validate", path]), "validate")
+        _check_contract(run(_moments_args(path, DOCS[name]["dimension"])), "moments")
+
+    @pytest.mark.parametrize("name", sorted(FUZZ_INSTRUMENTS))
+    @FUZZ
+    @given(data=st.data())
+    def test_instrument_files(self, name, data, specs, tmp_path):
+        model, instrument = FUZZ_INSTRUMENTS[name]
+        path = tmp_path / "instrument.json"
+        path.write_text(json.dumps(data.draw(json_mutants([instrument]))))
+        _check_contract(run(["price", specs[model], path]), "price")
+
+    @FUZZ
+    @given(poly=json_mutants(FUZZ_POLYS))
+    def test_poly_documents(self, poly, specs):
+        _check_contract(run(_moments_args(specs["cir"], 1, poly)), "moments")

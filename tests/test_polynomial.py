@@ -305,6 +305,15 @@ class TestOrderingAndUtilities:
         assert p.homogeneous_part(2) == x(0, 2) ** 2
         assert p.homogeneous_part(1) == x(0, 2)
 
+    def test_str_prints_unit_coefficients_bare(self):
+        assert str(1.0 - x(0, 2)) == "1 - x1"
+        assert str(x(1, 2) - x(0, 2)) == "x2 - x1"
+        assert str(-x(0, 1) ** 2 + 1.0) == "1 - x1^2"
+        assert str(x(0, 2) ** 2 - x(0, 2)) == "-x1 + x1^2"
+        assert str(x(1, 2) - x(0, 2) * x(1, 2)) == "x2 - x1*x2"
+        assert str(Polynomial.constant(1, -1.0) + 2.0 * x(0, 1)) == "-1 + 2*x1"
+        assert str(-x(0, 1)) == "-x1"
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

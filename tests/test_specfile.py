@@ -6,6 +6,8 @@ import json
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydiff import (
     BoxOrthantParams,
@@ -17,7 +19,11 @@ from polydiff import (
     load_instrument,
     load_model_spec,
 )
-from polydiff.specfile import load_schema, parse_instrument, parse_model_spec
+from polydiff.specfile import _compile, _schema_check, load_schema, parse_instrument, parse_model_spec
+
+from conftest import json_mutants
+from test_cli import DOCS as CLI_DOCS
+from test_cli import FUZZ_INSTRUMENTS, FUZZ_POLYS
 
 
 CIR_DOC = {
@@ -112,6 +118,15 @@ class TestModelSpecParsing:
         doc = copy.deepcopy(SIMPLEX_DOC)
         del doc["coefficients"]
         with pytest.raises(SpecError, match="coefficients"):
+            parse_model_spec(doc)
+
+    @pytest.mark.parametrize("base", [SIMPLEX_DOC, QUADRIC_DOC])
+    @pytest.mark.parametrize("beta", [True, 0.5, None])
+    def test_scalar_beta_is_a_spec_error(self, base, beta):
+        # beta's length sets the dimension of the simplex and quadric families
+        doc = copy.deepcopy(base)
+        doc["coefficients"]["params"]["beta"] = beta
+        with pytest.raises(SpecError, match="beta must be a vector"):
             parse_model_spec(doc)
 
     def test_unknown_family(self):
@@ -273,3 +288,65 @@ class TestSchemas:
         for key in ("validate_report", "moments_report", "simulate_summary",
                     "boundary_report", "price_report"):
             assert key in defs
+
+
+# (schema file, $defs key, the valid documents whose mutants are checked)
+COMPILED = {
+    "model": ("modelspec.schema.json", None,
+              [*CLI_DOCS.values(), CIR_DOC, SIMPLEX_DOC, RAW_DOC, QUADRIC_DOC]),
+    "instrument": ("instrument.schema.json", None, [doc for _, doc in FUZZ_INSTRUMENTS.values()]),
+    "polynomial": ("modelspec.schema.json", "polynomial", FUZZ_POLYS),
+}
+
+
+class TestCompiledSchemas:
+    @pytest.mark.parametrize("kind", sorted(COMPILED))
+    def test_shipped_schema_compiles_and_accepts_its_documents(self, kind):
+        name, key, docs = COMPILED[kind]
+        schema, is_valid = _schema_check(name, key)
+        assert _schema_check(name, key)[1] is is_valid  # compiled once
+        for doc in docs:
+            assert jsonschema.Draft202012Validator(schema).is_valid(doc)
+            assert is_valid(doc)
+
+    @pytest.mark.parametrize("kind", sorted(COMPILED))
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(data=st.data())
+    def test_verdict_matches_jsonschema(self, kind, data):
+        name, key, docs = COMPILED[kind]
+        schema, is_valid = _schema_check(name, key)
+        doc = data.draw(json_mutants(docs))
+        assert is_valid(doc) == jsonschema.Draft202012Validator(schema).is_valid(doc)
+
+    @pytest.mark.parametrize("value, valid", [
+        (1, True), (1.0, True), (0, False), (True, False), (1.5, False),
+        (float("nan"), False), ("1", False), (None, False)])
+    def test_integer_minimum(self, value, valid):
+        # a bool is not an integer, an integral float is, and NaN is no integer
+        assert _compile({"type": "integer", "minimum": 1}, {})(value) is valid
+
+    @pytest.mark.parametrize("value, valid", [
+        (float("nan"), True), (float("inf"), True), (0.0, False), (-float("inf"), False),
+        (False, True), ("x", True)])
+    def test_exclusive_minimum_skips_other_types_and_passes_nan(self, value, valid):
+        assert _compile({"exclusiveMinimum": 0}, {})(value) is valid
+
+    def test_one_of_needs_exactly_one_match(self):
+        is_valid = _compile({"oneOf": [{"type": "number"}, {"type": "integer"}]}, {})
+        assert is_valid(1.5)
+        assert not is_valid(2)
+        assert not is_valid("2")
+
+    @pytest.mark.parametrize("schema", [
+        {"anyOf": [{"type": "number"}]},
+        {"type": "string", "pattern": "^x"},
+        {"properties": {"a": {"type": "string", "format": "date"}}},
+        {"type": ["number", "null"]},
+        {"type": "object", "additionalProperties": {"type": "number"}},
+        {"enum": [1, 2]},
+        {"$ref": "#/$defs/missing"},
+        {"$ref": "other.json#/x"},
+    ])
+    def test_unsupported_keyword_raises(self, schema):
+        with pytest.raises(ValueError, match="not supported"):
+            _compile(schema, {})
