@@ -42,12 +42,10 @@ from .conditions import (
     validate_params,
 )
 from .simulate import (
-    NotSymmetric,
     PathSet,
     boundary_hit_stats,
     dispersion,
     mc_moment,
-    nearest_psd,
     simulate_paths,
 )
 from .pricing import (

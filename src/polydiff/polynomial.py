@@ -247,6 +247,8 @@ class Polynomial:
             missing = {"dim", "terms"} - set(data)
             raise ValueError(f"polynomial object: unknown fields {sorted(extra)}, missing {sorted(missing)}")
         dim = data["dim"]
+        if isinstance(dim, float) and dim.is_integer():
+            dim = int(dim)  # JSON Schema's integers include 1.0
         if not isinstance(dim, int) or dim < 1:
             raise ValueError(f"polynomial dim must be a positive integer, got {dim!r}")
         terms: dict[Exponents, float] = {}

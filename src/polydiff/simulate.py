@@ -27,9 +27,7 @@ from .generator import check_point
 from .polynomial import Polynomial
 
 __all__ = [
-    "NotSymmetric",
     "PathSet",
-    "nearest_psd",
     "dispersion",
     "simulate_paths",
     "mc_moment",
@@ -50,29 +48,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-class NotSymmetric(ValueError):
-    """Matrix asymmetry above tolerance where a symmetric matrix is required."""
-
-
-def nearest_psd(A, sym_tol: float = 1e-12) -> np.ndarray:
-    """Projection onto the PSD cone: clip negative eigenvalues to zero.
-
-    The input must be symmetric up to ``sym_tol`` (relative); it is
-    symmetrized before the eigendecomposition and the output is exactly
-    symmetric.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("nearest_psd needs a square matrix")
-    scale = 1.0 + np.abs(A).max(initial=0.0)
-    if np.abs(A - A.T).max(initial=0.0) > sym_tol * scale:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-    S = 0.5 * (A + A.T)
-    w, V = np.linalg.eigh(S)
-    out = (V * np.maximum(w, 0.0)) @ V.T
-    return 0.5 * (out + out.T)
-
-
 def _psd_sqrt_batch(A: np.ndarray) -> np.ndarray:
     """PSD square root of a batch (..., d, d) of symmetric matrices."""
     if A.shape[-1] == 1:
@@ -86,6 +61,112 @@ def _psd_sqrt_batch(A: np.ndarray) -> np.ndarray:
 def dispersion(model, x) -> np.ndarray:
     """PSD square root of the projected diffusion matrix a(x).  Batched."""
     return _psd_sqrt_batch(model.a_eval(x))
+
+
+# det A = a00 a11 - a01^2 carries a rounding error below _DET_ROUNDING (|a00 a11| + a01^2);
+# a 2x2 matrix counts as indefinite only when det A is negative beyond that
+_DET_ROUNDING = 4.0 * np.finfo(float).eps
+
+
+def _root_times(a: list, z: np.ndarray) -> np.ndarray:
+    """sigma z, row by row, for sigma the PSD square root of the eigenvalue-clipped
+    matrix with upper triangle ``a`` (a_00, a_01, ..., a_11, ...: arrays (n,))
+    and z of shape (n, d), without forming sigma where d <= 2.
+
+    d = 1 is sqrt(max(a, 0)) z, bit for bit the 1x1 root times z.  d = 2 is the
+    closed form of the 2x2 root, equal to the eigendecomposition route up to
+    rounding.  d >= 3 goes through ``eigh``, bit for bit as ``dispersion``.
+    """
+    d = z.shape[1]
+    if d == 1:
+        return np.sqrt(np.maximum(a[0], 0.0))[:, None] * z
+    if d == 2:
+        return _root_times_2x2(*a, z[:, 0], z[:, 1])
+    A = np.empty((len(z), d, d))
+    k = 0
+    for i in range(d):
+        for j in range(i, d):
+            A[:, i, j] = a[k]
+            A[:, j, i] = a[k]
+            k += 1
+    return np.einsum("cij,cj->ci", _psd_sqrt_batch(A), z)
+
+
+def _root_times_2x2(a00, a01, a11, z0, z1) -> np.ndarray:
+    """The d = 2 case of ``_root_times``.
+
+    A PSD matrix A has the root (A + sI) / sqrt(tr A + 2s), s = sqrt(det A).  An
+    indefinite one clips to lambda+ v v' with v v' = (A - lambda- I) / (lambda+ -
+    lambda-), whose root is sqrt(lambda+) v v'.  With both eigenvalues <= 0 the
+    root is zero.
+    """
+    tr = a00 + a11
+    diag, off = a00 * a11, a01 * a01
+    det = diag - off
+    s = np.sqrt(np.maximum(det, 0.0))
+    clipped = tr <= 0.0  # no positive eigenvalue, up to rounding
+    indefinite = det < 0.0
+    if indefinite.any():
+        indefinite &= det < -_DET_ROUNDING * (np.abs(diag) + off)
+        clipped |= indefinite
+    odd = clipped.any()
+    n = tr + 2.0 * s
+    t = np.sqrt(np.where(clipped, 1.0, n) if odd else n)
+    out = np.empty(z0.shape + (2,))
+    out[:, 0] = ((a00 + s) * z0 + a01 * z1) / t
+    out[:, 1] = (a01 * z0 + (a11 + s) * z1) / t
+    if odd:
+        out[clipped] = 0.0
+        if indefinite.any():
+            b00, b01, b11, y0, y1 = (v[indefinite] for v in (a00, a01, a11, z0, z1))
+            half = 0.5 * tr[indefinite]
+            r = np.hypot(0.5 * (b00 - b11), b01)  # (lambda+ - lambda-) / 2 > 0
+            low = half - r
+            w = np.sqrt(half + r) / (2.0 * r)
+            out[indefinite, 0] = w * ((b00 - low) * y0 + b01 * y1)
+            out[indefinite, 1] = w * (b01 * y0 + (b11 - low) * y1)
+    return out
+
+
+class _StepKernel:
+    """b, the upper triangle of a and the state-space inequalities at a batch of
+    states (n, d), from one table of the powers x_i**k that their terms need.
+
+    Every polynomial keeps ``Polynomial.__call__``'s term order and products
+    (c times x_i**k for i ascending, summed onto zero), so each value is bit
+    for bit what the polynomial itself gives.
+    """
+
+    def __init__(self, model, inequalities):
+        d = model.dim
+        polys = [*model.b, *(model.a[i][j] for i in range(d) for j in range(i, d)), *inequalities]
+        self.powers = sorted({(i, k) for p in polys for e in p.terms for i, k in enumerate(e) if k})
+        slot = {ik: n for n, ik in enumerate(self.powers)}
+        self.terms = [[(c, [slot[i, k] for i, k in enumerate(e) if k]) for e, c in p.terms.items()]
+                      for p in polys]
+        self.split = (d, d + d * (d + 1) // 2)
+
+    def __call__(self, x: np.ndarray) -> tuple[list, list, list]:
+        """([b_i], [a_ij for i <= j], [p(x) for each inequality])."""
+        # x ** 1 is x, so the column itself stands for it
+        table = [x[:, i] if k == 1 else x[:, i] ** k for i, k in self.powers]
+        values = []
+        for terms in self.terms:
+            out = None
+            for c, slots in terms:
+                if slots:
+                    term = table[slots[0]] if c == 1.0 else c * table[slots[0]]
+                    for s in slots[1:]:
+                        term = term * table[s]
+                    # the sum starts from zero, which turns a leading -0.0 into 0.0
+                    out = term + 0.0 if out is None else out + term
+                else:
+                    out = c if out is None else out + c
+            if out is None or isinstance(out, float):
+                out = np.full(len(x), 0.0 if out is None else out)
+            values.append(out)
+        lo, hi = self.split
+        return values[:lo], values[lo:hi], values[hi:]
 
 
 @dataclass
@@ -253,6 +334,7 @@ def simulate_paths(
     minima = np.empty((n_paths, len(ineqs))) if ineqs else None
     sqdt = np.sqrt(dt)
     gen = np.random.Generator(np.random.Philox(0))  # every path overwrites its state
+    kernel = _StepKernel(model, ineqs)
 
     for start in range(0, n_paths, _CHUNK_PATHS):
         stop = min(start + _CHUNK_PATHS, n_paths)
@@ -260,27 +342,30 @@ def simulate_paths(
         c = stop - start
         x = np.tile(x0, (c, 1))
         out[start:stop, 0] = x
-        if ineqs:
-            mins = np.column_stack([np.full(c, p(x0)) for p in ineqs])
+        mins = [np.full(c, p(x0)) for p in ineqs]
+        drift = np.empty((c, d))
+        b, a, _ = kernel(x)
         step = 0
         while step < n_steps:
             block = min(_STEP_BLOCK, n_steps - step)
             u = _uniforms(gen, keys, step, block, d)
-            # uniform draws live in [0, 1); keep the inverse CDF finite
-            z = ndtri(np.clip(u, 1e-300, 1.0 - 2**-53))
+            # uniform draws live in [0, 1 - 2**-53]; keep the inverse CDF finite at 0
+            z = ndtri(np.maximum(u, 1e-300, out=u))
             for j in range(block):
-                drift = model.b_eval(x)
-                sig = dispersion(model, x)
-                x = x + drift * dt + sqdt * np.einsum("cij,cj->ci", sig, z[:, j])
+                for i, bi in enumerate(b):
+                    drift[:, i] = bi
+                x = x + drift * dt + sqdt * _root_times(a, z[:, j])
                 x = statespace.project(x)
                 step += 1
-                for q, p in enumerate(ineqs):
-                    np.minimum(mins[:, q], p(x), out=mins[:, q])
+                # one evaluation at the new state serves its constraints and the next step
+                b, a, values = kernel(x)
+                for m, v in zip(mins, values):
+                    np.minimum(m, v, out=m)
                 pos = stored_pos.get(step)
                 if pos is not None:
                     out[start:stop, pos] = x
         if ineqs:
-            minima[start:stop] = mins
+            minima[start:stop] = np.column_stack(mins)
 
     return PathSet(
         times=np.asarray(stored_steps, dtype=float) * dt,

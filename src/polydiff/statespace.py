@@ -184,12 +184,13 @@ class Quadric(StateSpace):
         p = Polynomial(d, terms)  # 1 - x'Qx
         self.inequalities = (p if orientation == "inside" else -p,)
         self.equalities = ()
-        self._plus = np.flatnonzero(np.diag(Q) == 1.0)
-        self._minus = np.flatnonzero(np.diag(Q) == -1.0)
+        self._q = np.diag(Q).copy()
+        self._plus = np.flatnonzero(self._q == 1.0)
+        self._minus = np.flatnonzero(self._q == -1.0)
 
     def _qform(self, x):
         x = np.asarray(x, dtype=float)
-        return np.sum(x * x * np.diag(self.Q), axis=-1)
+        return np.sum(x * x * self._q, axis=-1)
 
     def violation(self, x):
         q = self._qform(x)
@@ -199,19 +200,19 @@ class Quadric(StateSpace):
     def project(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        X = np.atleast_2d(x).astype(float).copy()
+        X = np.array(x, ndmin=2)
         q = self._qform(X)
         if self.orientation == "inside":
             bad = q > 1.0
-            if np.any(bad):
+            if bad.any():
                 X[bad] /= np.sqrt(q[bad])[:, None]
         else:
             bad = q < 1.0
             pos = bad & (q > 1e-12)
-            if np.any(pos):
+            if pos.any():
                 X[pos] /= np.sqrt(q[pos])[:, None]
             rest = bad & ~pos
-            if np.any(rest):
+            if rest.any():
                 # radial scaling undefined near the cone x'Qx <= 0: push along
                 # the first +1 coordinate until the quadric is reached
                 i = self._plus[0]
@@ -417,15 +418,8 @@ class Simplex(StateSpace):
     def project(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        X = np.atleast_2d(x).astype(float)
-        d = self.dim
-        u = np.sort(X, axis=1)[:, ::-1]
-        css = np.cumsum(u, axis=1) - 1.0
-        ks = np.arange(1, d + 1)
-        cond = u - css / ks > 0.0
-        rho = d - 1 - np.argmax(cond[:, ::-1], axis=1)
-        theta = css[np.arange(X.shape[0]), rho] / (rho + 1.0)
-        out = np.maximum(X - theta[:, None], 0.0)
+        X = np.atleast_2d(x)
+        out = _project_segment(X) if self.dim == 2 else _project_sorted(X)
         return out[0] if single else out
 
     def boundary_samples(self, index: int, count: int) -> np.ndarray:
@@ -457,6 +451,33 @@ class Simplex(StateSpace):
 
     def spec_dict(self) -> dict:
         return {"family": "simplex", "dim": self.dim}
+
+
+def _project_sorted(X: np.ndarray) -> np.ndarray:
+    """Euclidean projection of the rows of X onto the unit simplex: shift by
+    the threshold theta found from the coordinates sorted in decreasing order,
+    then clip at zero."""
+    d = X.shape[1]
+    u = np.sort(X, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    ks = np.arange(1, d + 1)
+    cond = u - css / ks > 0.0
+    rho = d - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(X.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(X - theta[:, None], 0.0)
+
+
+def _project_segment(X: np.ndarray) -> np.ndarray:
+    """``_project_sorted`` for d = 2, the segment from (1, 0) to (0, 1): the sort of
+    two coordinates is their max and min, and theta is the same arithmetic, so
+    the result is bit for bit the same."""
+    hi = np.maximum(X[:, 0], X[:, 1])
+    lo = np.minimum(X[:, 0], X[:, 1])
+    top = hi - 1.0
+    half = (X[:, 0] + X[:, 1] - 1.0) / 2.0
+    # theta = half unless only the larger coordinate stays positive
+    theta = np.where((lo - half > 0.0) | ~(hi - top > 0.0), half, top)
+    return np.maximum(X - theta[:, None], 0.0)
 
 
 # ---------------------------------------------------------------------------

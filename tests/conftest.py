@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
+from scipy.special import ndtri
 
-from polydiff.generator import ModelCoefficients
+from polydiff import simulate
+from polydiff.generator import ModelCoefficients, check_point
 from polydiff.polynomial import Polynomial
 from polydiff.statespace import (
     BoxOrthant,
@@ -72,6 +74,53 @@ def oracle_reduce(space, p):
     return out
 
 
+def oracle_simulate_paths(model, statespace, x0, T, dt, n_paths, seed, store_stride=1):
+    """The Euler step as ``simulate_paths`` defines it, one public piece at a
+    time: ``b_eval``, the eigendecomposition root ``dispersion`` times z, the
+    projection, and each inequality polynomial evaluated on its own.  Same
+    streams, chunks and storage as the package, so d = 1 and d >= 3 paths must
+    agree with it bit for bit."""
+    x0 = statespace.project(check_point(statespace, x0))
+    d = statespace.dim
+    ineqs = statespace.inequalities
+    n_steps = int(round(T / dt))
+    stored_steps = sorted(set(range(0, n_steps + 1, store_stride)) | {n_steps})
+    stored_pos = {s: i for i, s in enumerate(stored_steps)}
+    out = np.empty((n_paths, len(stored_steps), d))
+    minima = np.empty((n_paths, len(ineqs))) if ineqs else None
+    sqdt = np.sqrt(dt)
+    gen = np.random.Generator(np.random.Philox(0))
+    for start in range(0, n_paths, simulate._CHUNK_PATHS):
+        stop = min(start + simulate._CHUNK_PATHS, n_paths)
+        keys = simulate._path_keys(seed, np.arange(start, stop)).tolist()
+        c = stop - start
+        x = np.tile(x0, (c, 1))
+        out[start:stop, 0] = x
+        if ineqs:
+            mins = np.column_stack([np.full(c, p(x0)) for p in ineqs])
+        step = 0
+        while step < n_steps:
+            block = min(simulate._STEP_BLOCK, n_steps - step)
+            u = simulate._uniforms(gen, keys, step, block, d)
+            z = ndtri(np.clip(u, 1e-300, 1.0 - 2**-53))
+            for j in range(block):
+                drift = model.b_eval(x)
+                sig = simulate.dispersion(model, x)
+                x = x + drift * dt + sqdt * np.einsum("cij,cj->ci", sig, z[:, j])
+                x = statespace.project(x)
+                step += 1
+                for q, p in enumerate(ineqs):
+                    np.minimum(mins[:, q], p(x), out=mins[:, q])
+                pos = stored_pos.get(step)
+                if pos is not None:
+                    out[start:stop, pos] = x
+        if ineqs:
+            minima[start:stop] = mins
+    return simulate.PathSet(times=np.asarray(stored_steps, dtype=float) * dt, paths=out, seed=int(seed), dt=float(dt),
+                            n_steps=n_steps, store_stride=int(store_stride), scheme="euler-project",
+                            statespace_family=statespace.family, constraint_minima=minima)
+
+
 def _const(dim, c):
     return Polynomial.constant(dim, c)
 
@@ -130,6 +179,14 @@ def simplex_x2_form_model():
     s = _var(1, 2) - _var(1, 2) ** 2
     b = [_const(2, 1.0) - 2.0 * _var(i, 2) for i in range(2)]
     return ModelCoefficients([[s, -s], [-s, s]], b), Simplex(2)
+
+
+def simplex3_model():
+    # the 3-d simplex Jacobi model, drift tangent to the mass constraint
+    space = Simplex(3)
+    params = SimplexParams(alpha=[[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]], beta=[0.25] * 3,
+                           B=[[-1.25, 0.25, 0.25], [0.25, -1.25, 0.25], [0.25, 0.25, -1.25]])
+    return assemble_model(space, params), space
 
 
 def ball_params(dim=2):

@@ -624,7 +624,7 @@ class TestSimulate:
                                                      "--t-end", 1.1, "--store-stride", 25],
                               "b2e21ecbedc0121e2625cb4693a4a77bc4047dc461ba3dfbb83ad249715c0f59", 5748),
         "simplex2": ("simplex_plain", 2026, ["--x0", "0.3,0.7", "--paths", 16, "--dt", 0.01, "--t-end", 0.5],
-                     "21a0f8da567e5ac72ca2825cf2f82b33c585b62c5a812dcfe271c24cad4f6ab1", 49494),
+                     "2458e7b0c7cff1cd7909e9be34f84f40b2004e42f2e3dbe95b91bc20ce25ead6", 49502),
         "simplex3": ("simplex3", 7, ["--x0", "0.2,0.3,0.5", "--paths", 8, "--dt", 0.01, "--t-end", 0.5],
                      "89bed86a6ac1c1c6b93a604e176e377fc4fc694f417ab6d2b56e952b8ae4dfe9", 32649),
     }
@@ -879,6 +879,29 @@ class TestIntegralFloatFields:
             runs.append([(r.exit_code, r.output, r.stderr, r.exception) for r in map(run, commands)])
         assert runs[0] == runs[1]
         assert all(code == 0 and exc is None for code, _, _, exc in runs[1])
+
+    def test_polynomial_dim_in_a_model_file(self, tmp_path):
+        runs = []
+        for spelling in (int, float):
+            doc = copy.deepcopy(FULL4_DOC)
+            coefficients = doc["coefficients"]
+            for poly in [*(entry for row in coefficients["a"] for entry in row), *coefficients["b"]]:
+                poly["dim"] = spelling(poly["dim"])
+            path = tmp_path / f"{spelling.__name__}.json"
+            path.write_text(json.dumps(doc))
+            commands = [["--samples", 16, "validate", path], _moments_args(path, 4)]
+            runs.append([(r.exit_code, r.output, r.stderr, r.exception) for r in map(run, commands)])
+        assert runs[0] == runs[1]
+        assert all(code == 0 and exc is None for code, _, _, exc in runs[1])
+
+    def test_polynomial_dim_in_poly(self, specs):
+        runs = []
+        for dim in (2, 2.0):
+            poly = {"dim": dim, "terms": [{"e": [1, 1], "c": 1.0}]}
+            r = run(_moments_args(specs["simplex_plain"], 2, poly))
+            runs.append((r.exit_code, r.output, r.stderr, r.exception))
+        assert runs[0] == runs[1]
+        assert runs[1][0] == 0 and runs[1][3] is None
 
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=60,

@@ -2,25 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polydiff.simulate
 from polydiff import (
     BoxOrthant,
     FullSpace,
     ModelCoefficients,
-    NotSymmetric,
     PathSet,
     PointOutsideStateSpace,
     Polynomial,
+    Quadric,
+    Simplex,
     boundary_hit_stats,
     conditional_moment,
     dispersion,
     mc_moment,
-    nearest_psd,
     simulate_paths,
 )
 
-from polydiff.simulate import _path_keys, _uniforms
+from polydiff.simulate import _StepKernel, _path_keys, _root_times, _uniforms
 
 from conftest import (
     MODEL_MATRIX,
@@ -28,45 +30,12 @@ from conftest import (
     brownian_model,
     cir_model,
     jacobi_model,
+    oracle_simulate_paths,
+    simplex3_model,
     simplex_jacobi_model,
+    simplex_x2_form_model,
     unit_ball_model,
 )
-
-
-class TestNearestPsd:
-    def test_psd_fixed_point(self):
-        A = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert np.allclose(nearest_psd(A), A, atol=1e-14)
-
-    def test_clips_negative_eigenvalue(self):
-        A = np.diag([1.0, -3.0])
-        assert np.allclose(nearest_psd(A), np.diag([1.0, 0.0]), atol=1e-14)
-
-    def test_rejects_asymmetry(self):
-        with pytest.raises(NotSymmetric):
-            nearest_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_output_exactly_symmetric(self):
-        rng = np.random.default_rng(0)
-        M = rng.standard_normal((5, 5))
-        A = M + M.T
-        P = nearest_psd(A)
-        assert np.array_equal(P, P.T)
-        assert np.linalg.eigvalsh(P).min() >= -1e-12
-
-    def test_metric_projection_property(self):
-        # the clip is the Frobenius-nearest PSD matrix: no random PSD S may
-        # come closer to A than the projection does
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            M = rng.standard_normal((4, 4))
-            A = M + M.T
-            P = nearest_psd(A)
-            d_proj = np.linalg.norm(A - P)
-            for _ in range(5):
-                R = rng.standard_normal((4, 4))
-                S = R @ R.T
-                assert np.linalg.norm(A - S) >= d_proj - 1e-12
 
 
 def eigh_root(A):
@@ -187,6 +156,181 @@ class TestDispersion:
         model, _ = simplex_jacobi_model()
         X = np.full((7, 2), 0.5)
         assert dispersion(model, X).shape == (7, 2, 2)
+
+
+EPS = np.finfo(float).eps
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=80)
+
+# coefficients that take the kernel's shortcuts (1.0, constants) and ones that do not
+COEFFICIENTS = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 2.0]),
+                         st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False).filter(bool))
+# coordinates with signed zeros, so a sum that starts from zero shows in the bytes
+COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def polynomials(draw, d, top):
+    exps = draw(st.lists(st.tuples(*[st.integers(0, top)] * d).filter(lambda e: sum(e) <= top),
+                         max_size=5, unique=True))
+    return Polynomial(d, {e: draw(COEFFICIENTS) for e in exps})
+
+
+@st.composite
+def points(draw, d):
+    return np.array(draw(st.lists(st.lists(COORDINATES, min_size=d, max_size=d), min_size=1, max_size=6)))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A model with random b (degree <= 1) and symmetric a (degree <= 2), random
+    degree <= 2 inequality polynomials, and points, in d = 1..4."""
+    d = draw(st.integers(1, 4))
+    entries = {(i, j): draw(polynomials(d, 2)) for i in range(d) for j in range(i, d)}
+    a = [[entries[min(i, j), max(i, j)] for j in range(d)] for i in range(d)]
+    b = [draw(polynomials(d, 1)) for _ in range(d)]
+    ineqs = draw(st.lists(polynomials(d, 2), max_size=3))
+    return ModelCoefficients(a, b), ineqs, draw(points(d))
+
+
+FAMILIES = [FullSpace(2), Quadric(np.eye(2)), Quadric(np.diag([1.0, -1.0]), orientation="outside"),
+            Quadric(np.diag([1.0, 1.0, -1.0])), Quadric(np.eye(3), orientation="outside"), BoxOrthant(1, 0),
+            BoxOrthant(2, 1), BoxOrthant(0, 3), Simplex(2), Simplex(3)]
+
+
+def assert_kernel_is_the_oracle(model, ineqs, X):
+    b, a, values = _StepKernel(model, ineqs)(X)
+    d = model.dim
+    assert [v.tobytes() for v in b] == [p(X).tobytes() for p in model.b]
+    assert [v.tobytes() for v in a] == [model.a[i][j](X).tobytes() for i in range(d) for j in range(i, d)]
+    assert [v.tobytes() for v in values] == [p(X).tobytes() for p in ineqs]
+
+
+class TestStepKernel:
+    """The step kernel evaluates b, a and the inequalities bit for bit as
+    ``Polynomial.__call__`` does."""
+
+    @PROPERTY
+    @given(kernel_cases())
+    def test_random_polynomials(self, case):
+        assert_kernel_is_the_oracle(*case)
+
+    @PROPERTY
+    @given(st.sampled_from(FAMILIES).flatmap(lambda space: st.tuples(st.just(space), points(space.dim))))
+    def test_state_space_inequalities(self, case):
+        space, X = case
+        model, _ = brownian(space.dim)
+        assert_kernel_is_the_oracle(model, space.inequalities, np.vstack([X, space.all_samples(16)]))
+
+    @pytest.mark.parametrize("name", sorted(MODEL_MATRIX))
+    def test_fixture_models(self, name):
+        model, space = MODEL_MATRIX[name]()
+        assert_kernel_is_the_oracle(model, space.inequalities, space.all_samples(64))
+
+
+def upper(A):
+    d = A.shape[-1]
+    return [A[:, i, j] for i in range(d) for j in range(i, d)]
+
+
+def assert_root_close(A, z):
+    """_root_times(A, z) against the eigh route of ``dispersion``: sigma sigma'
+    within a few ulps of |A|, and sigma z within sqrt(eps |A|) |z|, the
+    accuracy of a root of an eigenvalue that is known to an ulp of |A|."""
+    norm = np.abs(A).max(axis=(1, 2))
+    want = polydiff.simulate._psd_sqrt_batch(A)
+    got = _root_times(upper(A), z)
+    assert np.all(np.abs(got - np.einsum("cij,cj->ci", want, z)).max(axis=1)
+                  <= np.sqrt(EPS * norm) * np.abs(z).max(axis=1))
+    sigma = np.stack([_root_times(upper(A), np.tile(e, (len(A), 1))) for e in np.eye(2)], axis=2)
+    assert np.all(np.abs(sigma @ sigma - want @ want).max(axis=(1, 2)) <= 8.0 * EPS * norm)
+
+
+class TestRootTimes:
+    @pytest.mark.parametrize("make", [jacobi_model, cir_model])
+    def test_one_dimensional_is_the_einsum(self, make):
+        model, space = make()
+        X = np.concatenate([space.all_samples(64), [[-1e-9], [1.0 + 1e-9], [-2**-52]]])
+        z = np.random.default_rng(3).standard_normal((len(X), 1))
+        got = _root_times(upper(model.a_eval(X)), z)
+        assert np.array_equal(got, np.einsum("cij,cj->ci", dispersion(model, X), z))
+
+    def test_three_dimensional_is_the_einsum(self):
+        model, space = unit_ball_model(3)
+        X = space.all_samples(64)
+        z = np.random.default_rng(4).standard_normal((len(X), 3))
+        got = _root_times(upper(model.a_eval(X)), z)
+        assert got.tobytes() == np.einsum("cij,cj->ci", dispersion(model, X), z).tobytes()
+
+    @pytest.mark.parametrize("kind", ["psd", "near_singular", "indefinite", "negative_definite", "zero"])
+    def test_two_dimensional_matches_eigh(self, kind):
+        rng = np.random.default_rng(["psd", "near_singular", "indefinite", "negative_definite", "zero"].index(kind))
+        n = 2000
+        # entries from 1e-120 to 1e120: det A = a00 a11 - a01^2 neither under- nor overflows
+        M = rng.standard_normal((n, 2, 2)) * 10.0 ** rng.integers(-60, 60, (n, 1, 1))
+        v = M[:, 0]
+        # eigenvalues of both signs in random directions
+        V = np.linalg.qr(rng.standard_normal((n, 2, 2)))[0]
+        w = np.abs(M[:, 1]) * [1.0, -1.0]
+        A = {"psd": M @ np.swapaxes(M, 1, 2),
+             "near_singular": v[:, :, None] * v[:, None, :] * (1.0 + 1e-14 * np.eye(2)),
+             "indefinite": np.einsum("cik,ck,cjk->cij", V, w, V),
+             "negative_definite": -(M @ np.swapaxes(M, 1, 2)),
+             "zero": np.zeros((n, 2, 2))}[kind]
+        z = rng.standard_normal((n, 2))
+        assert_root_close(A, z)
+        if kind in ("negative_definite", "zero"):
+            assert np.all(_root_times(upper(A), z) == 0.0)
+        if kind == "indefinite":
+            assert (np.linalg.eigvalsh(A)[:, 0] < 0.0).all()
+
+    @pytest.mark.parametrize("A, root", [
+        ([[2.0, 0.0], [0.0, -1.0]], [[2.0**0.5, 0.0], [0.0, 0.0]]),  # indefinite, trace > 0
+        ([[-3.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]),  # indefinite, trace < 0
+        ([[1.0, 2.0], [2.0, 1.0]], [[0.5 * 3.0**0.5, 0.5 * 3.0**0.5]] * 2),  # eigenvalues 3 and -1
+        ([[4.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]),
+        ([[-1.0, 0.0], [0.0, -2.0]], [[0.0, 0.0], [0.0, 0.0]]),
+        ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    ])
+    def test_two_dimensional_one_matrix(self, A, root):
+        # each case alone, so no other row of the batch takes the clipping branch for it
+        A = np.array([A])
+        sigma = np.stack([_root_times(upper(A), np.array([e])) for e in np.eye(2)], axis=2)[0]
+        assert np.allclose(sigma, root, rtol=0.0, atol=4.0 * EPS)
+
+    @pytest.mark.parametrize("make", [simplex_jacobi_model, simplex_x2_form_model, unit_ball_model])
+    def test_two_dimensional_fixtures(self, make):
+        model, space = make()
+        X = space.all_samples(500)
+        assert_root_close(model.a_eval(X), np.random.default_rng(6).standard_normal((len(X), 2)))
+
+
+ORACLE_CASES = {**MODEL_MATRIX, "simplex_x2_form": simplex_x2_form_model, "simplex3": simplex3_model,
+                "unit_ball3": lambda: unit_ball_model(3)}
+
+
+class TestAgainstOracle:
+    """simulate_paths against the step loop written with the public pieces
+    (conftest.oracle_simulate_paths): the same paths and minima bit for bit
+    in d = 1 and d >= 3; in d = 2 the closed-form root moves them by rounding."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_paths_and_minima(self, monkeypatch, name):
+        model, space = ORACLE_CASES[name]()
+        # chunks of 5 paths and blocks of 8 steps: both boundaries fall inside the run
+        monkeypatch.setattr(polydiff.simulate, "_CHUNK_PATHS", 5)
+        monkeypatch.setattr(polydiff.simulate, "_STEP_BLOCK", 8)
+        x0 = space.interior_samples(2)[1]
+        got = simulate_paths(model, space, x0, 0.5, 0.01, 12, seed=11, store_stride=3)
+        want = oracle_simulate_paths(model, space, x0, 0.5, 0.01, 12, seed=11, store_stride=3)
+        assert np.array_equal(got.times, want.times)
+        if space.dim == 2:
+            assert np.abs(got.paths - want.paths).max() <= 1e-8
+            if space.inequalities:
+                assert np.abs(got.constraint_minima - want.constraint_minima).max() <= 1e-8
+        else:
+            assert np.array_equal(got.paths, want.paths)
+            if space.inequalities:
+                assert np.array_equal(got.constraint_minima, want.constraint_minima)
 
 
 class TestSimulatePaths:

@@ -20,7 +20,9 @@ from polydiff import (
     assemble_model,
 )
 from polydiff.basis import monomial_basis
-from polydiff.statespace import skew_symmetric_basis
+from polydiff.statespace import _project_segment, _project_sorted, skew_symmetric_basis
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
 ALL_SPACES = [
     FullSpace(1),
@@ -129,6 +131,55 @@ class TestProjection:
         for x in ([0.0, 0.0], [0.1, 0.1], [0.3, 0.9]):
             p = shell.project(np.array(x))
             assert shell.contains(p)
+
+
+PROJECTED_SPACES = ALL_SPACES + [Quadric(np.eye(3), orientation="outside"), Simplex(3)]
+
+
+@st.composite
+def space_and_points(draw):
+    """A state space of every family and a batch of points around it: signed
+    zeros, coordinates of both signs up to 100, and points already inside."""
+    space = draw(st.sampled_from(PROJECTED_SPACES))
+    coord = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                      st.floats(-100.0, 100.0, allow_nan=False, allow_subnormal=False))
+    X = np.array(draw(st.lists(st.lists(coord, min_size=space.dim, max_size=space.dim), min_size=1, max_size=8)))
+    inside = space.interior_samples(4)
+    return space, np.vstack([X, inside[draw(st.integers(0, 3))]])
+
+
+class TestProjectionProperties:
+    """Projection lands in the space, and a second projection moves a point by
+    at most a few ulps of its size: each family's map is a closed form in
+    floating point, so it is idempotent up to rounding."""
+
+    @PROPERTY
+    @given(space_and_points())
+    def test_lands_inside(self, case):
+        space, X = case
+        assert np.all(space.contains(space.project(X)))
+
+    @PROPERTY
+    @given(space_and_points())
+    def test_idempotent(self, case):
+        space, X = case
+        P = space.project(X)
+        scale = np.maximum(np.abs(P).max(axis=1, keepdims=True), 1.0)
+        assert np.all(np.abs(space.project(P) - P) <= 4.0 * np.finfo(float).eps * scale)
+
+    @PROPERTY
+    @given(space_and_points())
+    def test_one_point_is_a_batch_of_one(self, case):
+        space, X = case
+        assert np.array_equal(space.project(X[0]), space.project(X)[0])
+
+    @PROPERTY
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)), min_size=1, max_size=16))
+    def test_simplex_segment_is_the_sorted_projection(self, rows):
+        # the 2-d simplex clips onto its segment with the sort route's arithmetic
+        X = np.array(rows)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert _project_segment(X).tobytes() == _project_sorted(X).tobytes()
 
 
 class TestSamplers:
@@ -289,9 +340,6 @@ class TestSimplexReduceReference:
 
 # integer coefficients and small exponents keep every sum and product exact,
 # so the ring laws hold with ==
-PROPERTY = settings(derandomize=True, deadline=None, database=None)
-
-
 def small_polynomials(d, top=4, size=12):
     term = st.tuples(st.tuples(*[st.integers(0, top)] * d), st.integers(-8, 8))
     return st.lists(term, max_size=size).map(lambda ts: Polynomial(d, dict(ts)))
