@@ -63,9 +63,8 @@ def dispersion(model, x) -> np.ndarray:
     return _psd_sqrt_batch(model.a_eval(x))
 
 
-# det A = a00 a11 - a01^2 carries a rounding error below _DET_ROUNDING (|a00 a11| + a01^2);
-# a 2x2 matrix counts as indefinite only when det A is negative beyond that
-_DET_ROUNDING = 4.0 * np.finfo(float).eps
+# a PSD A with tr A between these has entries whose products stay normal doubles
+_SCALE_LOW, _SCALE_HIGH = 2.0**-480, 2.0**480
 
 
 def _root_times(a: list, z: np.ndarray) -> np.ndarray:
@@ -95,37 +94,61 @@ def _root_times(a: list, z: np.ndarray) -> np.ndarray:
 def _root_times_2x2(a00, a01, a11, z0, z1) -> np.ndarray:
     """The d = 2 case of ``_root_times``.
 
-    A PSD matrix A has the root (A + sI) / sqrt(tr A + 2s), s = sqrt(det A).  An
-    indefinite one clips to lambda+ v v' with v v' = (A - lambda- I) / (lambda+ -
-    lambda-), whose root is sqrt(lambda+) v v'.  With both eigenvalues <= 0 the
-    root is zero.
+    A PSD matrix A has the root (A + sI) / sqrt(tr A + 2s), s = sqrt(det A).
+    The few rows that closed form leaves go to ``_clipped_root_times``.
     """
+    out, rest = _psd_root_times(a00, a01, a11, z0, z1)
+    if rest is not None:
+        out[rest] = _clipped_root_times(*(v[rest] for v in (a00, a01, a11, z0, z1)))
+    return out
+
+
+def _psd_root_times(a00, a01, a11, z0, z1) -> tuple[np.ndarray, np.ndarray | None]:
+    """(A + sI) z / sqrt(tr A + 2s) row by row, and None when every row has
+    det A >= 0 and a trace in _SCALE_LOW.._SCALE_HIGH (so A is PSD and no
+    product leaves the normal doubles), else the mask of the rows that do not,
+    whose values are meaningless."""
     tr = a00 + a11
     diag, off = a00 * a11, a01 * a01
-    det = diag - off
-    s = np.sqrt(np.maximum(det, 0.0))
-    clipped = tr <= 0.0  # no positive eigenvalue, up to rounding
-    indefinite = det < 0.0
-    if indefinite.any():
-        indefinite &= det < -_DET_ROUNDING * (np.abs(diag) + off)
-        clipped |= indefinite
-    odd = clipped.any()
+    s = np.sqrt(np.maximum(diag - off, 0.0))
     n = tr + 2.0 * s
-    t = np.sqrt(np.where(clipped, 1.0, n) if odd else n)
+    usual = (tr > _SCALE_LOW) & (tr < _SCALE_HIGH) & (off <= diag)
+    every = usual.all()
+    t = np.sqrt(n if every else np.where(usual, n, 1.0))
     out = np.empty(z0.shape + (2,))
     out[:, 0] = ((a00 + s) * z0 + a01 * z1) / t
     out[:, 1] = (a01 * z0 + (a11 + s) * z1) / t
-    if odd:
-        out[clipped] = 0.0
+    return out, None if every else ~usual
+
+
+def _clipped_root_times(a00, a01, a11, z0, z1) -> np.ndarray:
+    """``_root_times_2x2`` on rows that are not PSD or lie far from unit scale.
+
+    Each row is first divided by 4**k, k such that its largest entry falls in
+    [1/2, 2), and the result multiplied by 2**k: both are exact, so a row of
+    moderate scale gets the same arithmetic as unscaled.  Then PSD rows take the
+    closed form; an indefinite one clips to lambda+ v v' with v v' = (A -
+    lambda- I) / (lambda+ - lambda-), whose root is sqrt(lambda+) v v'; with
+    both eigenvalues <= 0 the root is zero, and a non-finite row gives NaN.
+    """
+    m = np.maximum(np.maximum(np.abs(a00), np.abs(a11)), np.abs(a01))
+    k = np.frexp(m)[1] // 2
+    a00, a01, a11 = (np.ldexp(v, -2 * k) for v in (a00, a01, a11))
+    out, rest = _psd_root_times(a00, a01, a11, z0, z1)
+    if rest is not None:
+        out[rest] = 0.0
+        indefinite = a01 * a01 > a00 * a11
         if indefinite.any():
             b00, b01, b11, y0, y1 = (v[indefinite] for v in (a00, a01, a11, z0, z1))
-            half = 0.5 * tr[indefinite]
+            half = 0.5 * (b00 + b11)
             r = np.hypot(0.5 * (b00 - b11), b01)  # (lambda+ - lambda-) / 2 > 0
             low = half - r
-            w = np.sqrt(half + r) / (2.0 * r)
+            # lambda+ = half + r, which rounding can push below zero for a rank-one -v v'
+            w = np.sqrt(np.maximum(half + r, 0.0)) / (2.0 * r)
             out[indefinite, 0] = w * ((b00 - low) * y0 + b01 * y1)
             out[indefinite, 1] = w * (b01 * y0 + (b11 - low) * y1)
-    return out
+        out[~np.isfinite(m)] = np.nan
+    return np.ldexp(out, k[:, None])
 
 
 class _StepKernel:

@@ -22,7 +22,7 @@ from polydiff import (
     simulate_paths,
 )
 
-from polydiff.simulate import _StepKernel, _path_keys, _root_times, _uniforms
+from polydiff.simulate import _StepKernel, _path_keys, _psd_sqrt_batch, _root_times, _uniforms
 
 from conftest import (
     MODEL_MATRIX,
@@ -245,6 +245,18 @@ def assert_root_close(A, z):
     assert np.all(np.abs(sigma @ sigma - want @ want).max(axis=(1, 2)) <= 8.0 * EPS * norm)
 
 
+ROOT_KINDS = ["psd", "near_singular", "indefinite", "negative_definite", "negative_rank_one", "zero"]
+# single 2x2 matrices and their roots: each branch of the closed form once
+ONE_MATRIX = [
+    ([[2.0, 0.0], [0.0, -1.0]], [[2.0**0.5, 0.0], [0.0, 0.0]]),  # indefinite, trace > 0
+    ([[-3.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]),  # indefinite, trace < 0
+    ([[1.0, 2.0], [2.0, 1.0]], [[0.5 * 3.0**0.5, 0.5 * 3.0**0.5]] * 2),  # eigenvalues 3 and -1
+    ([[4.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]),
+    ([[-1.0, 0.0], [0.0, -2.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+]
+
+
 class TestRootTimes:
     @pytest.mark.parametrize("make", [jacobi_model, cir_model])
     def test_one_dimensional_is_the_einsum(self, make):
@@ -261,12 +273,12 @@ class TestRootTimes:
         got = _root_times(upper(model.a_eval(X)), z)
         assert got.tobytes() == np.einsum("cij,cj->ci", dispersion(model, X), z).tobytes()
 
-    @pytest.mark.parametrize("kind", ["psd", "near_singular", "indefinite", "negative_definite", "zero"])
+    @pytest.mark.parametrize("kind", ROOT_KINDS)
     def test_two_dimensional_matches_eigh(self, kind):
-        rng = np.random.default_rng(["psd", "near_singular", "indefinite", "negative_definite", "zero"].index(kind))
+        rng = np.random.default_rng(ROOT_KINDS.index(kind))
         n = 2000
-        # entries from 1e-120 to 1e120: det A = a00 a11 - a01^2 neither under- nor overflows
-        M = rng.standard_normal((n, 2, 2)) * 10.0 ** rng.integers(-60, 60, (n, 1, 1))
+        # entries from about 1e-300 to 1e300, where det A = a00 a11 - a01^2 under- or overflows
+        M = rng.standard_normal((n, 2, 2)) * 10.0 ** rng.integers(-150, 150, (n, 1, 1))
         v = M[:, 0]
         # eigenvalues of both signs in random directions
         V = np.linalg.qr(rng.standard_normal((n, 2, 2)))[0]
@@ -275,27 +287,44 @@ class TestRootTimes:
              "near_singular": v[:, :, None] * v[:, None, :] * (1.0 + 1e-14 * np.eye(2)),
              "indefinite": np.einsum("cik,ck,cjk->cij", V, w, V),
              "negative_definite": -(M @ np.swapaxes(M, 1, 2)),
+             # det A is zero, so rounding makes it negative in many rows
+             "negative_rank_one": -(v[:, :, None] * v[:, None, :]),
              "zero": np.zeros((n, 2, 2))}[kind]
         z = rng.standard_normal((n, 2))
-        assert_root_close(A, z)
-        if kind in ("negative_definite", "zero"):
-            assert np.all(_root_times(upper(A), z) == 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # products of the largest entries overflow
+            assert_root_close(A, z)
+            if kind in ("negative_definite", "zero"):
+                assert np.all(_root_times(upper(A), z) == 0.0)
         if kind == "indefinite":
             assert (np.linalg.eigvalsh(A)[:, 0] < 0.0).all()
+        if kind == "negative_rank_one":
+            with np.errstate(over="ignore"):
+                assert (upper(A)[1] ** 2 > upper(A)[0] * upper(A)[2]).sum() > n // 10
 
-    @pytest.mark.parametrize("A, root", [
-        ([[2.0, 0.0], [0.0, -1.0]], [[2.0**0.5, 0.0], [0.0, 0.0]]),  # indefinite, trace > 0
-        ([[-3.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]),  # indefinite, trace < 0
-        ([[1.0, 2.0], [2.0, 1.0]], [[0.5 * 3.0**0.5, 0.5 * 3.0**0.5]] * 2),  # eigenvalues 3 and -1
-        ([[4.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]),
-        ([[-1.0, 0.0], [0.0, -2.0]], [[0.0, 0.0], [0.0, 0.0]]),
-        ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
-    ])
+    @pytest.mark.parametrize("A, root", ONE_MATRIX)
     def test_two_dimensional_one_matrix(self, A, root):
         # each case alone, so no other row of the batch takes the clipping branch for it
         A = np.array([A])
         sigma = np.stack([_root_times(upper(A), np.array([e])) for e in np.eye(2)], axis=2)[0]
         assert np.allclose(sigma, root, rtol=0.0, atol=4.0 * EPS)
+
+    @pytest.mark.parametrize("scale", [2.0**-1000, 1e-300, 1e-170, 1e160, 1e200, 1e300])
+    def test_two_dimensional_far_from_unit_scale(self, scale):
+        # det A of these under- or overflows unless the row is rescaled first
+        A = scale * np.array([A for A, _ in ONE_MATRIX] + [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 1e-3], [1e-3, 1.0]]])
+        roots = np.array([root for _, root in ONE_MATRIX]
+                         + [[[0.5**0.5] * 2] * 2, _psd_sqrt_batch(np.array([[[1.0, 1e-3], [1e-3, 1.0]]]))[0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = np.stack([_root_times(upper(A), np.tile(e, (len(A), 1))) for e in np.eye(2)], axis=2)
+        assert np.allclose(sigma / np.sqrt(scale), roots, rtol=0.0, atol=4.0 * EPS)
+
+    def test_two_dimensional_non_finite_rows_stay_non_finite(self):
+        A = np.array([[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+                      [[1.0, 0.0], [0.0, 1.0]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _root_times(upper(A), np.ones((4, 2)))
+        assert np.isnan(got[:3]).any(axis=1).all()
+        assert np.array_equal(got[3], [1.0, 1.0])
 
     @pytest.mark.parametrize("make", [simplex_jacobi_model, simplex_x2_form_model, unit_ball_model])
     def test_two_dimensional_fixtures(self, make):
