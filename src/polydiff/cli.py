@@ -246,6 +246,8 @@ def moments(ctx, spec_path, degree, x_text, tau, poly_text, mc_paths, dt):
     x = _parse_point(x_text, spec.statespace.dim)
     p = _parse_poly(poly_text, spec.statespace.dim)
     _check_nonnegative("--tau", tau)
+    if ctx.obj["verify"] and mc_paths > 0:
+        _check_positive("--dt", dt)
     value = conditional_moment(spec.model, spec.statespace, degree, p, x, tau)
     report = {"value": value, "degree": degree, "tau": tau,
               "x": list(x), "polynomial": p.to_json_dict()}

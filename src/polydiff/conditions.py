@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import ModelCoefficients, _images, a_grad, manifold_defects
-from .polynomial import DivisionFailure, Polynomial
+from .polynomial import DivisionFailure, Polynomial, _evaluator
 from .simulate import dispersion
 from .statespace import (
     BoxOrthant,
@@ -340,7 +340,7 @@ def _check_verdict(conditions: list[ConditionResult]) -> str:
 
 
 def _eval_vector(polys: list[Polynomial], X: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.broadcast_to(np.asarray(p(X), dtype=float), (len(X),)) for p in polys])
+    return np.column_stack(_evaluator(polys)(X))
 
 
 def _sampled_zero(cond_id: str, values: np.ndarray, points: np.ndarray, tol: float, detail: str) -> ConditionResult:
@@ -367,7 +367,7 @@ def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 
         Gp, *agp = _images(model, p)
         conds.append(_sampled_zero(f"necessary.a_gradp_zero[{k}]", _eval_vector(agp, X), X, tol,
                                    f"max |a grad p| on stratum {k}"))
-        gp = np.asarray(Gp(X), dtype=float)
+        gp = Gp(X)
         worst = int(np.argmin(gp))
         conds.append(ConditionResult(
             f"necessary.gp_nonneg[{k}]",
@@ -430,7 +430,7 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
                 f"sufficient.gradient_certificate[{k}]", "inconclusive",
                 f"no exact factorization found: {exc}"))
         Xb = space.boundary_samples(k, samples)
-        gp = np.asarray(Gp(Xb), dtype=float)
+        gp = Gp(Xb)
         conds.append(_sampled_sign(f"sufficient.boundary_drift[{k}]", gp, Xb, "pos", margin,
                                    f"G p > 0 on stratum {k}"))
     for k, (q, drift, diffusion) in enumerate(manifold_defects(model, space)):
@@ -485,7 +485,7 @@ def _collar_points(space: StateSpace, p: Polynomial, X: np.ndarray, deltas) -> n
     out = []
     for delta in deltas:
         C = space.project(X + delta * G / norms[:, None])
-        vals = np.asarray(p(C), dtype=float)
+        vals = p(C)
         out.append(C[vals > 0.0])
     return np.vstack(out) if out else np.empty((0, space.dim))
 
@@ -534,8 +534,8 @@ def classify_boundary(
         pass
 
     Xb = space.boundary_samples(stratum, samples)
-    e_vals = np.asarray(e(Xb), dtype=float)
-    gp_vals = np.asarray(gp(Xb), dtype=float)
+    e_vals = e(Xb)
+    gp_vals = gp(Xb)
     attain = (gp_vals >= -1e-12) & (e_vals < -margin)
     if np.any(attain):
         w = int(np.flatnonzero(attain)[0])
@@ -544,7 +544,7 @@ def classify_boundary(
                                witness=Xb[w].tolist(), h=h)
 
     Xc = _collar_points(space, p, Xb, collar)
-    near_vals = np.concatenate([e_vals, np.asarray(e(Xc), dtype=float)]) if len(Xc) else e_vals
+    near_vals = np.concatenate([e_vals, e(Xc)]) if len(Xc) else e_vals
     if np.all(near_vals >= margin):
         return BoundaryVerdict("NonAttainStrict", stratum,
                                f"e >= {near_vals.min():.6g} > 0 on the stratum and a collar around it", h=h)

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .basis import Basis, DegreeTooHigh, _csv_text, monomial_basis
-from .polynomial import Polynomial, _summed, _term_arrays
+from .polynomial import Polynomial, _evaluator, _summed, _term_arrays
 
 __all__ = [
     "ModelCoefficients",
@@ -129,18 +129,14 @@ class ModelCoefficients:
         """Diffusion matrix at x, exactly symmetric; batch shape (..., d) gives (..., d, d)."""
         x = np.asarray(x, dtype=float)
         d = self._dim
+        upper = [(i, j) for i in range(d) for j in range(i, d)]
         out = np.empty(x.shape[:-1] + (d, d))
-        for i in range(d):
-            for j in range(i, d):
-                v = self._a[i][j](x)
-                out[..., i, j] = v
-                out[..., j, i] = v
+        for (i, j), v in zip(upper, _evaluator([self._a[i][j] for i, j in upper])(x)):
+            out[..., i, j] = out[..., j, i] = v
         return out
 
     def b_eval(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        cols = [p(x) for p in self._b]
-        return np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
+        return np.stack(_evaluator(self._b)(x), axis=-1)
 
     def __eq__(self, other):
         if not isinstance(other, ModelCoefficients):

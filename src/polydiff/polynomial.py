@@ -4,12 +4,16 @@ Exponent vectors are plain tuples of nonnegative ints, one entry per
 coordinate.  Coefficients are floats and exact zeros are pruned on
 construction; approximate cleanup is only ever done explicitly through
 :meth:`Polynomial.chop`.
+
+Evaluation at points has one implementation, ``_evaluator``, which shares one
+table of coordinate powers across a family of polynomials;
+``Polynomial.__call__`` is that evaluator over a single polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -198,16 +202,7 @@ class Polynomial:
 
     def __call__(self, x):
         """Evaluate at a point of shape (dim,) or a batch of shape (..., dim)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self._dim,):
-            raise ValueError(f"point has shape {x.shape}, expected trailing dim {self._dim}")
-        out = np.zeros(x.shape[:-1])
-        for e, c in self._terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k:
-                    term = term * x[..., i] ** k
-            out = out + term
+        (out,) = _evaluator([self])(x)
         return float(out) if out.ndim == 0 else out
 
     def partial(self, index: int) -> "Polynomial":
@@ -225,10 +220,6 @@ class Polynomial:
 
     def grad(self) -> list["Polynomial"]:
         return [self.partial(i) for i in range(self._dim)]
-
-    def hessian(self) -> list[list["Polynomial"]]:
-        g = self.grad()
-        return [[g[i].partial(j) for j in range(self._dim)] for i in range(self._dim)]
 
     def chop(self, eps: float) -> "Polynomial":
         """Drop terms with |coefficient| <= eps.  The only approximate cleanup."""
@@ -277,6 +268,46 @@ class Polynomial:
             else:
                 parts.append(f"{c:g}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _evaluator(polys: Sequence[Polynomial]) -> Callable[[np.ndarray], list[np.ndarray]]:
+    """evaluate(x) -> [p(x) for p in polys] at a point (dim,) or a batch (..., dim).
+
+    The one polynomial evaluator.  A single table holds the powers x_i**k that
+    the terms of all of ``polys`` need; each term is c times its powers for i
+    ascending, in term order, and each sum starts from zero.  Every value is a
+    new ndarray of shape x.shape[:-1].
+    """
+    dim = polys[0].dim
+    powers = sorted({(i, k) for p in polys for e in p._terms for i, k in enumerate(e) if k})
+    slot = {ik: n for n, ik in enumerate(powers)}
+    plans = [[(c, [slot[i, k] for i, k in enumerate(e) if k]) for e, c in p._terms.items()] for p in polys]
+
+    def evaluate(x) -> list[np.ndarray]:
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (dim,):
+            raise ValueError(f"point has shape {x.shape}, expected trailing dim {dim}")
+        # x ** 1 is x, so the column itself stands for it
+        table = [x[..., i] if k == 1 else x[..., i] ** k for i, k in powers]
+        values = []
+        for terms in plans:
+            out = None
+            for c, slots in terms:
+                if slots:
+                    term = table[slots[0]] if c == 1.0 else c * table[slots[0]]
+                    for s in slots[1:]:
+                        term = term * table[s]
+                    # the sum starts from zero, which turns a leading -0.0 into 0.0
+                    out = term + 0.0 if out is None else out + term
+                else:
+                    out = c if out is None else out + c
+            if out is None or isinstance(out, float):
+                # a constant sum, or any sum at a single point, is a float
+                out = np.full(x.shape[:-1], 0.0 if out is None else out)
+            values.append(out)
+        return values
+
+    return evaluate
 
 
 def _term_arrays(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:

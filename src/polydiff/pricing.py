@@ -68,7 +68,7 @@ class PricingModel:
         self.gm = generator_matrix(self.model, self.basis)
         self.pvec = self.basis.coordinates(self.p)
         X = self.statespace.all_samples(1000)
-        vals = np.asarray(self.p(X), dtype=float)
+        vals = self.p(X)
         low = float(vals.min())
         if low < -1e-9:
             raise InvalidStatePriceDensity(

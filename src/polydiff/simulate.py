@@ -2,7 +2,9 @@
 
 Dispersion is the PSD square root of the (projected) diffusion matrix, so
 slightly inadmissible coefficients off the constraint set never produce
-complex noise.
+complex noise.  Each Euler step makes one call to the polynomial evaluator
+over b, the upper triangle of a and the state-space inequalities, so they
+share one table of coordinate powers.
 
 Stream contract: path k draws from numpy's ``Philox`` keyed by
 ``SeedSequence(entropy=seed, spawn_key=(k,))``, one double (u >> 11) * 2**-53
@@ -24,7 +26,7 @@ from scipy.special import ndtri
 
 from .basis import _csv_text
 from .generator import check_point
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _evaluator
 
 __all__ = [
     "PathSet",
@@ -149,47 +151,6 @@ def _clipped_root_times(a00, a01, a11, z0, z1) -> np.ndarray:
             out[indefinite, 1] = w * (b01 * y0 + (b11 - low) * y1)
         out[~np.isfinite(m)] = np.nan
     return np.ldexp(out, k[:, None])
-
-
-class _StepKernel:
-    """b, the upper triangle of a and the state-space inequalities at a batch of
-    states (n, d), from one table of the powers x_i**k that their terms need.
-
-    Every polynomial keeps ``Polynomial.__call__``'s term order and products
-    (c times x_i**k for i ascending, summed onto zero), so each value is bit
-    for bit what the polynomial itself gives.
-    """
-
-    def __init__(self, model, inequalities):
-        d = model.dim
-        polys = [*model.b, *(model.a[i][j] for i in range(d) for j in range(i, d)), *inequalities]
-        self.powers = sorted({(i, k) for p in polys for e in p.terms for i, k in enumerate(e) if k})
-        slot = {ik: n for n, ik in enumerate(self.powers)}
-        self.terms = [[(c, [slot[i, k] for i, k in enumerate(e) if k]) for e, c in p.terms.items()]
-                      for p in polys]
-        self.split = (d, d + d * (d + 1) // 2)
-
-    def __call__(self, x: np.ndarray) -> tuple[list, list, list]:
-        """([b_i], [a_ij for i <= j], [p(x) for each inequality])."""
-        # x ** 1 is x, so the column itself stands for it
-        table = [x[:, i] if k == 1 else x[:, i] ** k for i, k in self.powers]
-        values = []
-        for terms in self.terms:
-            out = None
-            for c, slots in terms:
-                if slots:
-                    term = table[slots[0]] if c == 1.0 else c * table[slots[0]]
-                    for s in slots[1:]:
-                        term = term * table[s]
-                    # the sum starts from zero, which turns a leading -0.0 into 0.0
-                    out = term + 0.0 if out is None else out + term
-                else:
-                    out = c if out is None else out + c
-            if out is None or isinstance(out, float):
-                out = np.full(len(x), 0.0 if out is None else out)
-            values.append(out)
-        lo, hi = self.split
-        return values[:lo], values[lo:hi], values[hi:]
 
 
 @dataclass
@@ -357,7 +318,8 @@ def simulate_paths(
     minima = np.empty((n_paths, len(ineqs))) if ineqs else None
     sqdt = np.sqrt(dt)
     gen = np.random.Generator(np.random.Philox(0))  # every path overwrites its state
-    kernel = _StepKernel(model, ineqs)
+    evaluate = _evaluator([*model.b, *(model.a[i][j] for i in range(d) for j in range(i, d)), *ineqs])
+    hi = d + d * (d + 1) // 2  # values[:d] is b, values[d:hi] the upper triangle of a
 
     for start in range(0, n_paths, _CHUNK_PATHS):
         stop = min(start + _CHUNK_PATHS, n_paths)
@@ -365,9 +327,9 @@ def simulate_paths(
         c = stop - start
         x = np.tile(x0, (c, 1))
         out[start:stop, 0] = x
-        mins = [np.full(c, p(x0)) for p in ineqs]
+        values = evaluate(x)
+        mins = values[hi:]  # the evaluator returns new arrays, so the minima may own them
         drift = np.empty((c, d))
-        b, a, _ = kernel(x)
         step = 0
         while step < n_steps:
             block = min(_STEP_BLOCK, n_steps - step)
@@ -375,14 +337,14 @@ def simulate_paths(
             # uniform draws live in [0, 1 - 2**-53]; keep the inverse CDF finite at 0
             z = ndtri(np.maximum(u, 1e-300, out=u))
             for j in range(block):
-                for i, bi in enumerate(b):
-                    drift[:, i] = bi
-                x = x + drift * dt + sqdt * _root_times(a, z[:, j])
+                for i in range(d):
+                    drift[:, i] = values[i]
+                x = x + drift * dt + sqdt * _root_times(values[d:hi], z[:, j])
                 x = statespace.project(x)
                 step += 1
                 # one evaluation at the new state serves its constraints and the next step
-                b, a, values = kernel(x)
-                for m, v in zip(mins, values):
+                values = evaluate(x)
+                for m, v in zip(mins, values[hi:]):
                     np.minimum(m, v, out=m)
                 pos = stored_pos.get(step)
                 if pos is not None:
@@ -414,7 +376,6 @@ def mc_moment(paths: PathSet, p: Polynomial, t: float) -> tuple[float, float]:
     if gap > 0.5 * paths.dt + 1e-12:
         warnings.warn(f"t = {t} is off the stored grid; snapping to {paths.times[idx]}")
     vals = p(paths.paths[:, idx, :])
-    vals = np.atleast_1d(np.asarray(vals, dtype=float))
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return mean, se

@@ -74,12 +74,28 @@ def oracle_reduce(space, p):
     return out
 
 
+def oracle_eval(p, x):
+    """p at a point (dim,) or a batch (..., dim) by a loop over its terms: c
+    times x_i**k for i ascending, in term order, summed onto zero.  The byte
+    reference for the package's polynomial evaluator, written without it."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1])
+    for e, c in p.terms.items():
+        term = c
+        for i, k in enumerate(e):
+            if k:
+                term = term * x[..., i] ** k
+        out = out + term
+    return np.asarray(out)
+
+
 def oracle_simulate_paths(model, statespace, x0, T, dt, n_paths, seed, store_stride=1):
-    """The Euler step as ``simulate_paths`` defines it, one public piece at a
-    time: ``b_eval``, the eigendecomposition root ``dispersion`` times z, the
-    projection, and each inequality polynomial evaluated on its own.  Same
-    streams, chunks and storage as the package, so d = 1 and d >= 3 paths must
-    agree with it bit for bit."""
+    """The Euler step as ``simulate_paths`` defines it, one piece at a time:
+    b and each inequality polynomial through ``oracle_eval``, the matrix a
+    formed here from its upper triangle and given to the eigendecomposition
+    root, that root times z, and the projection.  Same streams, chunks and
+    storage as the package, so d = 1 and d >= 3 paths must agree with it bit
+    for bit."""
     x0 = statespace.project(check_point(statespace, x0))
     d = statespace.dim
     ineqs = statespace.inequalities
@@ -97,20 +113,22 @@ def oracle_simulate_paths(model, statespace, x0, T, dt, n_paths, seed, store_str
         x = np.tile(x0, (c, 1))
         out[start:stop, 0] = x
         if ineqs:
-            mins = np.column_stack([np.full(c, p(x0)) for p in ineqs])
+            mins = np.column_stack([np.full(c, oracle_eval(p, x0)) for p in ineqs])
         step = 0
         while step < n_steps:
             block = min(simulate._STEP_BLOCK, n_steps - step)
             u = simulate._uniforms(gen, keys, step, block, d)
             z = ndtri(np.clip(u, 1e-300, 1.0 - 2**-53))
             for j in range(block):
-                drift = model.b_eval(x)
-                sig = simulate.dispersion(model, x)
+                drift = np.column_stack([oracle_eval(p, x) for p in model.b])
+                A = np.stack([np.column_stack([oracle_eval(model.a[min(i, k)][max(i, k)], x) for k in range(d)])
+                              for i in range(d)], axis=1)
+                sig = simulate._psd_sqrt_batch(A)
                 x = x + drift * dt + sqdt * np.einsum("cij,cj->ci", sig, z[:, j])
                 x = statespace.project(x)
                 step += 1
                 for q, p in enumerate(ineqs):
-                    np.minimum(mins[:, q], p(x), out=mins[:, q])
+                    np.minimum(mins[:, q], oracle_eval(p, x), out=mins[:, q])
                 pos = stored_pos.get(step)
                 if pos is not None:
                     out[start:stop, pos] = x

@@ -425,6 +425,14 @@ class TestMalformedInput:
         "boundary_samples_negative": (["--samples", -5, "boundary", "jacobi"], 2),
         "moments_mc_paths_negative": (["--verify", "moments", "jacobi", "--degree", 2, "--x", "0.2",
                                        "--tau", 0.5, "--poly", X_POLY, "--mc-paths", -4], 2),
+        "moments_mc_dt_nan": (["--verify", "moments", "jacobi", "--degree", 2, "--x", "0.2",
+                              "--tau", 0.5, "--poly", X_POLY, "--mc-paths", 4, "--dt", "nan"], 2),
+        "moments_mc_dt_inf": (["--verify", "moments", "jacobi", "--degree", 2, "--x", "0.2",
+                              "--tau", 0.5, "--poly", X_POLY, "--mc-paths", 4, "--dt", "inf"], 2),
+        "moments_mc_dt_zero": (["--verify", "moments", "jacobi", "--degree", 2, "--x", "0.2",
+                               "--tau", 0.5, "--poly", X_POLY, "--mc-paths", 4, "--dt", 0], 2),
+        "moments_mc_dt_negative": (["--verify", "moments", "jacobi", "--degree", 2, "--x", "0.2",
+                                   "--tau", 0.5, "--poly", X_POLY, "--mc-paths", 4, "--dt", -0.01], 2),
         "validate_malformed": (["validate", "malformed"], 2),
         "poly_exponent_float": (["moments", "jacobi", "--degree", 2, "--x", "0.2", "--tau", 0.5, "--poly",
                                  '{"dim": 1, "terms": [{"e": [1.5], "c": 1}]}'], 2),

@@ -186,20 +186,6 @@ class TestCalculus:
         assert g[0] == -2.0 * x(0, 2)
         assert g[1] == -2.0 * x(1, 2)
 
-    def test_hessian_cross_term(self):
-        H = (x(0, 2) * x(1, 2)).hessian()
-        assert H[0][0].is_zero() and H[1][1].is_zero()
-        assert H[0][1] == Polynomial.one(2)
-        assert H[1][0] == Polynomial.one(2)
-
-    def test_hessian_linear_zero(self):
-        H = (2.0 * x(0, 2) - x(1, 2) + 3.0).hessian()
-        assert all(H[i][j].is_zero() for i in range(2) for j in range(2))
-
-    def test_hessian_1d(self):
-        H = (x(0, 1) ** 2).hessian()
-        assert H[0][0] == Polynomial.constant(1, 2.0)
-
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         h = 1e-6

@@ -22,7 +22,8 @@ from polydiff import (
     simulate_paths,
 )
 
-from polydiff.simulate import _StepKernel, _path_keys, _psd_sqrt_batch, _root_times, _uniforms
+from polydiff.polynomial import _evaluator
+from polydiff.simulate import _path_keys, _psd_sqrt_batch, _root_times, _uniforms
 
 from conftest import (
     MODEL_MATRIX,
@@ -30,6 +31,7 @@ from conftest import (
     brownian_model,
     cir_model,
     jacobi_model,
+    oracle_eval,
     oracle_simulate_paths,
     simplex3_model,
     simplex_jacobi_model,
@@ -161,7 +163,7 @@ class TestDispersion:
 EPS = np.finfo(float).eps
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=80)
 
-# coefficients that take the kernel's shortcuts (1.0, constants) and ones that do not
+# coefficients that take the evaluator's shortcuts (1.0, constants) and ones that do not
 COEFFICIENTS = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 2.0]),
                          st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False).filter(bool))
 # coordinates with signed zeros, so a sum that starts from zero shows in the bytes
@@ -197,34 +199,92 @@ FAMILIES = [FullSpace(2), Quadric(np.eye(2)), Quadric(np.diag([1.0, -1.0]), orie
             BoxOrthant(2, 1), BoxOrthant(0, 3), Simplex(2), Simplex(3)]
 
 
-def assert_kernel_is_the_oracle(model, ineqs, X):
-    b, a, values = _StepKernel(model, ineqs)(X)
+def assert_evaluator_is_the_oracle(polys, X):
+    """The family evaluator and each ``Polynomial.__call__`` against
+    ``oracle_eval``, byte for byte."""
+    want = [oracle_eval(p, X) for p in polys]
+    got = _evaluator(polys)(X)
+    assert all(type(v) is np.ndarray and v.shape == X.shape[:-1] for v in got)
+    assert [v.tobytes() for v in got] == [w.tobytes() for w in want]
+    assert [np.asarray(p(X)).tobytes() for p in polys] == [w.tobytes() for w in want]
+
+
+def coefficient_family(model, ineqs):
+    """b, the upper triangle of a and the inequalities: what one Euler step evaluates."""
     d = model.dim
-    assert [v.tobytes() for v in b] == [p(X).tobytes() for p in model.b]
-    assert [v.tobytes() for v in a] == [model.a[i][j](X).tobytes() for i in range(d) for j in range(i, d)]
-    assert [v.tobytes() for v in values] == [p(X).tobytes() for p in ineqs]
+    return [*model.b, *(model.a[i][j] for i in range(d) for j in range(i, d)), *ineqs]
 
 
-class TestStepKernel:
-    """The step kernel evaluates b, a and the inequalities bit for bit as
-    ``Polynomial.__call__`` does."""
+class TestEvaluator:
+    """The one polynomial evaluator, over a family and through
+    ``Polynomial.__call__``, gives the term loop's values bit for bit."""
 
     @PROPERTY
     @given(kernel_cases())
     def test_random_polynomials(self, case):
-        assert_kernel_is_the_oracle(*case)
+        model, ineqs, X = case
+        assert_evaluator_is_the_oracle(coefficient_family(model, ineqs), X)
 
     @PROPERTY
     @given(st.sampled_from(FAMILIES).flatmap(lambda space: st.tuples(st.just(space), points(space.dim))))
     def test_state_space_inequalities(self, case):
         space, X = case
         model, _ = brownian(space.dim)
-        assert_kernel_is_the_oracle(model, space.inequalities, np.vstack([X, space.all_samples(16)]))
+        assert_evaluator_is_the_oracle(coefficient_family(model, space.inequalities),
+                                       np.vstack([X, space.all_samples(16)]))
 
     @pytest.mark.parametrize("name", sorted(MODEL_MATRIX))
     def test_fixture_models(self, name):
         model, space = MODEL_MATRIX[name]()
-        assert_kernel_is_the_oracle(model, space.inequalities, space.all_samples(64))
+        assert_evaluator_is_the_oracle(coefficient_family(model, space.inequalities), space.all_samples(64))
+
+    @pytest.mark.parametrize("shape", [(), (3, 4), (0,), (2, 0)], ids=["point", "two_axes", "empty", "empty_axis"])
+    def test_batch_shapes(self, shape):
+        model, space = simplex3_model()
+        X = np.random.default_rng(7).uniform(-2.0, 2.0, size=shape + (3,))
+        assert_evaluator_is_the_oracle(coefficient_family(model, space.inequalities), X)
+
+    def test_constant_and_zero_polynomials(self):
+        polys = [Polynomial.constant(2, -0.3), Polynomial.zero(2), Polynomial.constant(2, 1.0),
+                 Polynomial(2, {(0, 0): 2.0, (1, 0): 1.0})]
+        X = np.array([[0.0, -0.0], [-0.0, 1.0], [2.0, 3.0]])
+        for Y in (X[0], X, np.stack([X, X[::-1]]), X[:0]):
+            assert_evaluator_is_the_oracle(polys, Y)
+
+    def test_non_finite_coordinates(self):
+        x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+        polys = [x1, -x1, x1 * x2, 1.0 - x1 ** 2 - x2 ** 2, 2.0 * x1 ** 3 * x2 + 0.5, Polynomial.constant(2, 4.0)]
+        X = np.array([[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 2.0], [np.inf, -np.inf], [0.5, np.nan], [1.0, 2.0]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_evaluator_is_the_oracle(polys, X)
+
+    def test_wrong_trailing_dim_raises(self):
+        with pytest.raises(ValueError, match="trailing dim 2"):
+            _evaluator([Polynomial.variable(0, 2)])(np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("n_paths, chunk", [(7, 8192), (12, 5)])
+    def test_simulation_calls_it_once_per_step(self, monkeypatch, n_paths, chunk):
+        """One evaluator over the whole family, called once per chunk and step
+        (plus once at the start of a chunk), so the shared power table cannot
+        split back into one call per polynomial."""
+        built, calls = [], []
+
+        def counting(polys):
+            evaluate = _evaluator(polys)
+            built.append(len(polys))
+
+            def counted(x):
+                calls.append(x.shape)
+                return evaluate(x)
+            return counted
+
+        monkeypatch.setattr(polydiff.simulate, "_evaluator", counting)
+        monkeypatch.setattr(polydiff.simulate, "_CHUNK_PATHS", chunk)
+        model, space = simplex3_model()
+        simulate_paths(model, space, space.interior_samples(2)[1], 0.1, 0.01, n_paths, seed=3)
+        chunks = [min(chunk, n_paths - s) for s in range(0, n_paths, chunk)]
+        assert built == [3 + 6 + len(space.inequalities)]
+        assert calls == [(c, 3) for c in chunks for _ in range(10 + 1)]
 
 
 def upper(A):
