@@ -14,6 +14,11 @@ spawn_key=(k,)))).random((n_steps, d))`` reproduces the uniforms of path k
 with numpy alone.  The contract holds across chunk and step-block
 boundaries: paths are bit-identical across runs, platforms and chunk sizes,
 and adding paths never reshuffles existing ones.
+
+Keys: numpy's entropy for path k is the seed's 32-bit words, zero-padded to
+the 4-word pool, then k's one or two words.  So a chunk of paths starts from
+numpy's own ``SeedSequence(seed).pool``, mixes in only k's words per path,
+and hashes the pool into the two 64-bit Philox key words.
 """
 
 from __future__ import annotations
@@ -190,17 +195,6 @@ class PathSet:
         return _csv_text(rows, header)
 
 
-def _words(n: int) -> list[np.ndarray]:
-    """Little-endian 32-bit words of a non-negative integer ([0] for zero)."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return [np.array([w], dtype=np.uint32) for w in words]
-
-
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
     return r ^ (r >> 16)
@@ -214,48 +208,29 @@ def _hash(v: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
     return v ^ (v >> 16), const
 
 
-def _seed_keys(entropy: list[np.ndarray]) -> np.ndarray:
-    """``SeedSequence`` pool mixing and ``generate_state(2, uint64)`` on word
-    arrays: word i of every row is entropy[i], broadcast over rows."""
-    const = _INIT_A
-
-    def hashmix(v):
-        nonlocal const
-        v, const = _hash(v, const, _MULT_A)
-        return v
-
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-    const = _INIT_B
-    state = []
-    for w in pool:
-        w, const = _hash(w, const, _MULT_B)
-        state.append(w.astype(np.uint64))
-    return np.column_stack([state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)])
-
-
 def _path_keys(seed: int, indices) -> np.ndarray:
     """Philox keys (n, 2) uint64 of ``SeedSequence(entropy=seed, spawn_key=(k,))``
-    for every path index k, all at once."""
-    run = _words(int(seed))
-    # numpy pads the seed words to the pool size when a spawn key follows
-    run += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(run))
+    for every path index k, all at once (see the module docstring)."""
+    pool = np.random.SeedSequence(int(seed)).pool
+    # numpy hashed once per pool word, per ordered pair of them, and per pool
+    # word for each seed word beyond the pool
+    words = max(1, -(-int(seed).bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, _POOL_SIZE * max(words, _POOL_SIZE), _MASK32 + 1) & _MASK32
     idx = np.asarray(indices, dtype=np.uint64).reshape(-1)
     lo = (idx & np.uint64(_MASK32)).astype(np.uint32)
     hi = (idx >> np.uint64(32)).astype(np.uint32)
-    keys = np.empty((idx.size, 2), dtype=np.uint64)
-    # an index >= 2**32 is a two-word spawn key, which runs one more mixing round
-    for two in (False, True):
-        rows = (hi != 0) == two
-        if rows.any():
-            keys[rows] = _seed_keys(run + [lo[rows]] + ([hi[rows]] if two else []))
-    return keys
+    two = hi != 0  # an index >= 2**32 is a two-word spawn key
+    mixed = np.repeat(pool[:, None], idx.size, axis=1)
+    for word, rows in ((lo, slice(None)), (hi[two], two)):
+        if word.size:
+            for dst in range(_POOL_SIZE):
+                v, const = _hash(word, const, _MULT_A)
+                mixed[dst, rows] = _mix(mixed[dst, rows], v)
+    const = _INIT_B
+    for w in mixed:
+        w[:], const = _hash(w, const, _MULT_B)
+    state = mixed.astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
 def _uniforms(gen: np.random.Generator, keys: list, step: int, block: int, d: int) -> np.ndarray:
@@ -277,6 +252,7 @@ def _uniforms(gen: np.random.Generator, keys: list, step: int, block: int, d: in
     return u
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a path that overflows raises at the end
 def simulate_paths(
     model,
     statespace,
@@ -298,6 +274,9 @@ def simulate_paths(
         per-path streams; see the module docstring for the stream contract.
     store_stride : keep every stride-th step (the final step is always kept);
         running constraint minima are tracked at full resolution regardless.
+
+    Raises FloatingPointError when a stored state or a constraint minimum is
+    not finite, as a dt far too large for the model makes it.
     """
     x0 = check_point(statespace, x0)
     if dt <= 0.0 or T <= 0.0:
@@ -352,6 +331,8 @@ def simulate_paths(
         if ineqs:
             minima[start:stop] = np.column_stack(mins)
 
+    if not (np.isfinite(out).all() and (minima is None or np.isfinite(minima).all())):
+        raise FloatingPointError("a simulated path left the finite doubles; try a smaller dt")
     return PathSet(
         times=np.asarray(stored_steps, dtype=float) * dt,
         paths=out,

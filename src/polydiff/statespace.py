@@ -85,9 +85,8 @@ class StateSpace(ABC):
         """
         try:
             return divide_exact(f, p)
-        except DivisionFailure:
-            raise DivisionFailure(
-                f"no exact quotient of ({f}) by ({p}) modulo {len(self.equalities)} generator(s)") from None
+        except DivisionFailure as exc:
+            raise DivisionFailure(f"{exc} modulo {len(self.equalities)} generator(s)") from None
 
     @abstractmethod
     def violation(self, x) -> np.ndarray | float:

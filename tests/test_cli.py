@@ -419,6 +419,8 @@ class TestMalformedInput:
                                      "--t-end", 0.5, "--paths", -3], 2),
         "simulate_store_stride_zero": (["--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
                                         "--t-end", 0.5, "--store-stride", 0], 2),
+        "simulate_dt_overflow": (["--out", "paths.csv", "simulate", "full4", "--x0", "0.25,0.25,0.25,0.25",
+                                  "--dt", 1e100, "--t-end", 7e100], 1),
         "simulate_seed_negative": (["--seed", -1, "--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
                                    "--t-end", 0.5], 2),
         "validate_samples_zero": (["--samples", 0, "validate", "jacobi"], 2),
@@ -954,3 +956,54 @@ class TestSpecFileFuzz:
     @given(poly=json_mutants(FUZZ_POLYS))
     def test_poly_documents(self, poly, specs):
         _check_contract(run(_moments_args(specs["cir"], 1, poly)), "moments")
+
+
+# option values: any double, nan and the infinities included, or one of moderate size
+NUMBERS = st.floats() | st.floats(-4.0, 4.0)
+MAX_STEPS = 64  # with at most 16 paths in at most 4 dimensions: about 33 kB of path per example
+
+
+@st.composite
+def point_texts(draw, dim):
+    """A --x value: dim coordinates near the point every DOCS space holds, any
+    numbers of about that count, or free text."""
+    near = st.floats(1.0 / dim - 0.05, 1.0 / dim + 0.05)
+    coords = draw(st.lists(near, min_size=dim, max_size=dim) | st.lists(NUMBERS, max_size=dim + 1))
+    return draw(st.just(",".join(map(repr, coords))) | st.text(max_size=8))
+
+
+@st.composite
+def step_grids(draw):
+    """(--dt, --t-end): any numbers, except that a positive finite horizon
+    spans at most MAX_STEPS positive finite steps."""
+    dt = draw(NUMBERS | st.floats(1e-3, 0.1) | st.floats(1e6, 1e200))  # the last overflow some models
+    steps = draw(st.integers(1, MAX_STEPS))
+    t_end = draw(st.just(steps * dt) | NUMBERS)
+    if math.isfinite(dt) and dt > 0 and math.isfinite(t_end) and t_end > 0:
+        t_end = min(t_end, MAX_STEPS * dt)
+    return dt, t_end
+
+
+class TestOptionFuzz:
+    """Mutated numeric options keep the exit-code contract on every DOCS
+    model: never a traceback, one ``error:`` line."""
+
+    @FUZZ
+    @given(name=st.sampled_from(sorted(DOCS)), data=st.data())
+    def test_moments(self, name, data, specs):
+        dim = DOCS[name]["dimension"]
+        # "--x=text" keeps free text that starts with "-" from reading as an option
+        args = ["moments", specs[name], "--degree", data.draw(st.integers(-1, 5)),
+                f"--x={data.draw(point_texts(dim))}", "--tau", data.draw(NUMBERS),
+                "--poly", json.dumps({"dim": dim, "terms": [{"e": [1] + [0] * (dim - 1), "c": 1.0}]})]
+        _check_contract(run(args), "moments")
+
+    @settings(FUZZ, max_examples=150)
+    @given(name=st.sampled_from(sorted(DOCS)), grid=step_grids(), paths=st.integers(1, 16) | st.integers(-1, 16),
+           stride=st.integers(1, 8) | st.integers(-1, 8))
+    def test_simulate(self, name, grid, paths, stride, specs, tmp_path):
+        dim = DOCS[name]["dimension"]
+        dt, t_end = grid
+        args = ["--out", tmp_path / "paths.csv", "simulate", specs[name], "--x0", ",".join([str(1 / dim)] * dim),
+                "--dt", dt, "--t-end", t_end, "--paths", paths, "--store-stride", stride]
+        _check_contract(run(args), "simulate")

@@ -56,7 +56,9 @@ def brownian(d):
     return ModelCoefficients(a, [Polynomial.zero(d)] * d), FullSpace(d)
 
 
-SEEDS = [0, 2**32 + 1, 2**130 + 5]
+# 1, 2, 4, 4, 5 and 8 32-bit words: numpy pads seeds of up to 4 words and
+# mixes the words of longer ones in after the pool
+SEEDS = [0, 2**32 + 1, 2**96 + 3, 2**128 - 1, 2**130 + 5, 2**255 + 1]
 INDICES = [0, 1, 2**32 - 1, 2**32, 2**50]
 
 
