@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .polynomial import Exponents, Polynomial, grlex_key
+from .polynomial import Exponents, Polynomial, _summed, grlex_key
 
 __all__ = ["Basis", "DegreeTooHigh", "monomial_basis", "monomial_exponents"]
 
@@ -120,7 +120,7 @@ class Basis:
         values = np.asarray(values, dtype=float)
         if values.shape != (len(self.monomials),):
             raise ValueError(f"coordinate vector must have shape ({len(self.monomials)},)")
-        return Polynomial(self.dim, {e: v for e, v in zip(self.monomials, values) if v != 0.0})
+        return _summed(self.dim, zip(self.monomials, values.tolist()))
 
     def csv_text(self) -> str:
         """One exponent vector per line, comma-separated."""

@@ -46,6 +46,8 @@ __all__ = [
 
 DEFAULT_MARGIN = 1e-9
 _EXACT_TOL = 1e-12
+# step lengths from the stratum into the interior at which classify_boundary samples e
+_COLLAR = (1e-2, 1e-3, 1e-4)
 
 
 @dataclass
@@ -496,7 +498,6 @@ def classify_boundary(
     p: Polynomial,
     samples: int = 400,
     margin: float = DEFAULT_MARGIN,
-    collar=(1e-2, 1e-3, 1e-4),
 ) -> BoundaryVerdict:
     """Decide whether the stratum {p = 0} is attained by the diffusion.
 
@@ -543,7 +544,7 @@ def classify_boundary(
                                f"boundary point with G p = {gp_vals[w]:.6g} >= 0 and e = {e_vals[w]:.6g} < 0",
                                witness=Xb[w].tolist(), h=h)
 
-    Xc = _collar_points(space, p, Xb, collar)
+    Xc = _collar_points(space, p, Xb, _COLLAR)
     near_vals = np.concatenate([e_vals, e(Xc)]) if len(Xc) else e_vals
     if np.all(near_vals >= margin):
         return BoundaryVerdict("NonAttainStrict", stratum,

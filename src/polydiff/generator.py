@@ -176,7 +176,8 @@ def _images(model: ModelCoefficients, p: Polynomial, space=None) -> list[Polynom
         row = row[source]
     # the rows are ordered by label, so each label's terms are one slice
     cut = np.searchsorted(model._table.label[row], np.arange(-1, model.dim + 1)).tolist()
-    return [Polynomial(model.dim, _summed(exps[lo:hi], values[lo:hi])) for lo, hi in zip(cut, cut[1:])]
+    exps, values = list(map(tuple, exps.tolist())), values.tolist()
+    return [_summed(model.dim, zip(exps[lo:hi], values[lo:hi])) for lo, hi in zip(cut, cut[1:])]
 
 
 def apply_generator(model: ModelCoefficients, p: Polynomial) -> Polynomial:
@@ -237,10 +238,6 @@ class GeneratorMatrix:
         n = len(self.basis)
         if self.matrix.shape != (n, n):
             raise ValueError(f"matrix shape {self.matrix.shape} != ({n}, {n})")
-
-    @property
-    def size(self) -> int:
-        return len(self.basis)
 
     def propagator(self, tau: float) -> np.ndarray:
         """expm(tau G) on the whole basis, the dense reference for propagate."""

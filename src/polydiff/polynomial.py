@@ -5,6 +5,13 @@ coordinate.  Coefficients are floats and exact zeros are pruned on
 construction; approximate cleanup is only ever done explicitly through
 :meth:`Polynomial.chop`.
 
+Every polynomial is built by ``_summed``, which sums the coefficients of
+equal exponents in input order and rejects a non-finite sum.  Exponents are
+validated only where they come from outside the package: the public
+constructor ``Polynomial(dim, terms)`` (and the classmethods that call it)
+and ``Polynomial.from_json_dict``; arithmetic, derivatives, reductions and
+the generator trust the exponents they compute.
+
 Evaluation at points has one implementation, ``_evaluator``, which shares one
 table of coordinate powers across a family of polynomials;
 ``Polynomial.__call__`` is that evaluator over a single polynomial.
@@ -13,6 +20,8 @@ table of coordinate powers across a family of polynomials;
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,7 +46,14 @@ class DivisionFailure(Exception):
 
 
 def _validate_exponents(e, dim: int) -> Exponents:
-    t = tuple(int(k) for k in e)
+    e = tuple(e)
+    try:
+        t = tuple(map(operator.index, e))
+    except TypeError:
+        # integral floats pass, since JSON's integers include 1.0
+        if not all(isinstance(k, numbers.Real) and float(k).is_integer() for k in e):
+            raise ValueError(f"exponent vector {e} has an entry that is not an integral number") from None
+        t = tuple(map(int, e))
     if len(t) != dim:
         raise ValueError(f"exponent vector {t} has length {len(t)}, expected {dim}")
     if any(k < 0 for k in t):
@@ -53,19 +69,14 @@ class Polynomial:
     def __init__(self, dim: int, terms: Mapping[Iterable[int], float] | None = None):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        self._dim = int(dim)
-        clean: dict[Exponents, float] = {}
-        if terms:
-            for e, c in terms.items():
-                t = _validate_exponents(e, self._dim)
-                c = float(c)
-                if not math.isfinite(c):
-                    raise ValueError(f"non-finite coefficient {c} for exponent {t}")
-                if t in clean:
-                    raise ValueError(f"duplicate exponent vector {t}")
-                if c != 0.0:
-                    clean[t] = c
-        self._terms = clean
+        dim = int(dim)
+        checked: dict[Exponents, float] = {}
+        for e, c in (terms or {}).items():
+            t = _validate_exponents(e, dim)
+            if t in checked:
+                raise ValueError(f"duplicate exponent vector {t}")
+            checked[t] = float(c)
+        self._dim, self._terms = dim, _summed(dim, checked.items())._terms
 
     # -- construction helpers ------------------------------------------------
 
@@ -92,7 +103,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, exponents: Iterable[int], coeff: float = 1.0, dim: int | None = None) -> "Polynomial":
-        e = tuple(int(k) for k in exponents)
+        e = tuple(exponents)
         return cls(len(e) if dim is None else dim, {e: coeff})
 
     # -- basic queries ---------------------------------------------------------
@@ -133,7 +144,7 @@ class Polynomial:
         return used
 
     def homogeneous_part(self, degree: int) -> "Polynomial":
-        return Polynomial(self._dim, {e: c for e, c in self._terms.items() if sum(e) == degree})
+        return _summed(self._dim, (t for t in self._terms.items() if sum(t[0]) == degree))
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -143,49 +154,40 @@ class Polynomial:
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            other = Polynomial.constant(self._dim, other)
+            other = _summed(self._dim, [((0,) * self._dim, other)])
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dim(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0.0) + c
-        return Polynomial(self._dim, out)
+        return _summed(self._dim, [*self._terms.items(), *other._terms.items()])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self._dim, {e: -c for e, c in self._terms.items()})
+        return _summed(self._dim, [(e, -c) for e, c in self._terms.items()])
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = Polynomial.constant(self._dim, other)
-        if not isinstance(other, Polynomial):
+        if not isinstance(other, (int, float, Polynomial)):
             return NotImplemented
-        return self.__add__(other.__neg__())
+        return self + -other
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Polynomial(self._dim, {e: c * other for e, c in self._terms.items()})
+            return _summed(self._dim, [(e, c * other) for e, c in self._terms.items()])
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dim(other)
-        out: dict[Exponents, float] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0.0) + c1 * c2
-        return Polynomial(self._dim, out)
+        return _summed(self._dim, [(tuple(map(operator.add, e1, e2)), c1 * c2)
+                                   for e1, c1 in self._terms.items() for e2, c2 in other._terms.items()])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out = Polynomial.one(self._dim)
+        out = Polynomial.zero(self._dim) + 1.0
         for _ in range(n):
             out = out * self
         return out
@@ -209,21 +211,15 @@ class Polynomial:
         """Partial derivative with respect to coordinate ``index``."""
         if not 0 <= index < self._dim:
             raise ValueError("index out of range")
-        out: dict[Exponents, float] = {}
-        for e, c in self._terms.items():
-            k = e[index]
-            if k:
-                e2 = list(e)
-                e2[index] = k - 1
-                out[tuple(e2)] = c * k
-        return Polynomial(self._dim, out)
+        return _summed(self._dim, [(e[:index] + (e[index] - 1,) + e[index + 1:], c * e[index])
+                                   for e, c in self._terms.items() if e[index]])
 
     def grad(self) -> list["Polynomial"]:
         return [self.partial(i) for i in range(self._dim)]
 
     def chop(self, eps: float) -> "Polynomial":
         """Drop terms with |coefficient| <= eps.  The only approximate cleanup."""
-        return Polynomial(self._dim, {e: c for e, c in self._terms.items() if abs(c) > eps})
+        return _summed(self._dim, (t for t in self._terms.items() if abs(t[1]) > eps))
 
     # -- serialization ----------------------------------------------------------
 
@@ -250,7 +246,7 @@ class Polynomial:
             if e in terms:
                 raise ValueError(f"duplicate exponent vector {list(e)} in polynomial terms")
             terms[e] = float(item["c"])
-        return cls(dim, terms)
+        return _summed(dim, terms.items())
 
     def __repr__(self):
         return f"Polynomial({self._dim}, {self!s})"
@@ -315,12 +311,27 @@ def _term_arrays(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     return np.array(list(p._terms), dtype=np.int64).reshape(-1, p.dim), np.array(list(p._terms.values()), dtype=float)
 
 
-def _summed(exps: np.ndarray, coefs: np.ndarray) -> dict[Exponents, float]:
-    """Coefficients of equal exponent rows summed in input order, starting from zero."""
-    out: dict[Exponents, float] = {}
-    for e, c in zip(map(tuple, exps.tolist()), coefs.tolist()):
-        out[e] = out.get(e, 0.0) + c
-    return out
+def _summed(dim: int, pairs: Iterable[tuple[Exponents, float]]) -> Polynomial:
+    """The polynomial with the terms (e, c) of ``pairs``: the coefficients of
+    equal exponents summed in input order, each sum starting from zero, and
+    zero sums dropped, so the terms keep the order of first appearance.
+
+    The one way terms become a polynomial.  A non-finite sum is a ValueError;
+    the exponents are trusted to be tuples of ``dim`` nonnegative ints.
+    """
+    sums: dict[Exponents, float] = {}
+    for e, c in pairs:
+        sums[e] = sums.get(e, 0.0) + c
+    terms: dict[Exponents, float] = {}
+    for e, c in sums.items():
+        if c != 0.0:
+            c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c} for exponent {e}")
+            terms[e] = c
+    p = object.__new__(Polynomial)
+    p._dim, p._terms = dim, terms
+    return p
 
 
 def divide_exact(f: Polynomial, p: Polynomial) -> Polynomial:
@@ -353,4 +364,4 @@ def divide_exact(f: Polynomial, p: Polynomial) -> Polynomial:
             work[te] = work.get(te, 0.0) - q * gc
             if work[te] == 0.0:
                 del work[te]
-    return Polynomial(f.dim, quotient)
+    return _summed(f.dim, quotient.items())

@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 
+# the fit of g(xi) = xi C(T, K/xi) starts at this xi > 0, where K/xi stays finite
+_FIT_EPS = 1e-6
+
+
 class InvalidStatePriceDensity(ValueError):
     """The state-price density is nonpositive where it must divide."""
 
@@ -254,9 +258,8 @@ def fit_index_payoff(
     K: float,
     grid_size: int = 256,
     cheb_degree: int | None = None,
-    eps: float = 1e-6,
 ) -> tuple[Polynomial, float]:
-    """Chebyshev fit of g(xi) = xi C(T, K/xi) on [eps, 1], composed with the
+    """Chebyshev fit of g(xi) = xi C(T, K/xi) on [_FIT_EPS, 1], composed with the
     affine map x -> Y^i_T(x).  Returns the payoff polynomial in the simplex
     coordinates and the max abs fit residual on a dense reference grid."""
     if index_pricer is None:
@@ -281,9 +284,9 @@ def fit_index_payoff(
 
     # least-squares fit at mapped Chebyshev nodes, residual on a uniform grid
     nodes = np.cos(np.pi * (2 * np.arange(grid_size) + 1) / (2 * grid_size))
-    xs_fit = eps + (1.0 - eps) * (nodes + 1.0) / 2.0
-    fit = chebyshev.Chebyshev.fit(xs_fit, g(xs_fit), deg=cheb_degree, domain=[eps, 1.0])
-    xs_ref = np.linspace(eps, 1.0, max(512, 2 * grid_size))
+    xs_fit = _FIT_EPS + (1.0 - _FIT_EPS) * (nodes + 1.0) / 2.0
+    fit = chebyshev.Chebyshev.fit(xs_fit, g(xs_fit), deg=cheb_degree, domain=[_FIT_EPS, 1.0])
+    xs_ref = np.linspace(_FIT_EPS, 1.0, max(512, 2 * grid_size))
     residual = float(np.abs(fit(xs_ref) - g(xs_ref)).max())
 
     # compose with the affine weight map: xi(x) = Phi_i + (Psi x)_i

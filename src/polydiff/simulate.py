@@ -57,9 +57,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 def _psd_sqrt_batch(A: np.ndarray) -> np.ndarray:
     """PSD square root of a batch (..., d, d) of symmetric matrices."""
-    if A.shape[-1] == 1:
-        # a 1x1 eigh returns w = a and V = 1, so this is the same root bit for bit
-        return np.sqrt(np.maximum(A, 0.0))
     w, V = np.linalg.eigh(A)
     root = np.sqrt(np.maximum(w, 0.0))
     return np.einsum("...ik,...k,...jk->...ij", V, root, V)
@@ -81,7 +78,8 @@ def _root_times(a: list, z: np.ndarray) -> np.ndarray:
 
     d = 1 is sqrt(max(a, 0)) z, bit for bit the 1x1 root times z.  d = 2 is the
     closed form of the 2x2 root, equal to the eigendecomposition route up to
-    rounding.  d >= 3 goes through ``eigh``, bit for bit as ``dispersion``.
+    rounding.  d >= 3 goes through ``eigh``, bit for bit as ``dispersion``; a
+    row with a non-finite entry, which ``eigh`` cannot take, gives NaN.
     """
     d = z.shape[1]
     if d == 1:
@@ -95,7 +93,11 @@ def _root_times(a: list, z: np.ndarray) -> np.ndarray:
             A[:, i, j] = a[k]
             A[:, j, i] = a[k]
             k += 1
-    return np.einsum("cij,cj->ci", _psd_sqrt_batch(A), z)
+    bad = ~np.isfinite(A).all(axis=(1, 2))
+    A[bad] = 0.0
+    out = np.einsum("cij,cj->ci", _psd_sqrt_batch(A), z)
+    out[bad] = np.nan
+    return out
 
 
 def _root_times_2x2(a00, a01, a11, z0, z1) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import monomial_exponents
 from .generator import ModelCoefficients
-from .polynomial import DivisionFailure, Polynomial, _summed, _term_arrays, divide_exact
+from .polynomial import DivisionFailure, Exponents, Polynomial, _summed, _term_arrays, divide_exact
 
 __all__ = [
     "StateSpace",
@@ -175,12 +175,7 @@ class Quadric(StateSpace):
         self.dim = d
         self.Q = Q
         self.orientation = orientation
-        terms = {tuple(0 for _ in range(d)): 1.0}
-        for i in range(d):
-            e = [0] * d
-            e[i] = 2
-            terms[tuple(e)] = -Q[i, i]
-        p = Polynomial(d, terms)  # 1 - x'Qx
+        p = _summed(d, [(_exps(d), 1.0), *((_exps(d, i, i), -Q[i, i]) for i in range(d))])  # 1 - x'Qx
         self.inequalities = (p if orientation == "inside" else -p,)
         self.equalities = ()
         self._q = np.diag(Q).copy()
@@ -394,7 +389,7 @@ class Simplex(StateSpace):
     def reduce(self, p: Polynomial) -> Polynomial:
         """Eliminate the last coordinate via x_d = 1 - x_1 - ... - x_{d-1}."""
         exps, coefs, _ = self.reduce_terms(*_term_arrays(super().reduce(p)))
-        return Polynomial(self.dim, _summed(exps, coefs))
+        return _summed(self.dim, zip(map(tuple, exps.tolist()), coefs.tolist()))
 
     def divide(self, f: Polynomial, p: Polynomial) -> Polynomial:
         """The plain quotient of f by p when there is one, since that is the
@@ -606,16 +601,18 @@ class SimplexParams:
         return self.beta.shape[0]
 
 
+def _exps(d: int, *coords: int) -> Exponents:
+    """The exponent tuple of the product of x_i over ``coords`` in d variables."""
+    e = [0] * d
+    for i in coords:
+        e[i] += 1
+    return tuple(e)
+
+
 def _linear_drift(beta: np.ndarray, B: np.ndarray) -> list[Polynomial]:
+    """b_i = beta_i + sum_j B_ij x_j."""
     d = beta.shape[0]
-    out = []
-    for i in range(d):
-        p = Polynomial.constant(d, beta[i])
-        for j in range(d):
-            if B[i, j] != 0.0:
-                p = p + B[i, j] * Polynomial.variable(j, d)
-        out.append(p)
-    return out
+    return [_summed(d, [(_exps(d), beta[i]), *((_exps(d, j), B[i, j]) for j in range(d))]) for i in range(d)]
 
 
 def _quadric_c_polys(space: Quadric, gamma: np.ndarray) -> list[list[Polynomial]]:
@@ -632,16 +629,7 @@ def _quadric_c_polys(space: Quadric, gamma: np.ndarray) -> list[list[Polynomial]
                 for l in range(len(S)):
                     if gamma[k, l] != 0.0:
                         M += gamma[k, l] * np.outer(QS[k][i], QS[l][j])
-            terms = {}
-            for u in range(d):
-                for v in range(d):
-                    if M[u, v] != 0.0:
-                        e = [0] * d
-                        e[u] += 1
-                        e[v] += 1
-                        e = tuple(e)
-                        terms[e] = terms.get(e, 0.0) + M[u, v]
-            c[i][j] = Polynomial(d, terms)
+            c[i][j] = _summed(d, [(_exps(d, u, v), M[u, v]) for u in range(d) for v in range(d) if M[u, v] != 0.0])
     return c
 
 
@@ -669,43 +657,28 @@ def assemble_model(space: StateSpace, params) -> ModelCoefficients:
         if np.any(params.pi < 0.0) or np.any(np.diag(params.pi) != 0.0):
             raise ValueError("pi must be entrywise nonnegative with zero diagonal")
         m, n, d = space.m, space.n, space.dim
+        gamma, alpha, phi, psi, pi = params.gamma, params.alpha, params.phi, params.psi, params.pi
         a = [[Polynomial.zero(d) for _ in range(d)] for _ in range(d)]
         for i in range(m):
-            xi = Polynomial.variable(i, d)
-            a[i][i] = params.gamma[i] * xi * (Polynomial.one(d) - xi)
+            # gamma_i x_i (1 - x_i)
+            a[i][i] = _summed(d, [(_exps(d, i), gamma[i]), (_exps(d, i, i), -gamma[i])])
         for j in range(n):
             cj = m + j
-            xj = Polynomial.variable(cj, d)
-            lin = Polynomial.constant(d, params.phi[j])
-            for i in range(m):
-                if params.psi[j, i] != 0.0:
-                    lin = lin + params.psi[j, i] * Polynomial.variable(i, d)
-            for k in range(n):
-                if params.pi[j, k] != 0.0:
-                    lin = lin + params.pi[j, k] * Polynomial.variable(m + k, d)
-            a[cj][cj] = params.alpha[j, j] * xj * xj + xj * lin
+            # alpha_jj x_j^2 + x_j (phi_j + sum_i psi_ji x_i + sum_k pi_jk x_{m+k}), pi_jj = 0
+            a[cj][cj] = _summed(d, [(_exps(d, cj, cj), alpha[j, j]), (_exps(d, cj), phi[j]),
+                                    *((_exps(d, cj, i), psi[j, i]) for i in range(m)),
+                                    *((_exps(d, cj, m + k), pi[j, k]) for k in range(n))])
             for k in range(j + 1, n):
-                ck = m + k
-                cross = params.alpha[j, k] * xj * Polynomial.variable(ck, d)
-                a[cj][ck] = cross
-                a[ck][cj] = cross
+                a[cj][m + k] = a[m + k][cj] = _summed(d, [(_exps(d, cj, m + k), alpha[j, k])])
         return ModelCoefficients(a, _linear_drift(params.beta, params.B))
 
     if isinstance(space, Simplex):
         if not isinstance(params, SimplexParams) or params.dim != space.dim:
             raise ValueError("simplex state space needs SimplexParams of matching dimension")
-        d = space.dim
-        a = [[Polynomial.zero(d) for _ in range(d)] for _ in range(d)]
-        for i in range(d):
-            diag = Polynomial.zero(d)
-            xi = Polynomial.variable(i, d)
-            for j in range(d):
-                if j == i:
-                    continue
-                cross = params.alpha[i, j] * xi * Polynomial.variable(j, d)
-                diag = diag + cross
-                a[i][j] = -cross
-            a[i][i] = diag
+        d, alpha = space.dim, params.alpha
+        # a_ii = sum_{j != i} alpha_ij x_i x_j and a_ij = -alpha_ij x_i x_j
+        a = [[_summed(d, [(_exps(d, i, k), alpha[i, k]) for k in range(d) if k != i]) if j == i
+              else _summed(d, [(_exps(d, i, j), -alpha[i, j])]) for j in range(d)] for i in range(d)]
         return ModelCoefficients(a, _linear_drift(params.beta, params.B))
 
     if isinstance(space, FullSpace):

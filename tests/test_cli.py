@@ -421,6 +421,11 @@ class TestMalformedInput:
                                         "--t-end", 0.5, "--store-stride", 0], 2),
         "simulate_dt_overflow": (["--out", "paths.csv", "simulate", "full4", "--x0", "0.25,0.25,0.25,0.25",
                                   "--dt", 1e100, "--t-end", 7e100], 1),
+        # in d >= 3 the rows of a(x) overflow before the state does
+        "simulate_dt_overflow_simplex3": (["--out", "paths.csv", "simulate", "simplex3", "--x0", "0.2,0.3,0.5",
+                                           "--paths", 4, "--dt", 1e20, "--t-end", 6.4e21], 1),
+        "simulate_dt_overflow_simplex4": (["--out", "paths.csv", "simulate", "simplex4", "--x0",
+                                           "0.25,0.25,0.25,0.25", "--dt", 1e40, "--t-end", 7e40], 1),
         "simulate_seed_negative": (["--seed", -1, "--out", "paths.csv", "simulate", "jacobi", "--x0", "0.2",
                                    "--t-end", 0.5], 2),
         "validate_samples_zero": (["--samples", 0, "validate", "jacobi"], 2),
@@ -457,6 +462,12 @@ class TestMalformedInput:
         assert "Traceback" not in r.stderr
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: --poly: " if case.startswith("poly_") else "error: ")
+
+    @pytest.mark.parametrize("case", [c for c in sorted(CASES) if c.startswith("simulate_dt_overflow")])
+    def test_overflow_asks_for_a_smaller_dt(self, case, specs, tmp_path):
+        files = {**specs, "paths.csv": tmp_path / "paths.csv"}
+        r = run([files.get(a, a) if isinstance(a, str) else a for a in self.CASES[case][0]])
+        assert r.stderr == "error: a simulated path left the finite doubles; try a smaller dt\n"
 
     def test_negative_seed_names_the_option(self, specs, tmp_path):
         r = run(["--seed", -1, "--out", tmp_path / "paths.csv", "simulate", specs["jacobi"],

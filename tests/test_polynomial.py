@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polydiff.polynomial
+from polydiff.basis import monomial_basis
+from polydiff.generator import _images
 from polydiff.polynomial import DivisionFailure, Polynomial, divide_exact, grlex_key
-from polydiff.statespace import Simplex
+from polydiff.statespace import (BoxOrthant, BoxOrthantParams, Quadric, QuadricParams, Simplex, SimplexParams,
+                                 assemble_model, skew_symmetric_basis)
 
+from conftest import cir_model
 from test_statespace import PROPERTY, small_polynomials
 
 
@@ -44,6 +49,24 @@ class TestConstruction:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Polynomial(1, {(1,): float("nan")})
+
+    @pytest.mark.parametrize("k", [1.5, -0.5, 1e-300, float("inf"), float("-inf"), float("nan"), "1", None])
+    def test_non_integral_exponent_rejected(self, k):
+        with pytest.raises(ValueError, match="not an integral number"):
+            Polynomial(2, {(k, 0): 2.0})
+        with pytest.raises(ValueError, match="not an integral number"):
+            Polynomial.from_json_dict({"dim": 2, "terms": [{"e": [0, k], "c": 2.0}]})
+        with pytest.raises(ValueError, match="not an integral number"):
+            Polynomial.monomial((k,))
+
+    def test_integral_float_exponents_read_as_ints(self):
+        # JSON's integers include 1.0, so integral floats are exponents
+        for p in (Polynomial(2, {(1.0, np.float64(2.0)): 3.0}), Polynomial.monomial((1.0, 2), 3.0),
+                  Polynomial.from_json_dict({"dim": 2, "terms": [{"e": [1.0, 2], "c": 3.0}]})):
+            assert list(p.terms.items()) == [((1, 2), 3.0)]
+            assert [type(k) for k in next(iter(p.terms))] == [int, int]
+        with pytest.raises(ValueError, match="duplicate"):
+            Polynomial.from_json_dict({"dim": 1, "terms": [{"e": [1], "c": 1.0}, {"e": [1.0], "c": 2.0}]})
 
 
 class TestArithmetic:
@@ -312,3 +335,203 @@ class TestOrderingAndUtilities:
             Polynomial.from_json_dict({"dim": 2, "terms": [{"e": [1], "c": 1.0}]})
         with pytest.raises(ValueError):
             Polynomial.from_json_dict({"dim": 1, "terms": [{"e": [1], "c": 1.0, "x": 2}]})
+
+
+def built_terms_are_constructed(p):
+    """p, built inside the package, has the terms the validating constructor
+    makes of p's term dict: same order, Python floats and ints."""
+    items = list(p.terms.items())
+    assert list(Polynomial(p.dim, p.terms).terms.items()) == items
+    assert all(type(c) is float and c != 0.0 for _, c in items)
+    assert all(type(e) is tuple and len(e) == p.dim and all(type(k) is int and k >= 0 for k in e) for e, _ in items)
+
+
+# float coefficients, signed zeros among them, so sums cancel and round
+def float_polynomials(d, top=3, size=8):
+    coefficient = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3, allow_nan=False)
+    term = st.tuples(st.tuples(*[st.integers(0, top)] * d), coefficient)
+    return st.lists(term, max_size=size).map(lambda ts: Polynomial(d, dict(ts)))
+
+
+class TestBuiltTerms:
+    """Every construction inside the package goes through ``_summed``, which
+    trusts its exponents: the results equal the validating constructor."""
+
+    @PROPERTY
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(float_polynomials(d), float_polynomials(d),
+                                                         st.integers(0, d - 1))),
+           st.sampled_from([0.0, -0.0, 2.5, -1.0]) | st.floats(-1e3, 1e3, allow_nan=False))
+    def test_arithmetic_matches_the_constructor(self, case, s):
+        p, q, i = case
+        for r in (p + q, p - q, p * q, -p, p * s, s * p, p + s, s - p, p - s, p ** 2, p.partial(i),
+                  p.chop(1.0), p.homogeneous_part(2)):
+            built_terms_are_constructed(r)
+
+    @PROPERTY
+    @given(st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(Simplex(d)), float_polynomials(d))))
+    def test_reductions_match_the_constructor(self, case):
+        space, p = case
+        built_terms_are_constructed(space.reduce(p))
+        basis = monomial_basis(space, max(p.degree, 0))
+        built_terms_are_constructed(basis.polynomial(basis.coordinates(p)))
+
+    @PROPERTY
+    @given(float_polynomials(1))
+    def test_generator_images_match_the_constructor(self, p):
+        model, space = cir_model()
+        for r in _images(model, p):
+            built_terms_are_constructed(r)
+        if not p.is_zero():
+            built_terms_are_constructed(divide_exact(p * model.a[0][0], model.a[0][0]))
+
+    def test_overflow_raises_the_constructor_message(self):
+        big = Polynomial(1, {(1,): 1e200})
+        for build in (lambda: big * big, lambda: big * 1e200, lambda: big.partial(0) + 1e308 + 1e308):
+            with pytest.raises(ValueError, match=r"non-finite coefficient inf for exponent \(\d+,\)"):
+                build()
+
+
+def family_models(seed):
+    """One model of each family and shape from random parameters with zero
+    entries (0.0 and -0.0), box-orthant m and n from 0 up."""
+    rng = np.random.default_rng(seed)
+
+    def entries(*shape):
+        a = rng.standard_normal(shape)
+        a[rng.random(shape) < 0.3] = 0.0
+        a[rng.random(shape) < 0.1] = -0.0
+        return a
+
+    def symmetric(n):
+        a = entries(n, n)
+        return np.triu(a) + np.triu(a, 1).T
+
+    for d in (1, 2, 3, 4):
+        if d > 1:
+            yield Simplex(d), SimplexParams(alpha=symmetric(d), beta=entries(d), B=entries(d, d))
+        q = np.where(rng.random(d) < 0.4, -1.0, 1.0)
+        q[0] = 1.0
+        for Q, orientation in ((np.eye(d), "inside"), (np.diag(q), "outside")):
+            k = d * (d - 1) // 2
+            yield Quadric(Q, orientation), QuadricParams(alpha=symmetric(d), beta=entries(d), B=entries(d, d),
+                                                         gamma=symmetric(k))
+        for m in range(d + 1):
+            n = d - m
+            pi = np.abs(symmetric(n))
+            np.fill_diagonal(pi, 0.0)
+            yield BoxOrthant(m, n), BoxOrthantParams(m=m, n=n, gamma=np.abs(entries(m)), alpha=symmetric(n),
+                                                     phi=entries(n), psi=entries(n, m), pi=pi, beta=entries(d),
+                                                     B=entries(d, d))
+
+
+def paper_coefficients(space, params):
+    """(a, b) of a family written with Polynomial arithmetic, as in the paper."""
+    d = space.dim
+    x = [Polynomial.variable(i, d) for i in range(d)]
+    zero, one = Polynomial.zero(d), Polynomial.one(d)
+    b = []
+    for i in range(d):
+        p = Polynomial.constant(d, params.beta[i])
+        for j in range(d):
+            if params.B[i, j] != 0.0:
+                p = p + params.B[i, j] * x[j]
+        b.append(p)
+    a = [[zero] * d for _ in range(d)]
+    if isinstance(space, Simplex):
+        for i in range(d):
+            diag = zero
+            for j in range(d):
+                if j != i:
+                    cross = params.alpha[i, j] * x[i] * x[j]
+                    diag = diag + cross
+                    a[i][j] = -cross
+            a[i][i] = diag
+    elif isinstance(space, BoxOrthant):
+        m, n = space.m, space.n
+        for i in range(m):
+            a[i][i] = params.gamma[i] * x[i] * (one - x[i])
+        for j in range(n):
+            lin = Polynomial.constant(d, params.phi[j])
+            for i in range(m):
+                if params.psi[j, i] != 0.0:
+                    lin = lin + params.psi[j, i] * x[i]
+            for k in range(n):
+                if params.pi[j, k] != 0.0:
+                    lin = lin + params.pi[j, k] * x[m + k]
+            a[m + j][m + j] = params.alpha[j, j] * x[m + j] * x[m + j] + x[m + j] * lin
+            for k in range(j + 1, n):
+                a[m + j][m + k] = a[m + k][m + j] = params.alpha[j, k] * x[m + j] * x[m + k]
+    else:
+        # a = (1 - x'Qx) alpha + c, c_ij = sum_kl gamma_kl (Q S_k x)_i (Q S_l x)_j over the skew basis S
+        p = one
+        for i in range(d):
+            p = p - space.Q[i, i] * x[i] * x[i]
+        QS = [space.Q @ s for s in skew_symmetric_basis(d)]
+        for i in range(d):
+            for j in range(d):
+                M = np.zeros((d, d))
+                for k in range(len(QS)):
+                    for l in range(len(QS)):
+                        if params.gamma[k, l] != 0.0:
+                            M += params.gamma[k, l] * np.outer(QS[k][i], QS[l][j])
+                c = zero
+                for u in range(d):
+                    for v in range(d):
+                        if M[u, v] != 0.0:
+                            c = c + M[u, v] * x[u] * x[v]
+                a[i][j] = p * params.alpha[i, j] + c
+    return a, b
+
+
+def bits(p):
+    return [(e, float(c).hex()) for e, c in p.terms.items()]
+
+
+class TestFamilyTermLists:
+    """assemble_model writes each family as term lists; the terms equal the
+    paper's formulas built with Polynomial arithmetic in order, value and sign."""
+
+    @settings(PROPERTY, max_examples=20)
+    @given(st.integers(0, 2**32 - 1))
+    def test_terms_match_polynomial_arithmetic(self, seed):
+        for space, params in family_models(seed):
+            model = assemble_model(space, params)
+            a, b = paper_coefficients(space, params)
+            assert [bits(p) for p in model.b] == [bits(p) for p in b]
+            assert [[bits(p) for p in row] for row in model.a] == [[bits(p) for p in row] for row in a]
+
+
+class TestValidationAtTheBoundary:
+    """Exponents are validated where they enter the package, and nowhere else."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        count = []
+        check = polydiff.polynomial._validate_exponents
+
+        def counted(e, dim):
+            count.append(e)
+            return check(e, dim)
+
+        monkeypatch.setattr(polydiff.polynomial, "_validate_exponents", counted)
+        return count
+
+    def test_public_entry_points_validate(self, calls):
+        Polynomial(2, {(1, 0): 1.0, (0, 2): 2.0})
+        assert len(calls) == 2
+        Polynomial.from_json_dict({"dim": 1, "terms": [{"e": [1], "c": 1.0}]})
+        assert len(calls) == 3
+
+    def test_package_built_terms_skip_validation(self, calls):
+        rng = np.random.default_rng(0)
+        p, q = (Polynomial(3, {tuple(int(k) for k in rng.integers(0, 3, 3)): float(c)
+                               for c in rng.standard_normal(6)}) for _ in range(2))
+        simplex, (model, _), x3 = Simplex(3), cir_model(), Polynomial.variable(0, 1) ** 3
+        families = list(family_models(1))
+        del calls[:]
+        p + q, p * q, p - 1.0, 2.0 * p, -p, p ** 3, p.partial(1)
+        simplex.reduce(p * q)
+        _images(model, x3)
+        for space, params in families:
+            assemble_model(space, params)
+        assert calls == []

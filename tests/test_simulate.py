@@ -138,6 +138,18 @@ class TestDispersion:
         assert np.array_equal(got, eigh_root(A))
         assert got.tobytes() == eigh_root(A).tobytes()
 
+    def test_one_dimensional_root_is_the_clipped_sqrt(self):
+        # a(x) = x over the whole double range: signed zeros, subnormals, extremes and infinities
+        model = ModelCoefficients([[Polynomial.variable(0, 1)]], [Polynomial.zero(1)])
+        tiny, huge = np.finfo(float).smallest_subnormal, np.finfo(float).max
+        values = np.array([0.0, -0.0, tiny, -tiny, 2**-1022, 1e-300, -1e-300, 1e300, -1e300, huge, -huge,
+                           np.inf, -np.inf, 1.0, -1.0])
+        scales = 10.0 ** np.arange(-300, 300, 0.6)
+        values = np.concatenate([values, np.random.default_rng(6).standard_normal(len(scales)) * scales])
+        A = model.a_eval(values[:, None])
+        got = dispersion(model, values[:, None])
+        assert got.tobytes() == np.sqrt(np.maximum(A, 0.0)).tobytes()
+
     def test_cir_scalar(self):
         model, _ = cir_model(0.5, -0.5)
         assert float(dispersion(model, [[4.0]])[0, 0, 0]) == pytest.approx(2.0)
@@ -334,6 +346,22 @@ class TestRootTimes:
         z = np.random.default_rng(4).standard_normal((len(X), 3))
         got = _root_times(upper(model.a_eval(X)), z)
         assert got.tobytes() == np.einsum("cij,cj->ci", dispersion(model, X), z).tobytes()
+
+    def test_non_finite_rows_give_nan_in_three_dimensions(self):
+        # eigh fails on some of them, e.g. all entries infinite or all NaN;
+        # the other rows keep their eigh root bit for bit
+        model, space = unit_ball_model(3)
+        X = space.all_samples(16)
+        z = np.random.default_rng(5).standard_normal((len(X), 3))
+        A = model.a_eval(X)
+        want = _root_times(upper(A), z)
+        A[0, 1, 1] = np.inf
+        A[6] = np.inf * np.sign(A[6] + 0.5)
+        A[10] = np.nan
+        got = _root_times(upper(A), z)
+        bad = np.isin(np.arange(len(X)), [0, 6, 10])
+        assert np.isnan(got[bad]).all()
+        assert got[~bad].tobytes() == want[~bad].tobytes()
 
     @pytest.mark.parametrize("kind", ROOT_KINDS)
     def test_two_dimensional_matches_eigh(self, kind):
