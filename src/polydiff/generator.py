@@ -20,11 +20,17 @@ exponential route.
 
 One closed form on term arrays (_image_terms, over a table of the coefficient
 terms built with the model) serves G, G p, a grad p and the manifold check.
+
+G depends on the model, the state space and the basis degree alone, so the
+moment and pricing routes build basis and G through _basis_and_generator,
+which keeps them in a process-wide least-recently-used cache keyed by value
+and bounded in bytes.  The public generator_matrix always builds afresh.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -74,9 +80,13 @@ _TermTable = namedtuple("_TermTable", "label i j same shift f w")
 
 class ModelCoefficients:
     """Symmetric polynomial diffusion matrix ``a`` (degree <= 2) and affine
-    drift ``b`` (degree <= 1) in a common dimension."""
+    drift ``b`` (degree <= 1) in a common dimension.
 
-    __slots__ = ("_a", "_b", "_dim", "_table")
+    Two models are equal when their coefficients list the same terms in the
+    same order: term order is the order in which G sums them, so equal models
+    have bit-identical generator matrices."""
+
+    __slots__ = ("_a", "_b", "_dim", "_table", "_parts", "_key", "_hash")
 
     def __init__(self, a: Sequence[Sequence[Polynomial]], b: Sequence[Polynomial]):
         b = tuple(b)
@@ -102,16 +112,25 @@ class ModelCoefficients:
         self._a, self._b, self._dim = a, b, d
         # rows of G first: b_i gives (-1, i, d, f, c) and a_ij, i <= j, gives (-1, i, j, f, w)
         # with w = c/2 on the diagonal and w = c off it, where a_ij and a_ji give c/2 each
-        rows = [(-1, i, d, f, c) for i, p in enumerate(b) for f, c in p.terms.items()]
-        rows += [(-1, i, j, f, (0.5 if i == j else 1.0) * c)
-                 for i in range(d) for j in range(i, d) for f, c in a[i][j].terms.items()]
+        g_rows = [(-1, i, d, f, c) for i, p in enumerate(b) for f, c in p.terms.items()]
+        g_rows += [(-1, i, j, f, (0.5 if i == j else 1.0) * c)
+                   for i in range(d) for j in range(i, d) for f, c in a[i][j].terms.items()]
         # then a grad by component: a_kj gives (k, j, d, f, c)
-        rows += [(k, j, d, f, c) for k in range(d) for j in range(d) for f, c in a[k][j].terms.items()]
+        rows = g_rows + [(k, j, d, f, c) for k in range(d) for j in range(d) for f, c in a[k][j].terms.items()]
         label, i, j = (np.array([r[k] for r in rows], dtype=np.int64) for k in range(3))
         f = np.array([r[3] for r in rows], dtype=np.int64).reshape(len(rows), d)
         unit = np.eye(d + 1, d, dtype=np.int64)  # row d is zero
         self._table = _TermTable(label, i, j, (i == j)[:, None].astype(np.int64), f - unit[i] - unit[j], f,
                                  np.array([r[4] for r in rows], dtype=float))
+        # the table lists every coefficient term in order, so it is the model's value
+        t = self._table
+        self._key = (d, t.label.tobytes(), t.i.tobytes(), t.j.tobytes(), t.f.tobytes(), t.w.tobytes())
+        self._hash = hash(self._key)
+        # the table and its two parts as views, each with the labels of its rows
+        split = len(g_rows)
+        self._parts = {None: (self._table, range(-1, d)),
+                       "G": (_TermTable(*(c[:split] for c in self._table)), range(-1, 0)),
+                       "a grad": (_TermTable(*(c[split:] for c in self._table)), range(0, d))}
 
     @property
     def dim(self) -> int:
@@ -141,10 +160,10 @@ class ModelCoefficients:
     def __eq__(self, other):
         if not isinstance(other, ModelCoefficients):
             return NotImplemented
-        return self._a == other._a and self._b == other._b
+        return self._key == other._key
 
     def __hash__(self):
-        return hash((self._a, self._b))
+        return self._hash
 
     def __repr__(self):
         return f"ModelCoefficients(dim={self._dim})"
@@ -165,29 +184,31 @@ def _image_terms(table: _TermTable, exps: np.ndarray, coefs: np.ndarray):
     return row, source, exps[source] + t.shift[row], values
 
 
-def _images(model: ModelCoefficients, p: Polynomial, space=None) -> list[Polynomial]:
+def _images(model: ModelCoefficients, p: Polynomial, space=None, part: str | None = None) -> list[Polynomial]:
     """[G p, (a grad p)_0, ..., (a grad p)_{d-1}]: the image terms of each label summed
-    in order, after StateSpace.reduce_terms when a state space is given."""
+    in order, after StateSpace.reduce_terms when a state space is given.  ``part``
+    "G" or "a grad" runs the closed form on that part's table rows and returns its entries."""
     if p.dim != model.dim:
         raise ValueError(f"polynomial dimension {p.dim} != model dimension {model.dim}")
-    row, _, exps, values = _image_terms(model._table, *_term_arrays(p))
+    table, labels = model._parts[part]
+    row, _, exps, values = _image_terms(table, *_term_arrays(p))
     if space is not None:
         exps, values, source = space.reduce_terms(exps, values)
         row = row[source]
     # the rows are ordered by label, so each label's terms are one slice
-    cut = np.searchsorted(model._table.label[row], np.arange(-1, model.dim + 1)).tolist()
+    cut = np.searchsorted(table.label[row], np.arange(labels.start, labels.stop + 1)).tolist()
     exps, values = list(map(tuple, exps.tolist())), values.tolist()
     return [_summed(model.dim, zip(exps[lo:hi], values[lo:hi])) for lo, hi in zip(cut, cut[1:])]
 
 
 def apply_generator(model: ModelCoefficients, p: Polynomial) -> Polynomial:
     """G p = tr(a Hess p)/2 + b . grad p."""
-    return _images(model, p)[0]
+    return _images(model, p, part="G")[0]
 
 
 def a_grad(model: ModelCoefficients, p: Polynomial) -> list[Polynomial]:
     """The vector a grad p."""
-    return _images(model, p)[1:]
+    return _images(model, p, part="a grad")
 
 
 def _max_coeff(p: Polynomial) -> float:
@@ -295,9 +316,8 @@ def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
             raise NotPolynomialOnE(f"G q = {drift} does not vanish on the manifold (q = {q})")
         if diffusion is not None:
             raise NotPolynomialOnE(f"(a grad q)_{diffusion[0]} does not vanish on the manifold (q = {q})")
-    t = model._table
-    rows = np.searchsorted(t.label, 0)  # the rows of G, label -1, come first
-    f, w, source = space.reduce_terms(t.f[:rows], t.w[:rows])
+    t, _ = model._parts["G"]
+    f, w, source = space.reduce_terms(t.f, t.w)
     n = len(basis)
     # each reduced term keeps its row's derivative, so shift moves with f
     table = _TermTable(*(c[source] for c in t[:4]), f + (t.shift - t.f)[source], f, w)
@@ -306,6 +326,87 @@ def generator_matrix(model: ModelCoefficients, basis: Basis) -> GeneratorMatrix:
     if not np.all(np.isfinite(G)):
         raise ValueError("generator matrix entries overflow the floating-point range")
     return GeneratorMatrix(basis, G)
+
+
+# The cache of _basis_and_generator holds at most this many bytes.  Each entry is
+# charged its G plus _ENTRY_BYTES for the basis, model and key it keeps alive.
+_CACHE_BYTES = 1 << 20
+_ENTRY_BYTES = 16 << 10
+
+
+class _ByteLRU:
+    """A least-recently-used map holding at most ``budget`` bytes: each value is
+    stored with its size, the oldest entries go first, and a value larger than
+    the whole budget is not kept.  The bookkeeping runs under a lock."""
+
+    def __init__(self, budget: int):
+        self.budget, self.held = budget, 0
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, nbytes)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        """The value stored under key, or None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, value, nbytes: int):
+        """Store value under key unless it is too large, and return the stored
+        value: the earlier one when key is already present."""
+        with self._lock:
+            if key in self._entries:
+                return self._entries[key][0]
+            if nbytes <= self.budget:
+                self._entries[key] = (value, nbytes)
+                self.held += nbytes
+                while self.held > self.budget:
+                    self.held -= self._entries.popitem(last=False)[1][1]
+            return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.held = 0
+
+
+_cache = _ByteLRU(_CACHE_BYTES)
+
+
+def _frozen(value):
+    """A hashable copy of a spec_dict() value: dicts become sorted item tuples, lists tuples."""
+    if isinstance(value, dict):
+        return tuple(sorted((k, _frozen(v)) for k, v in value.items()))
+    if isinstance(value, list):
+        return tuple(map(_frozen, value))
+    return value
+
+
+def _basis_and_generator(model: ModelCoefficients, statespace, degree: int) -> tuple[Basis, GeneratorMatrix]:
+    """monomial_basis(statespace, degree) and its generator_matrix, shared through a
+    process-wide cache.
+
+    The key is by value: the model's terms, the state space's type and
+    spec_dict(), and the degree, so equal models on equal spaces share one entry.
+    The arrays of the pair are read-only.  A build that raises is not stored,
+    so a repeat call raises the same exception again."""
+    key = (model, type(statespace), _frozen(statespace.spec_dict()), degree)
+    try:
+        found = _cache.get(key)
+    except TypeError:  # an unhashable argument: build without the cache, and fail as that does
+        key = found = None
+    if found is not None:
+        return found
+    basis = monomial_basis(statespace, degree)
+    gm = generator_matrix(model, basis)
+    for array in (gm.matrix, basis.exponents, basis.degrees, basis._binom):
+        array.flags.writeable = False
+    return (basis, gm) if key is None else _cache.put(key, (basis, gm), gm.matrix.nbytes + _ENTRY_BYTES)
 
 
 def matrix_exp(A) -> np.ndarray:
@@ -347,9 +448,8 @@ def conditional_moment(model: ModelCoefficients, statespace, degree: int, p: Pol
     q = statespace.reduce(p)
     if q.degree > degree:
         raise DegreeTooHigh(f"degree {q.degree} exceeds basis degree {degree}")
-    basis = monomial_basis(statespace, max(q.degree, 0))
-    pvec = basis.reduced_coordinates(q)
-    return generator_matrix(model, basis).expectation(basis.evaluate(x), tau, pvec)
+    basis, gm = _basis_and_generator(model, statespace, max(q.degree, 0))
+    return gm.expectation(basis.evaluate(x), tau, basis.reduced_coordinates(q))
 
 
 def joint_moment(
@@ -372,8 +472,7 @@ def joint_moment(
     if any(t < 0 for t in times) or any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be nonnegative and nondecreasing")
     x = check_point(statespace, x)
-    basis = monomial_basis(statespace, degree)
-    gm = generator_matrix(model, basis)
+    basis, gm = _basis_and_generator(model, statespace, degree)
     v = basis.coordinates(Polynomial.monomial(exps[-1], dim=statespace.dim))
     for k in range(len(times) - 1, 0, -1):
         v = gm.propagate(times[k] - times[k - 1], v)

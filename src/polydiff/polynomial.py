@@ -8,9 +8,10 @@ construction; approximate cleanup is only ever done explicitly through
 Every polynomial is built by ``_summed``, which sums the coefficients of
 equal exponents in input order and rejects a non-finite sum.  Exponents are
 validated only where they come from outside the package: the public
-constructor ``Polynomial(dim, terms)`` (and the classmethods that call it)
-and ``Polynomial.from_json_dict``; arithmetic, derivatives, reductions and
-the generator trust the exponents they compute.
+constructor ``Polynomial(dim, terms)`` (and the classmethods that call it),
+which also rejects coefficients that are not real numbers, and
+``Polynomial.from_json_dict``; arithmetic, derivatives, reductions and the
+generator trust the exponents they compute.
 
 Evaluation at points has one implementation, ``_evaluator``, which shares one
 table of coordinate powers across a family of polynomials;
@@ -47,6 +48,8 @@ class DivisionFailure(Exception):
 
 def _validate_exponents(e, dim: int) -> Exponents:
     e = tuple(e)
+    if bool in map(type, e):  # operator.index takes True for 1
+        raise ValueError(f"exponent vector {e} has a boolean entry")
     try:
         t = tuple(map(operator.index, e))
     except TypeError:
@@ -75,6 +78,8 @@ class Polynomial:
             t = _validate_exponents(e, dim)
             if t in checked:
                 raise ValueError(f"duplicate exponent vector {t}")
+            if type(c) is not float and (isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Real)):
+                raise ValueError(f"coefficient {c!r} for exponent {t} is not a real number")
             checked[t] = float(c)
         self._dim, self._terms = dim, _summed(dim, checked.items())._terms
 

@@ -19,8 +19,8 @@ import numpy as np
 from numpy.polynomial import chebyshev
 from scipy.special import ndtr
 
-from .basis import DegreeTooHigh, monomial_basis
-from .generator import ModelCoefficients, augmented_exp, check_point, generator_matrix
+from .basis import DegreeTooHigh
+from .generator import ModelCoefficients, _basis_and_generator, augmented_exp, check_point
 from .polynomial import Polynomial
 from .simulate import simulate_paths
 from .statespace import Simplex, SimplexParams, StateSpace, assemble_model
@@ -68,8 +68,7 @@ class PricingModel:
     positivity: str = field(init=False, default="pass")
 
     def __post_init__(self):
-        self.basis = monomial_basis(self.statespace, self.degree)
-        self.gm = generator_matrix(self.model, self.basis)
+        self.basis, self.gm = _basis_and_generator(self.model, self.statespace, self.degree)
         self.pvec = self.basis.coordinates(self.p)
         X = self.statespace.all_samples(1000)
         vals = self.p(X)
@@ -228,8 +227,7 @@ class SimplexIndexModel:
     def __post_init__(self):
         self.statespace = Simplex(self.params.dim)
         self.model = assemble_model(self.statespace, self.params)
-        self.basis = monomial_basis(self.statespace, self.degree)
-        self.gm = generator_matrix(self.model, self.basis)
+        self.basis, self.gm = _basis_and_generator(self.model, self.statespace, self.degree)
         from .conditions import validate_params
 
         report = validate_params(self.statespace, self.params)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.special import ndtri
 
-from polydiff import simulate
+from polydiff import generator, simulate
 from polydiff.generator import ModelCoefficients, check_point
 from polydiff.polynomial import Polynomial
 from polydiff.statespace import (
@@ -27,6 +27,13 @@ def pytest_configure(config):
     # hypothesis caches the literals of local modules under its home directory,
     # ./.hypothesis by default, even without an example database
     set_hypothesis_home_dir(config._tmp_path_factory.mktemp("hypothesis"))
+
+
+@pytest.fixture(autouse=True)
+def empty_generator_cache():
+    """Every test starts with an empty (basis, G) cache, so that what a test
+    builds, and counts, does not depend on the tests that ran before it."""
+    generator._cache.clear()
 
 
 def oracle_apply_generator(model, p):

@@ -29,7 +29,7 @@ from polydiff import (
     moment_by_ode,
     monomial_basis,
 )
-from polydiff.generator import a_grad, apply_generator
+from polydiff.generator import _images, a_grad, apply_generator
 
 from conftest import (
     MATRIX_POINTS,
@@ -207,6 +207,20 @@ class TestClosedFormAgainstOracle:
         assert len(got) == len(want) == model.dim
         for g, w in zip(got, want):
             assert_within_ulps(g, w, 4)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(st.sampled_from(sorted(MODEL_MATRIX)), st.data())
+    def test_each_part_equals_its_slice_of_all_images(self, name, data):
+        # apply_generator and a_grad run only their own table rows
+        model, space = MODEL_MATRIX[name]()
+        p = data.draw(polynomials(model.dim, FULL_MANTISSA_COEFFICIENTS))
+
+        def terms(q):
+            return [(e, c.hex()) for e, c in q.terms.items()]
+
+        whole = _images(model, p)
+        assert terms(apply_generator(model, p)) == terms(whole[0])
+        assert [terms(q) for q in a_grad(model, p)] == [terms(q) for q in whole[1:]]
 
     def test_dimension_mismatch_raises(self):
         model, space = jacobi_model()

@@ -68,6 +68,50 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             Polynomial.from_json_dict({"dim": 1, "terms": [{"e": [1], "c": 1.0}, {"e": [1.0], "c": 2.0}]})
 
+    def test_string_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="not a real number"):
+            Polynomial(1, {(1,): "2.5"})
+
+    @pytest.mark.parametrize("c", [True, False, np.True_])
+    def test_bool_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match="not a real number"):
+            Polynomial(1, {(1,): c})
+
+    @pytest.mark.parametrize("c", [1 + 2j, np.complex128(1.0), None, [1.0], np.array([1.0])])
+    def test_other_non_real_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match="not a real number"):
+            Polynomial(1, {(1,): c})
+
+    @pytest.mark.parametrize("k", [True, False])
+    def test_bool_exponent_rejected(self, k):
+        with pytest.raises(ValueError, match="boolean"):
+            Polynomial(2, {(k, 1): 1.0})
+
+    def test_numpy_scalars_pass(self):
+        p = Polynomial(2, {(np.int64(1), 0): np.float64(1.5), (0, 2.0): np.int32(2), (0, 0): np.float32(0.25)})
+        assert list(p.terms.items()) == [((1, 0), 1.5), ((0, 2), 2.0), ((0, 0), 0.25)]
+        assert all(type(c) is float for c in p.terms.values())
+
+
+# dyadic coefficients k/8 with |k| <= 16 on few, low-degree terms: every sum and
+# product the ring laws form is exact in floating point
+dyadic_polynomials = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * d), st.integers(-16, 16).map(lambda k: k / 8), max_size=5)
+    .map(lambda terms: Polynomial(d, terms)), min_size=3, max_size=3))
+
+
+class TestRingLaws:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @given(dyadic_polynomials)
+    def test_ring_laws_hold_exactly(self, pqr):
+        p, q, r = pqr
+        assert p + q == q + p
+        assert p * q == q * p
+        assert (p + q) + r == p + (q + r)
+        assert (p * q) * r == p * (q * r)
+        assert p * (q + r) == p * q + p * r
+        assert (p - p).is_zero() and p - p == Polynomial.zero(p.dim)
+
 
 class TestArithmetic:
     def test_add_cancellation(self):
