@@ -7,7 +7,6 @@ from .generator import (
     ModelCoefficients,
     NotPolynomialOnE,
     PointOutsideStateSpace,
-    StepSizeUnderflow,
     apply_generator,
     conditional_moment,
     generator_matrix,

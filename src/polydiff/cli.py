@@ -181,7 +181,7 @@ def _exit_codes(command):
               help="Sample budget for sampled checks.")
 @click.option("--seed", type=int, default=0, show_default=True, callback=_at_least(0),
               help="RNG seed for simulation.")
-@click.option("--verify", is_flag=True, help="Cross-check closed forms against numerical oracles.")
+@click.option("--verify", is_flag=True, help="Cross-check moments against a generator-free series oracle.")
 @click.option("--quiet", is_flag=True, help="Suppress warnings and informational messages.")
 @click.pass_context
 def main(ctx, out, samples, seed, verify, quiet):

@@ -14,9 +14,9 @@ block of G on Pol_{deg p}.  Every moment and price is propagated on that
 block (GeneratorMatrix.propagate); a degree bound such as the CLI's
 ``--degree`` caps the payoff degree but does not size the exponential.
 
-An adaptive RK4 integration of the transpose flow dF/ds = G' F on the full
-basis of the given degree serves as an independent cross-check of the
-exponential route.
+moment_by_ode cross-checks that route without it: a stepped Taylor series of
+expm(tau G) p, with G p formed by Polynomial arithmetic on a and b, so no
+coefficient table, basis or matrix is shared.
 
 One closed form on term arrays (_image_terms, over a table of the coefficient
 terms built with the model) serves G, G p, a grad p and the manifold check.
@@ -29,9 +29,11 @@ and bounded in bytes.  The public generator_matrix always builds afresh.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,7 +47,6 @@ __all__ = [
     "GeneratorMatrix",
     "NotPolynomialOnE",
     "PointOutsideStateSpace",
-    "StepSizeUnderflow",
     "a_grad",
     "apply_generator",
     "augmented_exp",
@@ -65,10 +66,6 @@ class NotPolynomialOnE(ValueError):
 
 class PointOutsideStateSpace(ValueError):
     """Evaluation point violates the state-space constraints beyond tolerance."""
-
-
-class StepSizeUnderflow(RuntimeError):
-    """Adaptive integrator could not meet the tolerance with a sane step."""
 
 
 # G and a grad in closed form, one row (label, i, j, f, w) per coefficient term c x^f:
@@ -481,51 +478,53 @@ def joint_moment(
     return gm.expectation(basis.evaluate(x), times[0], v)
 
 
-def moment_by_ode(
-    model: ModelCoefficients,
-    statespace,
-    degree: int,
-    p: Polynomial,
-    x,
-    tau: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
-) -> float:
-    """Independent moment evaluation: integrate dF/ds = G' F, F(0) = H(x),
-    with step-doubling adaptive RK4, then return F(tau) . pvec.  G is the
-    full matrix on the degree-``degree`` basis, not the leading block that
-    conditional_moment exponentiates."""
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
+def _apply_generator_by_arithmetic(model: ModelCoefficients, p: Polynomial) -> Polynomial:
+    """G p = tr(a Hess p)/2 + b . grad p by Polynomial arithmetic, without the coefficient table."""
+    if p.dim != model.dim:
+        raise ValueError(f"polynomial dimension {p.dim} != model dimension {model.dim}")
+    d = model.dim
+    grad = p.grad()
+    out = Polynomial.zero(d)
+    for i in range(d):
+        if not grad[i].is_zero():
+            out = out + model.b[i] * grad[i]
+        for j in range(d):
+            hij = grad[i].partial(j)
+            if not hij.is_zero():
+                out = out + 0.5 * model.a[i][j] * hij
+    return out
+
+
+_ORACLE_MAX_STEPS = 1000  # moment_by_ode's most series steps; a longer horizon is a ValueError
+
+
+def moment_by_ode(model: ModelCoefficients, statespace, degree: int, p: Polynomial, x, tau: float) -> float:
+    """Independent moment evaluation: u = expm(tau G) p stepped as a polynomial, then u(x).
+
+    Each of m = ceil(tau rate / 2) steps is u <- sum_{k <= K} h^k/k! G^k u, with G u by
+    Polynomial arithmetic on a and b, so no coefficient table, basis or matrix takes part.
+    rate = n max_i |b_i|_1 + n (n - 1)/2 max_ij |a_ij|_1 bounds the column 1-norms of G on
+    Pol_n, n = deg p, and K puts the tail bound s^(K+1)/(K+1)! e^s, s = h rate, below 2^-53.
+    p needs no reduction: G maps Pol_n(R^d) into itself and x lies on E."""
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be finite and >= 0")
     x = check_point(statespace, x)
-    basis = monomial_basis(statespace, degree)
-    pvec = basis.coordinates(p)
-    GT = generator_matrix(model, basis).matrix.T
-    y = basis.evaluate(x)
-    if tau == 0.0:
-        return float(y @ pvec)
-
-    def rk4(yv, h):
-        k1 = GT @ yv
-        k2 = GT @ (yv + 0.5 * h * k1)
-        k3 = GT @ (yv + 0.5 * h * k2)
-        k4 = GT @ (yv + h * k3)
-        return yv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    t = 0.0
-    h = tau / 16.0
-    h_min = tau * 1e-13
-    while t < tau:
-        h = min(h, tau - t)
-        if h < h_min:
-            raise StepSizeUnderflow(f"step size {h} underflowed at t = {t}")
-        full = rk4(y, h)
-        half = rk4(rk4(y, 0.5 * h), 0.5 * h)
-        scale = atol + rtol * np.maximum(np.abs(half), np.abs(y))
-        err = np.max(np.abs(half - full) / scale) / 15.0
-        if err <= 1.0:
-            y = half + (half - full) / 15.0
-            t += h
-        factor = 0.9 * (1.0 / max(err, 1e-16)) ** 0.2
-        h *= min(5.0, max(0.2, factor))
-    return float(y @ pvec)
+    if (q := statespace.reduce(p)).degree > degree:
+        raise DegreeTooHigh(f"degree {q.degree} exceeds basis degree {degree}")
+    n = max(p.degree, 0)
+    b1 = max(sum(map(abs, f.terms.values())) for f in model.b)
+    a1 = max(sum(map(abs, f.terms.values())) for row in model.a for f in row)
+    rate = n * b1 + n * (n - 1) / 2 * a1
+    if tau * rate / 2 > _ORACLE_MAX_STEPS:
+        raise ValueError(f"tau = {tau} needs {tau * rate / 2:.3g} moment-oracle steps, more than {_ORACLE_MAX_STEPS}")
+    m = math.ceil(tau * rate / 2)
+    s = tau * rate / m if m else 0.0
+    K = next(k for k in count() if s ** (k + 1) / math.factorial(k + 1) * math.exp(s) <= 2.0 ** -53)
+    u = p
+    for _ in range(m):
+        term = u
+        for k in range(1, K + 1):
+            term = _apply_generator_by_arithmetic(model, term) * (tau / m / k)
+            u = u + term
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports a non-finite value
+        return u(x)

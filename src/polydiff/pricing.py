@@ -204,7 +204,9 @@ class TabulatedIndexPricer:
             raise ValueError("need matching 1-d strike and price tables with at least 2 points")
         if np.any(np.diff(strikes) <= 0.0):
             raise ValueError("strikes must be strictly increasing")
-        self._interp = PchipInterpolator(strikes, prices, extrapolate=True)
+        # 1/slope -> inf at a zero or tiny slope gives the zero derivative PCHIP intends
+        with np.errstate(over="ignore", divide="ignore"):
+            self._interp = PchipInterpolator(strikes, prices, extrapolate=True)
 
     def __call__(self, T: float, K: float) -> float:
         return float(self._interp(K))

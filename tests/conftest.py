@@ -9,6 +9,7 @@ from scipy.special import ndtri
 
 from polydiff import generator, simulate
 from polydiff.generator import ModelCoefficients, check_point
+from polydiff.generator import _apply_generator_by_arithmetic as oracle_apply_generator  # noqa: F401
 from polydiff.polynomial import Polynomial
 from polydiff.statespace import (
     BoxOrthant,
@@ -34,24 +35,6 @@ def empty_generator_cache():
     """Every test starts with an empty (basis, G) cache, so that what a test
     builds, and counts, does not depend on the tests that ran before it."""
     generator._cache.clear()
-
-
-def oracle_apply_generator(model, p):
-    """G p = tr(a Hess p)/2 + b . grad p by Polynomial arithmetic: the
-    independent oracle for the closed form on term arrays."""
-    if p.dim != model.dim:
-        raise ValueError(f"polynomial dimension {p.dim} != model dimension {model.dim}")
-    d = model.dim
-    grad = p.grad()
-    out = Polynomial.zero(d)
-    for i in range(d):
-        if not grad[i].is_zero():
-            out = out + model.b[i] * grad[i]
-        for j in range(d):
-            hij = grad[i].partial(j)
-            if not hij.is_zero():
-                out = out + 0.5 * model.a[i][j] * hij
-    return out
 
 
 def oracle_a_grad(model, p):

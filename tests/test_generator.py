@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polydiff.basis
 import polydiff.generator
 from polydiff import (
     BoxOrthant,
@@ -694,3 +695,64 @@ class TestOdeOracle:
         model, space = ou_model()
         p = Polynomial.variable(0, 1)
         assert moment_by_ode(model, space, 2, p, [0.4], 0.0) == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_horizon_must_be_finite_and_nonnegative(self, tau):
+        model, space = ou_model()
+        with pytest.raises(ValueError, match="tau must be finite"):
+            moment_by_ode(model, space, 2, Polynomial.variable(0, 1), [0.4], tau)
+
+    def test_degree_above_the_bound_raises(self):
+        model, space = ou_model()
+        with pytest.raises(DegreeTooHigh):
+            moment_by_ode(model, space, 1, Polynomial.variable(0, 1) ** 2, [0.4], 1.0)
+
+    def test_horizon_past_the_step_cap_raises(self):
+        # OU with x^2: rate 2 * 1.3 + 0.4 = 3, so tau = 1e8 needs 1.5e8 steps
+        model, space = ou_model()
+        p = Polynomial.variable(0, 1) ** 2
+        cap = polydiff.generator._ORACLE_MAX_STEPS
+        assert moment_by_ode(model, space, 2, p, [0.4], 2 * cap / 3.0) == pytest.approx(0.3 ** 2 + 0.2, rel=1e-9)
+        with pytest.raises(ValueError, match="moment-oracle steps"):
+            moment_by_ode(model, space, 2, p, [0.4], 1e8)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_MATRIX))
+    def test_sees_a_row_dropped_from_the_generator_table(self, name):
+        """Drop, one at a time, each G row of the coefficient table that the
+        degree-6 G reads: conditional_moment then departs from moment_by_ode
+        by more than acceptance test_01's 1e-7 on one of its monomials and
+        horizons, because the oracle works on model.a and model.b alone."""
+        model, space = MODEL_MATRIX[name]()
+        x = MATRIX_POINTS[name]
+        basis = monomial_basis(space, 6)
+        G = generator_matrix(model, basis).matrix
+        table, labels = model._parts["G"]
+        dropped = 0
+        for r in range(len(table.label)):
+            broken, _ = MODEL_MATRIX[name]()
+            keep = np.arange(len(table.label)) != r
+            broken._parts["G"] = (type(table)(*(c[keep] for c in table)), labels)
+            if np.array_equal(generator_matrix(broken, basis).matrix, G):
+                continue  # a row of the eliminated simplex coordinate, which G never reads
+            polydiff.generator._cache.clear()
+            dropped += 1
+            assert any(abs(conditional_moment(broken, space, 6, p, x, tau) - moment_by_ode(broken, space, 6, p, x, tau))
+                       > 1e-7 for p in map(Polynomial.monomial, basis.monomials) for tau in (0.1, 1.0, 2.0)), r
+        # off the simplex, G reads every row
+        assert dropped == len(table.label) or (space.equalities and dropped)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_MATRIX))
+    def test_never_builds_the_generator(self, name, monkeypatch):
+        model, space = MODEL_MATRIX[name]()
+        x = MATRIX_POINTS[name]
+        p = Polynomial.variable(0, space.dim) ** 3
+        expected = conditional_moment(model, space, 4, p, x, 1.3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the moment oracle took the generator-matrix route")
+
+        for owner, attr in ((polydiff.generator, "generator_matrix"), (polydiff.basis.Basis, "rows"),
+                            (polydiff.generator, "_image_terms"), (polydiff.generator, "matrix_exp")):
+            monkeypatch.setattr(owner, attr, refuse)
+        model._table = model._parts = None
+        assert moment_by_ode(model, space, 4, p, x, 1.3) == pytest.approx(expected, rel=1e-12, abs=1e-13)

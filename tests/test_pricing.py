@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from polydiff import (
     DegreeTooHigh,
@@ -344,6 +345,21 @@ class TestIndexPricers:
         table = TabulatedIndexPricer([0.5, 1.0, 1.5], [0.52, 0.12, 0.01])
         assert table(1.0, 1.0) == pytest.approx(0.12)
         assert table(1.0, 0.75) < table(1.0, 0.6)
+
+    def test_tabulated_flat_table_builds_without_warnings(self):
+        # a wide quoted table whose far-out prices are zero or subnormal: PCHIP's
+        # 1/slope overflows there, on purpose, inside scipy
+        strikes = np.geomspace(0.01, 1e7, 49)
+        prices = [LognormalIndexPricer(spot=1.0, rate=0.02, vol=0.25)(0.5, k) for k in strikes]
+        assert min(prices) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = TabulatedIndexPricer(strikes, prices)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reference = PchipInterpolator(strikes, prices, extrapolate=True)
+        K = np.geomspace(0.005, 2e7, 1000)
+        assert np.array_equal([table(0.5, k) for k in K], reference(K))
 
     def test_tabulated_validation(self):
         with pytest.raises(ValueError):
