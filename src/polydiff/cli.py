@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 success (or Valid verdict), 1 for
 domain-negative outcomes (Invalid/Inconclusive verdicts, points outside the
 state space, degree overruns, bad state-price densities, a moment or price
-that is not a finite number), 2 for unreadable or malformed input
+that is not a finite number, a ``--verify`` Monte Carlo check of more than
+``_MC_PATH_STEPS`` path-steps), 2 for unreadable or malformed input
 (non-finite points, horizons, steps or thresholds, non-finite instrument
 numbers, reported as ``instrument.<field>``, negative horizons, degrees,
 ``--seed`` or ``--mc-paths``, non-positive simulation steps, horizons,
@@ -42,6 +43,7 @@ from .pricing import (
     PricingModel,
     SimplexIndexModel,
     TabulatedIndexPricer,
+    _cheb_degree,
     bond_price,
     fit_index_payoff,
     swaption_price_mc,
@@ -49,10 +51,13 @@ from .pricing import (
 )
 from .simulate import boundary_hit_stats, mc_moment, simulate_paths
 from .specfile import SpecError, _validate_against, load_instrument, load_model_spec
+from .statespace import SimplexParams
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
+
+_MC_PATH_STEPS = 10**6  # the most paths x steps a --verify Monte Carlo check runs: seconds in 4-d
 
 # every library error not caused by malformed input is a domain-negative
 # outcome: points outside the state space, degree overruns, generators that
@@ -248,6 +253,10 @@ def moments(ctx, spec_path, degree, x_text, tau, poly_text, mc_paths, dt):
     _check_nonnegative("--tau", tau)
     if ctx.obj["verify"] and mc_paths > 0:
         _check_positive("--dt", dt)
+        steps = max(tau, dt) / dt
+        if mc_paths * steps > _MC_PATH_STEPS:
+            raise ValueError(f"--mc-paths: {mc_paths} paths of {steps:.6g} steps exceed the Monte Carlo cap of "
+                             f"{_MC_PATH_STEPS} path-steps; use fewer paths or a larger --dt")
     value = conditional_moment(spec.model, spec.statespace, degree, p, x, tau)
     report = {"value": value, "degree": degree, "tau": tau,
               "x": list(x), "polynomial": p.to_json_dict()}
@@ -257,7 +266,7 @@ def moments(ctx, spec_path, degree, x_text, tau, poly_text, mc_paths, dt):
         if mc_paths > 0:
             paths = simulate_paths(spec.model, spec.statespace, x, max(tau, dt), dt,
                                    mc_paths, ctx.obj["seed"],
-                                   store_stride=max(int(round(max(tau, dt) / dt)), 1))
+                                   store_stride=max(round(steps), 1))
             est, se = mc_moment(paths, p, tau)
             report["verify"].update(mc_value=est, mc_standard_error=se, mc_paths=mc_paths)
     _emit(ctx, _format_json(report))
@@ -346,20 +355,19 @@ def price(ctx, spec_path, instrument_path):
     x = _as_point(instr["x"], spec.statespace.dim, "instrument.x")
     kind = instr["kind"]
     if kind == "equity_option":
-        if spec.statespace.family != "simplex" or spec.params is None:
+        if not isinstance(spec.params, SimplexParams):
             raise SpecError("equity_option requires a simplex model with family parameters")
         sim = SimplexIndexModel(params=spec.params, T_star=instr["horizon"],
                                 degree=spec.pricing.degree,
                                 pricer=_build_index_pricer(instr["pricer"]))
-        payoff, residual = fit_index_payoff(
-            sim, sim.pricer, instr["constituent"], instr["T"], instr["K"],
-            grid_size=instr.get("grid_size", 256),
-            cheb_degree=instr.get("cheb_degree"))
+        # only the fields the file gives: the pricing functions own the defaults
+        fit = {k: instr[k] for k in ("grid_size", "cheb_degree") if k in instr}
+        payoff, residual = fit_index_payoff(sim, sim.pricer, instr["constituent"], instr["T"], instr["K"], **fit)
         H = sim.basis.evaluate(check_point(sim.statespace, x))
         report = {"kind": kind,
                   "price": sim.gm.expectation(H, instr["T"], sim.basis.coordinates(payoff)),
                   "diagnostics": {"fit_residual": residual,
-                                  "cheb_degree": instr.get("cheb_degree") or min(spec.pricing.degree, 10)}}
+                                  "cheb_degree": _cheb_degree(sim, fit.get("cheb_degree"))}}
     else:
         pm = PricingModel(spec.model, spec.statespace, degree=spec.pricing.degree,
                           p=spec.pricing.p, alpha=spec.pricing.alpha_rate)
@@ -369,10 +377,8 @@ def price(ctx, spec_path, instrument_path):
         elif kind == "vswap":
             report = {"kind": kind, "price": variance_swap_rate(pm, x, instr["t"], instr["T"])}
         else:
-            value, se = swaption_price_mc(
-                pm, instr["coupons"], instr["expiry"], x,
-                n_paths=instr.get("n_paths", 20000),
-                seed=ctx.obj["seed"], dt=instr.get("dt", 1e-3))
+            value, se = swaption_price_mc(pm, instr["coupons"], instr["expiry"], x, seed=ctx.obj["seed"],
+                                          **{k: instr[k] for k in ("n_paths", "dt") if k in instr})
             report = {"kind": kind, "price": value, "standard_error": se}
         report["diagnostics"] = {"denominator": denom, "positivity": pm.positivity}
     _emit(ctx, _format_json(report))

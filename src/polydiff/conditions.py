@@ -27,6 +27,7 @@ from .statespace import (
     Simplex,
     SimplexParams,
     StateSpace,
+    _check_params,
     skew_symmetric_basis,
 )
 
@@ -286,30 +287,19 @@ def _validate_full(space: FullSpace, model: ModelCoefficients, samples: int, mar
     return ValidationReport("full", _verdict(conds), conds)
 
 
+_VALIDATORS = {QuadricParams: _validate_quadric, BoxOrthantParams: _validate_box_orthant,
+               SimplexParams: _validate_simplex, ModelCoefficients: _validate_full}
+
+
 def validate_params(space: StateSpace, params, samples: int = 1000, margin: float = DEFAULT_MARGIN) -> ValidationReport:
     """Check the family-specific admissibility conditions of the parameters.
 
     Exact conditions decide Valid/Invalid outright; conditions quantified
     over infinite sets are sampled with a margin band and may come back
-    Inconclusive.
+    Inconclusive.  Parameters of the wrong type or shape for the space
+    raise the same ValueError as in ``assemble_model``.
     """
-    if isinstance(space, Quadric):
-        if not isinstance(params, QuadricParams):
-            raise ValueError("quadric state space needs QuadricParams")
-        return _validate_quadric(space, params, samples, margin)
-    if isinstance(space, BoxOrthant):
-        if not isinstance(params, BoxOrthantParams):
-            raise ValueError("box-orthant state space needs BoxOrthantParams")
-        return _validate_box_orthant(space, params, samples, margin)
-    if isinstance(space, Simplex):
-        if not isinstance(params, SimplexParams):
-            raise ValueError("simplex state space needs SimplexParams")
-        return _validate_simplex(space, params, samples, margin)
-    if isinstance(space, FullSpace):
-        if not isinstance(params, ModelCoefficients):
-            raise ValueError("full state space validates raw ModelCoefficients")
-        return _validate_full(space, params, samples, margin)
-    raise ValueError(f"unknown state space family {type(space).__name__}")
+    return _VALIDATORS[_check_params(space, params)](space, params, samples, margin)
 
 
 # ---------------------------------------------------------------------------

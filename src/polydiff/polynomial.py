@@ -8,10 +8,10 @@ construction; approximate cleanup is only ever done explicitly through
 Every polynomial is built by ``_summed``, which sums the coefficients of
 equal exponents in input order and rejects a non-finite sum.  Exponents are
 validated only where they come from outside the package: the public
-constructor ``Polynomial(dim, terms)`` (and the classmethods that call it),
-which also rejects coefficients that are not real numbers, and
-``Polynomial.from_json_dict``; arithmetic, derivatives, reductions and the
-generator trust the exponents they compute.
+constructor ``Polynomial(dim, terms)`` (and the classmethods that call it)
+and ``Polynomial.from_json_dict``, which both reject coefficients that are
+not real numbers by one check, ``_coefficient``; arithmetic, derivatives,
+reductions and the generator trust the exponents they compute.
 
 Evaluation at points has one implementation, ``_evaluator``, which shares one
 table of coordinate powers across a family of polynomials;
@@ -64,6 +64,13 @@ def _validate_exponents(e, dim: int) -> Exponents:
     return t
 
 
+def _coefficient(c, e: Exponents) -> float:
+    """c as a float; ValueError unless it is a real number (a bool is not)."""
+    if type(c) is not float and (isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Real)):
+        raise ValueError(f"coefficient {c!r} for exponent {e} is not a real number")
+    return float(c)
+
+
 class Polynomial:
     """Immutable sparse polynomial in ``dim`` real variables."""
 
@@ -78,9 +85,7 @@ class Polynomial:
             t = _validate_exponents(e, dim)
             if t in checked:
                 raise ValueError(f"duplicate exponent vector {t}")
-            if type(c) is not float and (isinstance(c, (bool, np.bool_)) or not isinstance(c, numbers.Real)):
-                raise ValueError(f"coefficient {c!r} for exponent {t} is not a real number")
-            checked[t] = float(c)
+            checked[t] = _coefficient(c, t)
         self._dim, self._terms = dim, _summed(dim, checked.items())._terms
 
     # -- construction helpers ------------------------------------------------
@@ -250,7 +255,7 @@ class Polynomial:
             e = _validate_exponents(item["e"], dim)
             if e in terms:
                 raise ValueError(f"duplicate exponent vector {list(e)} in polynomial terms")
-            terms[e] = float(item["c"])
+            terms[e] = _coefficient(item["c"], e)
         return _summed(dim, terms.items())
 
     def __repr__(self):

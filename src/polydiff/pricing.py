@@ -20,6 +20,7 @@ from numpy.polynomial import chebyshev
 from scipy.special import ndtr
 
 from .basis import DegreeTooHigh
+from .conditions import validate_params
 from .generator import ModelCoefficients, _basis_and_generator, augmented_exp, check_point
 from .polynomial import Polynomial
 from .simulate import simulate_paths
@@ -230,8 +231,6 @@ class SimplexIndexModel:
         self.statespace = Simplex(self.params.dim)
         self.model = assemble_model(self.statespace, self.params)
         self.basis, self.gm = _basis_and_generator(self.model, self.statespace, self.degree)
-        from .conditions import validate_params
-
         report = validate_params(self.statespace, self.params)
         if report.verdict != "Valid":
             warnings.warn(f"simplex parameters are {report.verdict}: {report.failed_ids()}")
@@ -248,6 +247,11 @@ def index_weights(sim: SimplexIndexModel, x, t: float) -> np.ndarray:
     x = check_point(sim.statespace, x)
     Psi, Phi = augmented_exp(sim.params.B, sim.params.beta, sim.T_star - t)
     return Phi + Psi @ x
+
+
+def _cheb_degree(sim: SimplexIndexModel, cheb_degree: int | None) -> int:
+    """The degree of the payoff fit: as given, else the basis degree capped at 10."""
+    return min(sim.degree, 10) if cheb_degree is None else cheb_degree
 
 
 def fit_index_payoff(
@@ -268,8 +272,7 @@ def fit_index_payoff(
         raise ValueError("constituent index out of range")
     if not 0.0 <= T <= sim.T_star:
         raise ValueError("need 0 <= T <= T*")
-    if cheb_degree is None:
-        cheb_degree = min(sim.degree, 10)
+    cheb_degree = _cheb_degree(sim, cheb_degree)
     if cheb_degree < 1:
         raise ValueError("cheb_degree must be >= 1")
     if cheb_degree > sim.degree:

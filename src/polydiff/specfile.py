@@ -3,7 +3,9 @@
 Both are JSON documents validated against the schemas shipped under
 ``polydiff/schemas``; parse failures raise SpecError with the offending
 field path (or line/column for malformed JSON) so the CLI can report
-actionable diagnostics and exit with the input-error code.
+actionable diagnostics and exit with the input-error code; a malformed
+``state_space`` block too.  A family's ``params`` are the fields of its
+parameter class in ``statespace._PARAMS``.
 
 Each schema is compiled once into a plain-Python validity predicate that
 mirrors Draft 2020-12 on the keywords the shipped schemas use.  A document
@@ -13,6 +15,7 @@ which is imported then and words the error.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -22,17 +25,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .generator import ModelCoefficients
 from .polynomial import Polynomial
-from .statespace import (
-    BoxOrthant,
-    BoxOrthantParams,
-    FullSpace,
-    Quadric,
-    QuadricParams,
-    Simplex,
-    SimplexParams,
-    StateSpace,
-    assemble_model,
-)
+from .statespace import _PARAMS, BoxOrthant, FullSpace, Quadric, Simplex, StateSpace, assemble_model
 
 if TYPE_CHECKING:
     import jsonschema
@@ -240,65 +233,53 @@ class ModelSpec:
     raw: dict
 
 
-_FAMILY_PARAM_FIELDS = {
-    "quadric": {"alpha", "beta", "B", "gamma"},
-    "box_orthant": {"gamma", "alpha", "phi", "psi", "pi", "beta", "B"},
-    "simplex": {"alpha", "beta", "B"},
-}
+# the state_space fields each family takes besides "family"
+_STATE_SPACE_FIELDS = {"full": set(), "quadric": {"Q", "orientation"}, "box_orthant": {"m", "n"}, "simplex": set()}
 
 
 def _build_statespace(doc: dict) -> StateSpace:
     ss = doc["state_space"]
     family = ss["family"]
     dim = int(doc["dimension"])  # the schema's integers include 2.0
-    extra = set(ss) - {"family"}
-    if family == "full":
-        if extra:
-            raise SpecError(f"state_space: unexpected fields {sorted(extra)} for family 'full'")
-        return FullSpace(dim)
-    if family == "quadric":
-        if extra - {"Q", "orientation"}:
-            raise SpecError(f"state_space: unexpected fields {sorted(extra - {'Q', 'orientation'})} for family 'quadric'")
-        if "Q" not in ss:
-            raise SpecError("state_space.Q: required for family 'quadric'")
-        space = Quadric(ss["Q"], orientation=ss.get("orientation", "inside"))
-        if space.dim != dim:
-            raise SpecError(f"state_space.Q: {space.dim}x{space.dim} matrix does not match dimension {dim}")
-        return space
-    if family == "box_orthant":
-        if extra - {"m", "n"}:
-            raise SpecError(f"state_space: unexpected fields {sorted(extra - {'m', 'n'})} for family 'box_orthant'")
-        if "m" not in ss or "n" not in ss:
-            raise SpecError("state_space: family 'box_orthant' requires fields m and n")
-        m, n = int(ss["m"]), int(ss["n"])
-        if m + n != dim:
-            raise SpecError(f"state_space: m + n = {m + n} does not match dimension {dim}")
-        return BoxOrthant(m, n)
+    extra = set(ss) - {"family"} - _STATE_SPACE_FIELDS[family]
     if extra:
-        raise SpecError(f"state_space: unexpected fields {sorted(extra)} for family 'simplex'")
-    return Simplex(dim)
+        raise SpecError(f"state_space: unexpected fields {sorted(extra)} for family '{family}'")
+    if family == "quadric" and "Q" not in ss:
+        raise SpecError("state_space.Q: required for family 'quadric'")
+    if family == "box_orthant" and not ss.keys() >= {"m", "n"}:
+        raise SpecError("state_space: family 'box_orthant' requires fields m and n")
+    if family == "box_orthant" and int(ss["m"]) + int(ss["n"]) != dim:
+        raise SpecError(f"state_space: m + n = {int(ss['m']) + int(ss['n'])} does not match dimension {dim}")
+    try:
+        if family == "quadric":
+            space = Quadric(ss["Q"], orientation=ss.get("orientation", "inside"))
+        elif family == "box_orthant":
+            space = BoxOrthant(int(ss["m"]), int(ss["n"]))
+        else:
+            space = (FullSpace if family == "full" else Simplex)(dim)
+    except ValueError as exc:
+        raise SpecError(f"state_space: {exc}") from exc
+    if space.dim != dim:  # only Q sets its own dimension
+        raise SpecError(f"state_space.Q: {space.dim}x{space.dim} matrix does not match dimension {dim}")
+    return space
 
 
 def _build_params(space: StateSpace, doc: dict):
-    family = space.family
-    if family not in _FAMILY_PARAM_FIELDS:
+    """The family's parameters, fields as in its class; the box's m and n come from the space."""
+    family, kind = space.family, _PARAMS[type(space)]
+    if kind is ModelCoefficients:
         raise SpecError(f"coefficients: family '{family}' has no parameter form; use kind 'raw'")
     given = doc["coefficients"]["params"]
-    allowed = _FAMILY_PARAM_FIELDS[family]
-    unknown = set(given) - allowed
+    shape = {"m": space.m, "n": space.n} if isinstance(space, BoxOrthant) else {}
+    fields = [f for f in dataclasses.fields(kind) if f.name not in shape]
+    unknown = set(given) - {f.name for f in fields}
     if unknown:
         raise SpecError(f"coefficients.params: unknown fields {sorted(unknown)} for family '{family}'")
+    missing = [f.name for f in fields if f.name not in given and f.default is dataclasses.MISSING]
+    if missing:
+        raise SpecError(f"coefficients.params: missing field '{missing[0]}' for family '{family}'")
     try:
-        if family == "quadric":
-            return QuadricParams(alpha=given["alpha"], beta=given["beta"],
-                                 B=given["B"], gamma=given.get("gamma"))
-        if family == "box_orthant":
-            return BoxOrthantParams(m=space.m, n=space.n, gamma=given["gamma"],
-                                    alpha=given["alpha"], phi=given["phi"], psi=given["psi"],
-                                    pi=given["pi"], beta=given["beta"], B=given["B"])
-        return SimplexParams(alpha=given["alpha"], beta=given["beta"], B=given["B"])
-    except KeyError as exc:
-        raise SpecError(f"coefficients.params: missing field {exc} for family '{family}'") from exc
+        return kind(**shape, **given)
     except (ValueError, TypeError) as exc:
         raise SpecError(f"coefficients.params: {exc}") from exc
 

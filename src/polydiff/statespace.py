@@ -5,6 +5,10 @@ Each state space is cut out of R^d by polynomial inequalities ``p >= 0``
 ``equalities`` list).  Four families are built in: the whole space, a
 quadric solid, the mixed unit-box/orthant product, and the unit simplex.
 
+``_PARAMS`` names each family's parameter type (raw ``ModelCoefficients``
+on the whole space); ``assemble_model``, ``validate_params`` and the spec
+parser all read it.
+
 All samplers are deterministic: they draw from fixed-seed generators and
 structured log grids, so repeated runs see identical points.
 """
@@ -633,6 +637,25 @@ def _quadric_c_polys(space: Quadric, gamma: np.ndarray) -> list[list[Polynomial]
     return c
 
 
+# each family's parameter type; a full space takes raw coefficients
+_PARAMS = {Quadric: QuadricParams, BoxOrthant: BoxOrthantParams, Simplex: SimplexParams, FullSpace: ModelCoefficients}
+
+
+def _check_params(space: StateSpace, params) -> type:
+    """The parameter type of the space's family; ValueError unless params
+    has that type and the space's shape: (m, n) on the box, else (dim,)."""
+    kind = next((k for s, k in _PARAMS.items() if isinstance(space, s)), None)
+    if kind is None:
+        raise ValueError(f"unknown state space family {type(space).__name__}")
+    box = kind is BoxOrthantParams
+    want = (space.m, space.n) if box else (space.dim,)
+    got = isinstance(params, kind) and ((params.m, params.n) if box else (params.dim,))
+    if got != want:
+        raise ValueError(f"{space.family} state space of shape {want} needs {kind.__name__} of the same shape, "
+                         f"got {type(params).__name__}" + (f" of shape {got}" if got else ""))
+    return kind
+
+
 def assemble_model(space: StateSpace, params) -> ModelCoefficients:
     """Build the polynomial diffusion coefficients (a, b) for a family.
 
@@ -640,9 +663,8 @@ def assemble_model(space: StateSpace, params) -> ModelCoefficients:
     negative box factors, pi with negative entries or nonzero diagonal).
     Inequality-type admissibility conditions are the validator's job.
     """
+    _check_params(space, params)
     if isinstance(space, Quadric):
-        if not isinstance(params, QuadricParams) or params.dim != space.dim:
-            raise ValueError("quadric state space needs QuadricParams of matching dimension")
         d = space.dim
         p = space.inequalities[0] if space.orientation == "inside" else -space.inequalities[0]
         c = _quadric_c_polys(space, params.gamma)
@@ -650,8 +672,6 @@ def assemble_model(space: StateSpace, params) -> ModelCoefficients:
         return ModelCoefficients(a, _linear_drift(params.beta, params.B))
 
     if isinstance(space, BoxOrthant):
-        if not isinstance(params, BoxOrthantParams) or (params.m, params.n) != (space.m, space.n):
-            raise ValueError("box-orthant state space needs BoxOrthantParams with matching (m, n)")
         if np.any(params.gamma < 0.0):
             raise ValueError("box factors gamma must be nonnegative")
         if np.any(params.pi < 0.0) or np.any(np.diag(params.pi) != 0.0):
@@ -673,17 +693,10 @@ def assemble_model(space: StateSpace, params) -> ModelCoefficients:
         return ModelCoefficients(a, _linear_drift(params.beta, params.B))
 
     if isinstance(space, Simplex):
-        if not isinstance(params, SimplexParams) or params.dim != space.dim:
-            raise ValueError("simplex state space needs SimplexParams of matching dimension")
         d, alpha = space.dim, params.alpha
         # a_ii = sum_{j != i} alpha_ij x_i x_j and a_ij = -alpha_ij x_i x_j
         a = [[_summed(d, [(_exps(d, i, k), alpha[i, k]) for k in range(d) if k != i]) if j == i
               else _summed(d, [(_exps(d, i, j), -alpha[i, j])]) for j in range(d)] for i in range(d)]
         return ModelCoefficients(a, _linear_drift(params.beta, params.B))
 
-    if isinstance(space, FullSpace):
-        if not isinstance(params, ModelCoefficients) or params.dim != space.dim:
-            raise ValueError("full space takes raw ModelCoefficients of matching dimension")
-        return params
-
-    raise ValueError(f"unknown state space family {type(space).__name__}")
+    return params  # a full space's raw ModelCoefficients

@@ -24,7 +24,7 @@ from scipy.linalg import expm
 
 import polydiff
 from polydiff import Polynomial
-from polydiff.cli import main
+from polydiff.cli import _MC_PATH_STEPS, main
 from polydiff.pricing import PricingModel, bond_price, variance_swap_rate
 from polydiff.simulate import simulate_paths
 from polydiff.specfile import load_schema, parse_model_spec
@@ -284,6 +284,28 @@ class TestMoments:
         assert v["mc_paths"] == 600
         assert v["mc_standard_error"] > 0
         assert abs(v["mc_value"] - doc["value"]) < 6 * v["mc_standard_error"] + 0.05
+
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 1)])
+    def test_monte_carlo_cap_counts_path_steps(self, specs, extra, code):
+        # 1000 steps of 1e-3 to tau = 1: the cap's worth of paths runs, one more is refused
+        r = run(["--verify", "moments", specs["cir"], "--degree", 4, "--x", "0.8", "--tau", 1.0,
+                 "--poly", self.POLY_X, "--mc-paths", _MC_PATH_STEPS // 1000 + extra, "--dt", 1e-3])
+        assert r.exit_code == code, r.stderr
+        if code:
+            assert r.stdout == ""
+            assert r.stderr == (f"error: --mc-paths: {_MC_PATH_STEPS // 1000 + 1} paths of 1000 steps exceed the "
+                                f"Monte Carlo cap of {_MC_PATH_STEPS} path-steps; use fewer paths or a larger --dt\n")
+
+    def test_monte_carlo_check_is_refused_before_it_runs(self, specs):
+        # a constant payoff leaves the series oracle nothing to step, so only
+        # the Monte Carlo check's 1e9 steps of 1e-3 could make this run long
+        poly = json.dumps({"dim": 1, "terms": [{"e": [0], "c": 2.0}]})
+        done = TestMalformedInput._fresh_python(
+            "from polydiff.cli import main\n"
+            f"main({['--verify', 'moments', specs['cir'], '--degree', '2', '--x', '0.8', '--tau', '1e6', '--poly', poly, '--mc-paths', '2', '--dt', '1e-3']!r})")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: --mc-paths: 2 paths of 1e+09 steps")
 
     def test_verify_checks_the_leading_block_against_the_series_oracle(self, specs):
         # the closed form exponentiates the 5 x 5 linear block of G under
@@ -555,6 +577,26 @@ class TestMalformedInput:
         assert r.exit_code == 2
         assert r.stderr == f"error: instrument.{field}: expected a finite number, got {token}\n"
 
+    QUADRIC_PARAMS = {"kind": "family", "params": {"alpha": [[1.0, 0.0], [0.0, 1.0]], "beta": [0.0, 0.0],
+                                                   "B": [[-1.0, 0.0], [0.0, -1.0]]}}
+    STATE_SPACES = {
+        "quadric_not_diagonal": {"dimension": 2, "coefficients": QUADRIC_PARAMS,
+                                 "state_space": {"family": "quadric", "Q": [[1.0, 0.5], [0.5, 1.0]]}},
+        "quadric_without_plus_one": {"dimension": 2, "coefficients": QUADRIC_PARAMS,
+                                     "state_space": {"family": "quadric", "Q": [[-1.0, 0.0], [0.0, -1.0]]}},
+        "simplex_dim_1": {"dimension": 1, "state_space": {"family": "simplex"}, "coefficients": {
+            "kind": "family", "params": {"alpha": [[0.0]], "beta": [0.0], "B": [[0.0]]}}},
+    }
+
+    @pytest.mark.parametrize("case", sorted(STATE_SPACES))
+    def test_malformed_state_space_exits_two(self, case, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.STATE_SPACES[case]))
+        r = run(["validate", path])
+        assert r.exit_code == 2
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: state_space: "), r.stderr
+
 
 class TestSimulate:
     def base_args(self, out, spec, seed=7):
@@ -796,6 +838,32 @@ class TestPrice:
         assert r.exit_code == 1
         assert r.stderr == "error: report.price: result inf is not a finite number\n"
 
+    def test_omitted_fields_take_the_library_defaults(self, specs, instrument, monkeypatch):
+        # the CLI passes an instrument field only when the file gives it
+        seen = {}
+        real_fit = polydiff.cli.fit_index_payoff
+
+        def fit(*args, **kwargs):
+            seen["fit"] = kwargs
+            return real_fit(*args, **kwargs)
+
+        def swaption(*args, **kwargs):
+            seen["swaption"] = kwargs
+            return 0.5, 0.01
+
+        monkeypatch.setattr(polydiff.cli, "fit_index_payoff", fit)
+        monkeypatch.setattr(polydiff.cli, "swaption_price_mc", swaption)
+        path = instrument({"kind": "equity_option", "x": [0.3, 0.7], "constituent": 0, "T": 1.0, "K": 0.4,
+                           "horizon": 2.0, "pricer": {"type": "lognormal", "spot": 1.0, "rate": 0.02, "vol": 0.3}})
+        r = run(["--quiet", "price", specs["simplex_pricing"], path])
+        assert r.exit_code == 0, r.stderr
+        assert seen["fit"] == {}
+        assert json.loads(r.output)["diagnostics"]["cheb_degree"] == 6
+        path = instrument({"kind": "swaption", "x": [0.8], "expiry": 0.5, "coupons": [[1.0, 1.0]]})
+        r = run(["price", specs["cir"], path])
+        assert r.exit_code == 0, r.stderr
+        assert seen["swaption"] == {"seed": 0}
+
     def test_swaption_needs_two_paths(self, specs, instrument):
         path = instrument({"kind": "swaption", "x": [0.8], "expiry": 0.5,
                            "coupons": [[1.0, 1.0], [1.0, 2.0]], "n_paths": 1, "dt": 0.01})
@@ -982,10 +1050,11 @@ MAX_STEPS = 64  # with at most 16 paths in at most 4 dimensions: about 33 kB of 
 
 @st.composite
 def point_texts(draw, dim):
-    """A --x value: dim coordinates near the point every DOCS space holds, any
-    numbers of about that count, or free text."""
+    """A --x value: the point every DOCS space holds, dim coordinates near it,
+    any numbers of about that count, or free text."""
     near = st.floats(1.0 / dim - 0.05, 1.0 / dim + 0.05)
-    coords = draw(st.lists(near, min_size=dim, max_size=dim) | st.lists(NUMBERS, max_size=dim + 1))
+    coords = draw(st.just([1.0 / dim] * dim) | st.lists(near, min_size=dim, max_size=dim)
+                  | st.lists(NUMBERS, max_size=dim + 1))
     return draw(st.just(",".join(map(repr, coords))) | st.text(max_size=8))
 
 
@@ -1001,6 +1070,21 @@ def step_grids(draw):
     return dt, t_end
 
 
+@st.composite
+def mc_checks(draw, tau):
+    """(--mc-paths, --dt) at horizon tau: a few paths, or more paths than the
+    path-step cap allows at any step count; a step that divides a positive
+    tau, or any number, raised where needed so a few paths take at most
+    MAX_STEPS steps."""
+    paths = draw(st.integers(-1, 8) | st.integers(_MC_PATH_STEPS + 1, 4 * _MC_PATH_STEPS))
+    if math.isfinite(tau) and tau > 0 and draw(st.booleans()):
+        return paths, tau / draw(st.integers(1, MAX_STEPS))
+    dt = draw(NUMBERS)
+    if paths <= 8 and math.isfinite(dt) and dt > 0 and math.isfinite(tau):
+        dt = max(dt, tau / MAX_STEPS)
+    return paths, dt
+
+
 class TestOptionFuzz:
     """Mutated numeric options keep the exit-code contract on every DOCS
     model: never a traceback, one ``error:`` line."""
@@ -1011,10 +1095,14 @@ class TestOptionFuzz:
         dim = DOCS[name]["dimension"]
         # "--x=text" keeps free text that starts with "-" from reading as an option
         # --verify also runs the moment oracle, which ends past its step cap in one error: line
+        # and, given --mc-paths, refuses a Monte Carlo check past its path-step cap
         verify = ["--verify"] if data.draw(st.booleans()) else []
+        tau = data.draw(NUMBERS | st.floats(0.0, 2.0))  # the second keeps some Monte Carlo checks running
+        mc_paths, dt = data.draw(mc_checks(tau))
         args = [*verify, "moments", specs[name], "--degree", data.draw(st.integers(-1, 5)),
-                f"--x={data.draw(point_texts(dim))}", "--tau", data.draw(NUMBERS),
-                "--poly", json.dumps({"dim": dim, "terms": [{"e": [1] + [0] * (dim - 1), "c": 1.0}]})]
+                f"--x={data.draw(point_texts(dim))}", "--tau", tau,
+                "--poly", json.dumps({"dim": dim, "terms": [{"e": [1] + [0] * (dim - 1), "c": 1.0}]}),
+                "--mc-paths", mc_paths, "--dt", dt]
         _check_contract(run(args), "moments")
 
     @settings(FUZZ, max_examples=150)

@@ -64,6 +64,27 @@ class TestValidateParams:
         with pytest.raises(ValueError):
             validate_params(Simplex(2), ball_params(2))
 
+    # per family, parameters of the wrong type and of the wrong shape
+    MISFITS = {
+        "quadric_type": (Quadric(np.eye(2)), simplex_params()),
+        "quadric_dim": (Quadric(np.eye(2)), ball_params(3)),
+        "box_type": (BoxOrthant(0, 1), ball_params(1)),
+        "box_m_n": (BoxOrthant(0, 1), jacobi_params()),
+        "simplex_type": (Simplex(2), ball_params(2)),
+        "simplex_dim": (Simplex(2), SimplexParams(alpha=np.zeros((3, 3)), beta=np.zeros(3), B=np.zeros((3, 3)))),
+        "full_type": (FullSpace(2), ball_params(2)),
+        "full_dim": (FullSpace(2), cir_model()[0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISFITS))
+    def test_misfit_params_raise_one_message(self, case):
+        space, params = self.MISFITS[case]
+        with pytest.raises(ValueError, match=f"^{space.family} state space of shape") as validated:
+            validate_params(space, params)
+        with pytest.raises(ValueError) as assembled:
+            assemble_model(space, params)
+        assert str(validated.value) == str(assembled.value)
+
     def test_verdict_and_failed_ids_serialize(self):
         space, params = _simplex_valid()
         doc = validate_params(space, params).as_json_dict()

@@ -566,6 +566,14 @@ class TestValidationAtTheBoundary:
         Polynomial.from_json_dict({"dim": 1, "terms": [{"e": [1], "c": 1.0}]})
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("c", ["2", True, None, [1]], ids=["string", "bool", "null", "list"])
+    def test_json_coefficients_take_the_constructors_check(self, c):
+        with pytest.raises(ValueError, match="is not a real number") as from_json:
+            Polynomial.from_json_dict({"dim": 1, "terms": [{"e": [1], "c": c}]})
+        with pytest.raises(ValueError) as built:
+            Polynomial(1, {(1,): c})
+        assert str(from_json.value) == str(built.value)
+
     def test_package_built_terms_skip_validation(self, calls):
         rng = np.random.default_rng(0)
         p, q = (Polynomial(3, {tuple(int(k) for k in rng.integers(0, 3, 3)): float(c)

@@ -1,6 +1,7 @@
 """Model-file and instrument-file parsing and validation."""
 
 import copy
+import dataclasses
 import json
 
 import jsonschema
@@ -10,18 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydiff import (
+    BoxOrthant,
     BoxOrthantParams,
+    FullSpace,
+    ModelCoefficients,
     ModelSpec,
     Polynomial,
+    Quadric,
     QuadricParams,
+    Simplex,
     SimplexParams,
     SpecError,
+    assemble_model,
     load_instrument,
     load_model_spec,
 )
 from polydiff.specfile import _compile, _schema_check, load_schema, parse_instrument, parse_model_spec
+from polydiff.statespace import _PARAMS
 
-from conftest import json_mutants
+from conftest import ball_params, json_mutants
 from test_cli import DOCS as CLI_DOCS
 from test_cli import FUZZ_INSTRUMENTS, FUZZ_POLYS
 
@@ -203,6 +211,44 @@ class TestModelSpecParsing:
         doc["coefficients"]["a"] = [[{"dim": 1, "terms": [{"e": [-1], "c": 1.0}]}]]
         with pytest.raises(SpecError):
             parse_model_spec(doc)
+
+
+# one state space of each family with parameters that fit it
+FAMILY_EXAMPLES = [
+    (Quadric(np.diag([1.0, -1.0]), orientation="outside"), ball_params(2)),
+    (BoxOrthant(1, 1), BoxOrthantParams(m=1, n=1, gamma=[1.0], alpha=[[0.5]], phi=[1.0], psi=[[0.25]],
+                                        pi=[[0.0]], beta=[0.5, 0.5], B=[[-1.0, 0.0], [0.0, -0.5]])),
+    (Simplex(3), SimplexParams(alpha=np.ones((3, 3)) - np.eye(3), beta=[0.25] * 3, B=np.eye(3) / 4 - 0.5)),
+    (FullSpace(2), ModelCoefficients([[Polynomial.one(2), Polynomial.zero(2)], [Polynomial.zero(2), Polynomial.one(2)]],
+                                     [Polynomial.variable(1, 2), -Polynomial.variable(0, 2)])),
+]
+
+
+class TestFamilyTable:
+    def test_examples_cover_the_table(self):
+        assert {type(space): type(params) for space, params in FAMILY_EXAMPLES} == _PARAMS
+
+    @pytest.mark.parametrize("space, params", FAMILY_EXAMPLES, ids=lambda v: type(v).__name__)
+    def test_spec_dict_parses_back(self, space, params):
+        # spec_dict gives the dimension and the quadric's diagonal; a model
+        # file gives a top-level dimension and the matrix Q
+        block = {k: v for k, v in space.spec_dict().items() if k != "dim"}
+        if "Q" in block:
+            block["Q"] = np.diag(block["Q"]).tolist()
+        if isinstance(params, ModelCoefficients):
+            coefficients = {"kind": "raw", "a": [[p.to_json_dict() for p in row] for row in params.a],
+                            "b": [p.to_json_dict() for p in params.b]}
+        else:
+            coefficients = {"kind": "family", "params": {f.name: np.asarray(getattr(params, f.name)).tolist()
+                                                         for f in dataclasses.fields(params)
+                                                         if f.name not in ("m", "n")}}
+        doc = {"dimension": space.dim, "state_space": block, "coefficients": coefficients}
+        spec = parse_model_spec(json.loads(json.dumps(doc)))
+        assert type(spec.statespace) is type(space)
+        assert spec.statespace.spec_dict() == space.spec_dict()
+        assert spec.model == assemble_model(space, params)
+        if spec.params is not None:
+            assert type(spec.params) is _PARAMS[type(space)]
 
 
 class TestFileLoading:
