@@ -4,7 +4,10 @@ Exit codes are a stable contract: 0 success (or Valid verdict), 1 for
 domain-negative outcomes (Invalid/Inconclusive verdicts, points outside the
 state space, degree overruns, bad state-price densities, a moment or price
 that is not a finite number, a ``--verify`` Monte Carlo check of more than
-``_MC_PATH_STEPS`` path-steps), 2 for unreadable or malformed input
+``_MC_PATH_STEPS`` path-steps, a swaption simulation past the caps of
+``pricing.swaption_price_mc``, a ``basis-dump --degree``, ``pricing.degree``
+or ``moments --poly`` whose basis has more than ``_BASIS_SIZE`` monomials),
+2 for unreadable or malformed input
 (non-finite points, horizons, steps or thresholds, non-finite instrument
 numbers, reported as ``instrument.<field>``, negative horizons, degrees,
 ``--seed`` or ``--mc-paths``, non-positive simulation steps, horizons,
@@ -58,6 +61,7 @@ EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
 _MC_PATH_STEPS = 10**6  # the most paths x steps a --verify Monte Carlo check runs: seconds in 4-d
+_BASIS_SIZE = 5000  # the most monomials a command builds a basis on: a dense generator of 200 MB
 
 # every library error not caused by malformed input is a domain-negative
 # outcome: points outside the state space, degree overruns, generators that
@@ -151,6 +155,14 @@ def _parse_poly(text: str, dim: int) -> Polynomial:
     return p
 
 
+def _check_basis_size(space, degree: int, name: str) -> None:
+    """Refuse a degree whose basis would pass ``_BASIS_SIZE`` monomials, before it is built."""
+    n = math.comb(space.basis_variables + degree, degree)
+    if n > _BASIS_SIZE:
+        raise ValueError(f"{name}: degree {degree} gives a basis of {n} monomials, above the cap of "
+                         f"{_BASIS_SIZE}; use a lower degree")
+
+
 def _fail(message: str, code: int):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -205,28 +217,14 @@ def validate(ctx, spec_path):
     """Check model parameters, invariance conditions, and uniqueness."""
     samples = ctx.obj["samples"]
     spec = load_model_spec(spec_path)
-    if spec.params is not None:
-        pr = validate_params(spec.statespace, spec.params, samples=samples)
-        param_block = {"verdict": pr.verdict,
-                       "conditions": [c.as_json_dict() for c in pr.conditions]}
-        verdict = pr.verdict
-    else:
-        param_block = None
+    pr = None if spec.params is None else validate_params(spec.statespace, spec.params, samples=samples)
     nec = check_necessary(spec.model, spec.statespace, samples=samples)
     suf = check_sufficient(spec.model, spec.statespace, samples=samples)
-    if spec.params is None:
-        verdict = {"pass": "Valid", "fail": "Invalid"}.get(suf.verdict, "Inconclusive")
-    uniq = uniqueness_report(spec.model, spec.statespace)
-    report = {
-        "family": spec.statespace.family,
-        "verdict": verdict,
-        "parameter_conditions": param_block,
-        "necessary": {"verdict": nec.verdict,
-                      "conditions": [c.as_json_dict() for c in nec.conditions]},
-        "sufficient": {"verdict": suf.verdict,
-                       "conditions": [c.as_json_dict() for c in suf.conditions]},
-        "uniqueness": uniq.as_json_dict(),
-    }
+    verdict = pr.verdict if pr is not None else {"pass": "Valid", "fail": "Invalid"}.get(suf.verdict, "Inconclusive")
+    report = {"family": spec.statespace.family, "verdict": verdict,
+              "parameter_conditions": None if pr is None else pr.as_json_dict(),
+              "necessary": nec.as_json_dict(), "sufficient": suf.as_json_dict(),
+              "uniqueness": uniqueness_report(spec.model, spec.statespace).as_json_dict()}
     _emit(ctx, _format_json(report))
     sys.exit(EXIT_OK if verdict == "Valid" else EXIT_DOMAIN)
 
@@ -251,6 +249,8 @@ def moments(ctx, spec_path, degree, x_text, tau, poly_text, mc_paths, dt):
     x = _parse_point(x_text, spec.statespace.dim)
     p = _parse_poly(poly_text, spec.statespace.dim)
     _check_nonnegative("--tau", tau)
+    if (q := spec.statespace.reduce(p)).degree <= degree:  # above it the library raises DegreeTooHigh
+        _check_basis_size(spec.statespace, max(q.degree, 0), "--poly")
     if ctx.obj["verify"] and mc_paths > 0:
         _check_positive("--dt", dt)
         steps = max(tau, dt) / dt
@@ -324,14 +324,9 @@ def boundary(ctx, spec_path, margin):
     """Classify boundary attainment for every inequality of the state space."""
     samples = ctx.obj["samples"]
     spec = load_model_spec(spec_path)
-    entries = []
-    for k, p in enumerate(spec.statespace.inequalities):
-        bv = classify_boundary(spec.model, spec.statespace, p,
-                               samples=samples, margin=margin)
-        entry = {"index": k, "verdict": bv.verdict, "stratum": bv.stratum,
-                 "detail": bv.detail, "witness": bv.witness,
-                 "h": [c.to_json_dict() for c in bv.h] if bv.h is not None else None}
-        entries.append(entry)
+    entries = [{"index": k, **classify_boundary(spec.model, spec.statespace, p,
+                                                samples=samples, margin=margin).as_json_dict()}
+               for k, p in enumerate(spec.statespace.inequalities)]
     _emit(ctx, _format_json({"inequalities": entries}))
 
 
@@ -353,6 +348,7 @@ def price(ctx, spec_path, instrument_path):
     if spec.pricing is None:
         raise SpecError("model spec has no pricing block")
     x = _as_point(instr["x"], spec.statespace.dim, "instrument.x")
+    _check_basis_size(spec.statespace, spec.pricing.degree, "pricing.degree")
     kind = instr["kind"]
     if kind == "equity_option":
         if not isinstance(spec.params, SimplexParams):
@@ -394,6 +390,7 @@ def price(ctx, spec_path, instrument_path):
 def basis_dump(ctx, spec_path, degree, with_generator):
     """Dump the monomial basis (or the generator matrix on it) as CSV."""
     spec = load_model_spec(spec_path)
+    _check_basis_size(spec.statespace, degree, "--degree")
     basis = monomial_basis(spec.statespace, degree)
     if with_generator:
         text = generator_matrix(spec.model, basis).csv_text()

@@ -91,11 +91,8 @@ class ValidationReport:
         return [c.id for c in self.conditions if c.status == "fail"]
 
     def as_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "verdict": self.verdict,
-            "conditions": [c.as_json_dict() for c in self.conditions],
-        }
+        """The condition block of the validate report: verdict and conditions."""
+        return {"verdict": self.verdict, "conditions": [c.as_json_dict() for c in self.conditions]}
 
 
 def _exact(cond_id: str, ok: bool, detail: str, witness=None) -> ConditionResult:
@@ -320,11 +317,8 @@ class CheckReport:
         return self.verdict == "pass"
 
     def as_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "conditions": [c.as_json_dict() for c in self.conditions],
-        }
+        """The condition block of the validate report: verdict and conditions."""
+        return {"verdict": self.verdict, "conditions": [c.as_json_dict() for c in self.conditions]}
 
 
 def _check_verdict(conditions: list[ConditionResult]) -> str:
@@ -454,12 +448,9 @@ class BoundaryVerdict:
     h: list[Polynomial] | None = None
 
     def as_json_dict(self) -> dict:
-        out = {"verdict": self.verdict, "stratum": self.stratum, "detail": self.detail}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.h is not None:
-            out["h"] = [c.to_json_dict() for c in self.h]
-        return out
+        """One entry of the boundary report, less its index; witness and h are null when absent."""
+        return {"verdict": self.verdict, "stratum": self.stratum, "detail": self.detail, "witness": self.witness,
+                "h": None if self.h is None else [c.to_json_dict() for c in self.h]}
 
 
 def _collar_points(space: StateSpace, p: Polynomial, X: np.ndarray, deltas) -> np.ndarray:

@@ -375,24 +375,16 @@ class _ByteLRU:
 _cache = _ByteLRU(_CACHE_BYTES)
 
 
-def _frozen(value):
-    """A hashable copy of a spec_dict() value: dicts become sorted item tuples, lists tuples."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _frozen(v)) for k, v in value.items()))
-    if isinstance(value, list):
-        return tuple(map(_frozen, value))
-    return value
-
-
 def _basis_and_generator(model: ModelCoefficients, statespace, degree: int) -> tuple[Basis, GeneratorMatrix]:
     """monomial_basis(statespace, degree) and its generator_matrix, shared through a
     process-wide cache.
 
-    The key is by value: the model's terms, the state space's type and
-    spec_dict(), and the degree, so equal models on equal spaces share one entry.
+    The key is by value: the model's terms, the state space's type, dimension
+    and spec_dict(), and the degree, so equal models on equal spaces share one
+    entry, and a model on a space of another dimension still fails its build.
     The arrays of the pair are read-only.  A build that raises is not stored,
     so a repeat call raises the same exception again."""
-    key = (model, type(statespace), _frozen(statespace.spec_dict()), degree)
+    key = (model, type(statespace), statespace.dim, repr(statespace.spec_dict()), degree)
     try:
         found = _cache.get(key)
     except TypeError:  # an unhashable argument: build without the cache, and fail as that does

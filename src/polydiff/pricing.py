@@ -46,6 +46,11 @@ __all__ = [
 
 # the fit of g(xi) = xi C(T, K/xi) starts at this xi > 0, where K/xi stays finite
 _FIT_EPS = 1e-6
+# the largest swaption simulation: at most _SWAPTION_PATHS paths (about 180 MB on a 1-d
+# basis of 5), and at most _SWAPTION_SIZE path-steps plus basis evaluations, n_paths x
+# (steps + basis size); the default 20000 paths of dt 0.001 to expiry 0.5 are 20000 x (500 + N)
+_SWAPTION_PATHS = 10**6
+_SWAPTION_SIZE = 2 * 10**7
 
 
 class InvalidStatePriceDensity(ValueError):
@@ -143,6 +148,11 @@ def swaption_price_mc(
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     x0 = check_point(pm.statespace, x0)
     w = swaption_payoff_vector(pm, coupons, expiry)
+    steps = max(expiry / dt, 1.0)  # simulate_paths stores at least the endpoint of each path
+    if n_paths > _SWAPTION_PATHS or n_paths * (steps + len(w)) > _SWAPTION_SIZE:
+        raise ValueError(f"a swaption of {n_paths} paths x ({steps:.6g} steps + {len(w)} basis evaluations) "
+                         f"exceeds the cap of {_SWAPTION_PATHS} paths and {_SWAPTION_SIZE} path-steps plus "
+                         "evaluations; use fewer n_paths or a larger dt")
     # store only the endpoint; the payoff needs X_T alone
     paths = simulate_paths(pm.model, pm.statespace, x0, expiry, dt, n_paths, seed,
                            store_stride=max(int(round(expiry / dt)), 1))

@@ -124,6 +124,7 @@ class StateSpace(ABC):
         return False
 
     def spec_dict(self) -> dict:
+        """The model file's ``state_space`` block; its ``dimension`` is the model's."""
         return {"family": self.family}
 
     def __repr__(self):
@@ -154,9 +155,6 @@ class FullSpace(StateSpace):
         u = _unit_vectors(rng, count, self.dim)
         radii = np.concatenate([[0.0], np.geomspace(10.0 ** _LOG_RANGE[0], 10.0 ** _LOG_RANGE[1], count - 1)])
         return u * radii[:, None]
-
-    def spec_dict(self) -> dict:
-        return {"family": "full", "dim": self.dim}
 
 
 class Quadric(StateSpace):
@@ -257,7 +255,7 @@ class Quadric(StateSpace):
         return self.orientation == "inside" and len(self._minus) == 0
 
     def spec_dict(self) -> dict:
-        return {"family": "quadric", "Q": np.diag(self.Q).tolist(), "orientation": self.orientation}
+        return {"family": "quadric", "Q": self.Q.tolist(), "orientation": self.orientation}
 
 
 class BoxOrthant(StateSpace):
@@ -446,9 +444,6 @@ class Simplex(StateSpace):
     @property
     def is_compact(self) -> bool:
         return True
-
-    def spec_dict(self) -> dict:
-        return {"family": "simplex", "dim": self.dim}
 
 
 def _project_sorted(X: np.ndarray) -> np.ndarray:

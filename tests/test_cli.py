@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import jsonschema
@@ -24,8 +25,8 @@ from scipy.linalg import expm
 
 import polydiff
 from polydiff import Polynomial
-from polydiff.cli import _MC_PATH_STEPS, main
-from polydiff.pricing import PricingModel, bond_price, variance_swap_rate
+from polydiff.cli import _BASIS_SIZE, _MC_PATH_STEPS, main
+from polydiff.pricing import _SWAPTION_PATHS, _SWAPTION_SIZE, PricingModel, bond_price, variance_swap_rate
 from polydiff.simulate import simulate_paths
 from polydiff.specfile import load_schema, parse_model_spec
 
@@ -597,6 +598,29 @@ class TestMalformedInput:
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: state_space: "), r.stderr
 
+    X1_CUBED = {"dim": 1, "terms": [{"e": [3], "c": 1.0}]}
+    X1_SQUARED = {"dim": 1, "terms": [{"e": [2], "c": 1.0}]}
+    RAW_COEFFICIENTS = {
+        "a_asymmetric": (("full4", "a", 0, 1), {"dim": 4, "terms": [{"e": [1, 0, 0, 0], "c": 1.0}]},
+                         "diffusion matrix not symmetric at (0,1)"),
+        "a_cubic": (("raw_full", "a", 0, 0), X1_CUBED, "diffusion entry (0,0) has degree 3 > 2"),
+        "b_quadratic": (("raw_full", "b", 0), X1_SQUARED, "drift entry 0 has degree 2 > 1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RAW_COEFFICIENTS))
+    def test_raw_coefficients_out_of_class_exit_two(self, case, tmp_path):
+        (model, *where), poly, message = self.RAW_COEFFICIENTS[case]
+        doc = copy.deepcopy(DOCS[model])
+        node = doc["coefficients"]
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = poly
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        r = run(["validate", path])
+        assert r.exit_code == 2
+        assert r.stderr == f"error: coefficients: {message}\n"
+
 
 class TestSimulate:
     def base_args(self, out, spec, seed=7):
@@ -740,6 +764,121 @@ class TestBoundary:
         doc = json.loads(r.output)
         check_report(doc, "boundary_report")
         assert [e["verdict"] for e in doc["inequalities"]] == ["NonAttainCritical"] * 2
+
+
+class TestReportSchemas:
+    """On every DOCS model, validate and boundary print the library reports'
+    own as_json_dict() blocks, and those fit reports.schema.json."""
+
+    @pytest.mark.parametrize("name", sorted(DOCS))
+    def test_validate_and_boundary_reports(self, name, specs):
+        r = run(["validate", specs[name]])
+        assert r.exit_code in (0, 1) and not r.stderr, r.stderr
+        check_report(json.loads(r.output), "validate_report")
+        r = run(["boundary", specs[name]])
+        assert r.exit_code == 0, r.stderr
+        doc = json.loads(r.output)
+        check_report(doc, "boundary_report")
+        assert all(e.keys() == {"index", "verdict", "stratum", "detail", "witness", "h"} for e in doc["inequalities"])
+
+
+class TestSizeCaps:
+    """A basis or a swaption simulation past its cap is refused with exit 1
+    and one error: line before it is built.  Only requests just above a cap
+    are run; one at the cap would build it."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the cap")
+
+    @pytest.fixture()
+    def no_basis(self, monkeypatch):
+        monkeypatch.setattr(polydiff.cli, "monomial_basis", self.refuse)
+        monkeypatch.setattr(polydiff.generator, "monomial_basis", self.refuse)
+
+    @staticmethod
+    def refused(r, message):
+        assert r.exception is None or isinstance(r.exception, SystemExit), r.exception
+        assert (r.exit_code, r.stdout, r.stderr) == (1, "", f"error: {message}\n")
+
+    @staticmethod
+    def basis_message(name, degree, n):
+        return (f"{name}: degree {degree} gives a basis of {n} monomials, above the cap of {_BASIS_SIZE}; "
+                "use a lower degree")
+
+    def test_basis_dump_degree(self, specs, no_basis):
+        # one variable: degree k has k + 1 monomials
+        r = run(["basis-dump", specs["cir"], "--degree", _BASIS_SIZE, "--generator"])
+        self.refused(r, self.basis_message("--degree", _BASIS_SIZE, _BASIS_SIZE + 1))
+
+    def test_basis_dump_degree_in_four_variables(self, specs, no_basis):
+        degree = next(k for k in range(100) if math.comb(4 + k, 4) > _BASIS_SIZE)
+        r = run(["basis-dump", specs["full4"], "--degree", degree])
+        self.refused(r, self.basis_message("--degree", degree, math.comb(4 + degree, 4)))
+
+    def test_moments_poly_degree(self, specs, no_basis):
+        # the closed form builds its basis on Pol_{deg p}: the payoff's degree is capped, not the bound
+        poly = json.dumps({"dim": 1, "terms": [{"e": [_BASIS_SIZE], "c": 1.0}]})
+        r = run(["moments", specs["cir"], "--degree", _BASIS_SIZE, "--x", "0.8", "--tau", 1.0, "--poly", poly])
+        self.refused(r, self.basis_message("--poly", _BASIS_SIZE, _BASIS_SIZE + 1))
+
+    @pytest.mark.parametrize("model, degree", [("cir", 10 * _BASIS_SIZE), ("full4", 17)])
+    def test_moments_high_bound_on_a_linear_poly_runs(self, specs, model, degree):
+        dim = DOCS[model]["dimension"]
+        poly = json.dumps({"dim": dim, "terms": [{"e": [1] + [0] * (dim - 1), "c": 1.0}]})
+        r = run(["moments", specs[model], "--degree", degree, "--x", ",".join([str(1 / dim)] * dim),
+                 "--tau", 1.0, "--poly", poly])
+        assert r.exit_code == 0, r.stderr
+        assert math.isfinite(json.loads(r.output)["value"])
+
+    @pytest.mark.parametrize("model, instrument_doc", [
+        ("cir", {"kind": "bond", "x": [0.8], "t": 0.0, "T": 1.0}),
+        # the simplex basis drops one coordinate: one variable again
+        ("simplex_pricing", TestMalformedInput.EQUITY),
+    ])
+    def test_pricing_degree(self, model, instrument_doc, tmp_path, instrument, no_basis):
+        doc = copy.deepcopy(DOCS[model])
+        doc["pricing"]["degree"] = _BASIS_SIZE
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps(doc))
+        r = run(["price", spec, instrument(instrument_doc)])
+        self.refused(r, self.basis_message("pricing.degree", _BASIS_SIZE, _BASIS_SIZE + 1))
+
+    @staticmethod
+    def swaption_message(paths, steps, n):
+        return (f"a swaption of {paths} paths x ({steps} steps + {n} basis evaluations) exceeds the cap of "
+                f"{_SWAPTION_PATHS} paths and {_SWAPTION_SIZE} path-steps plus evaluations; "
+                "use fewer n_paths or a larger dt")
+
+    @pytest.mark.parametrize("expiry, paths", [
+        (1.0, lambda n: _SWAPTION_SIZE // (1000 + n) + 1),  # 1000 steps of dt
+        (1e-10, lambda n: _SWAPTION_PATHS + 1),  # under one step: each path still stores its endpoint
+    ])
+    def test_swaption_size(self, specs, instrument, monkeypatch, expiry, paths):
+        monkeypatch.setattr(polydiff.pricing, "simulate_paths", self.refuse)
+        n = len(cir_pricing_model()[1].basis)
+        paths = paths(n)
+        r = run(["price", specs["cir"], instrument({**TestMalformedInput.SWAPTION, "expiry": expiry,
+                                                    "coupons": [[1.0, 2.0]], "n_paths": paths, "dt": 1e-3})])
+        self.refused(r, self.swaption_message(paths, 1000 if expiry == 1.0 else 1, n))
+
+    def test_readme_swaption_prices(self, specs, instrument):
+        # 20000 paths x 500 steps, the size of the README example
+        path = instrument({"kind": "swaption", "x": [0.8], "expiry": 0.5,
+                           "coupons": [[1.0, 1.0], [1.0, 2.0]], "n_paths": 20000, "dt": 0.001})
+        r = run(["price", specs["cir"], path])
+        assert r.exit_code == 0, r.stderr
+        assert math.isfinite(json.loads(r.output)["price"])
+
+    def test_long_swaption_is_refused_at_once(self, specs, instrument, monkeypatch):
+        # the library's default 20000 paths over 10^7 steps of 1e-3
+        monkeypatch.setattr(polydiff.pricing, "simulate_paths", self.refuse)
+        path = instrument({"kind": "swaption", "x": [0.8], "expiry": 10000.0, "coupons": [[1.0, 10001.0]],
+                           "dt": 0.001})
+        start = time.perf_counter()
+        r = run(["price", specs["cir"], path])
+        assert time.perf_counter() - start < 2.0
+        self.refused(r, self.swaption_message(20000, "1e+07", len(cir_pricing_model()[1].basis)))
 
 
 class TestPrice:

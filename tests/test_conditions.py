@@ -60,6 +60,28 @@ class TestValidateParams:
         report = validate_params(space, model)
         assert report.verdict == "Valid"
 
+    def test_full_space_sampled_diffusion_fails_with_witness(self):
+        # a(x) = [[1, x1], [x1, 1]] has eigenvalues 1 +- x1: negative where |x1| > 1
+        one, x1 = Polynomial.one(2), Polynomial.variable(0, 2)
+        model = ModelCoefficients([[one, x1], [x1, one]], [Polynomial.zero(2)] * 2)
+        report = validate_params(FullSpace(2), model)
+        assert report.verdict == "Invalid" and report.failed_ids() == ["full.diffusion_psd"]
+        (cond,) = report.conditions
+        assert cond.detail.startswith("diffusion eigenvalue -")
+        assert abs(cond.witness[0]) > 1
+        assert np.linalg.eigvalsh(model.a_eval(np.array(cond.witness))).min() < 0
+
+    def test_full_space_sampled_diffusion_is_inconclusive(self):
+        # a(x) = diag(1 + x1^2, 1 + x2^2) is PD everywhere, but samples cannot certify R^2
+        one, (x1, x2) = Polynomial.one(2), (Polynomial.variable(i, 2) for i in range(2))
+        zero = Polynomial.zero(2)
+        model = ModelCoefficients([[one + x1 * x1, zero], [zero, one + x2 * x2]], [zero, zero])
+        report = validate_params(FullSpace(2), model)
+        assert report.verdict == "Inconclusive"
+        (cond,) = report.conditions
+        assert (cond.id, cond.status, cond.witness) == ("full.diffusion_psd", "inconclusive", None)
+        assert cond.detail == "sampled PSD check passed but cannot certify all of R^d"
+
     def test_wrong_params_type(self):
         with pytest.raises(ValueError):
             validate_params(Simplex(2), ball_params(2))
@@ -87,8 +109,10 @@ class TestValidateParams:
 
     def test_verdict_and_failed_ids_serialize(self):
         space, params = _simplex_valid()
-        doc = validate_params(space, params).as_json_dict()
-        assert doc["family"] == "simplex"
+        report = validate_params(space, params)
+        doc = report.as_json_dict()
+        # the validate report's parameter_conditions block: the family is the report's top-level key
+        assert report.family == "simplex" and set(doc) == {"verdict", "conditions"}
         assert {c["id"] for c in doc["conditions"]} == {
             "simplex.alpha_structure", "simplex.drift_mass", "simplex.drift_corner"}
 

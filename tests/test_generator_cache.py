@@ -133,6 +133,24 @@ class TestKey:
             bits(conditional_moment(model, other, 2, p, x, 0.5))
         assert len(generator._cache) == 1 and builds["G"] == 1
 
+    @pytest.mark.parametrize("name", sorted(MODEL_MATRIX))
+    def test_equal_state_spaces_share_one_entry(self, name, builds):
+        (m1, s1), (m2, s2) = MODEL_MATRIX[name](), MODEL_MATRIX[name]()
+        assert s1 is not s2
+        assert _basis_and_generator(m1, s1, 3) is _basis_and_generator(m2, s2, 3)
+        assert len(generator._cache) == 1 and builds["G"] == 1
+
+    @pytest.mark.parametrize("make, wider", [(simplex3_model, Simplex(4)), (ou_model, FullSpace(2))],
+                             ids=["simplex", "full"])
+    def test_dimension_mismatch_raises_with_a_warm_cache(self, make, wider, builds):
+        # spec_dict() of these families names no dimension; the key's dim keeps them apart
+        model, space = make()
+        _basis_and_generator(model, space, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^model and basis dimensions differ$"):
+                _basis_and_generator(model, wider, 2)
+        assert len(generator._cache) == 1
+
     def test_quadric_orientations_do_not_share(self, builds):
         Q = np.eye(2)
         inside, outside = Quadric(Q, "inside"), Quadric(Q, "outside")

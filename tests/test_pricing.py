@@ -32,6 +32,8 @@ from polydiff import (
     swaption_price_mc,
     variance_swap_rate,
 )
+import polydiff.pricing
+from polydiff.pricing import _SWAPTION_PATHS, _SWAPTION_SIZE
 from polydiff.statespace import SimplexParams
 
 from conftest import jacobi_model, ou_model, simplex_params
@@ -216,6 +218,20 @@ class TestSwaptions:
             warnings.simplefilter("error")
             price, se = swaption_price_mc(jacobi_pm, [(1.0, 1.0)], 0.5, [0.3], n_paths=2, seed=0)
         assert np.isfinite(price) and np.isfinite(se)
+
+    @pytest.mark.parametrize("n_paths, expiry", [
+        (_SWAPTION_PATHS + 1, 1e-10),  # a step count under one still stores each path's endpoint
+        (10**15, 1e-10),
+        (20_000, 10_000.0),  # the default paths over 10^7 steps of the default dt
+    ])
+    def test_simulation_past_the_caps_is_refused_before_it_runs(self, jacobi_pm, n_paths, expiry, monkeypatch):
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated past the cap")
+        monkeypatch.setattr(polydiff.pricing, "simulate_paths", simulate)
+        steps = max(expiry / 1e-3, 1.0)
+        assert n_paths > _SWAPTION_PATHS or n_paths * (steps + len(jacobi_pm.basis)) > _SWAPTION_SIZE
+        with pytest.raises(ValueError, match=f"a swaption of {n_paths} paths x .* exceeds the cap"):
+            swaption_price_mc(jacobi_pm, [(1.0, expiry + 1.0)], expiry, [0.3], n_paths=n_paths, seed=0)
 
 
 @pytest.fixture(scope="module")

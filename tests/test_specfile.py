@@ -230,11 +230,6 @@ class TestFamilyTable:
 
     @pytest.mark.parametrize("space, params", FAMILY_EXAMPLES, ids=lambda v: type(v).__name__)
     def test_spec_dict_parses_back(self, space, params):
-        # spec_dict gives the dimension and the quadric's diagonal; a model
-        # file gives a top-level dimension and the matrix Q
-        block = {k: v for k, v in space.spec_dict().items() if k != "dim"}
-        if "Q" in block:
-            block["Q"] = np.diag(block["Q"]).tolist()
         if isinstance(params, ModelCoefficients):
             coefficients = {"kind": "raw", "a": [[p.to_json_dict() for p in row] for row in params.a],
                             "b": [p.to_json_dict() for p in params.b]}
@@ -242,9 +237,10 @@ class TestFamilyTable:
             coefficients = {"kind": "family", "params": {f.name: np.asarray(getattr(params, f.name)).tolist()
                                                          for f in dataclasses.fields(params)
                                                          if f.name not in ("m", "n")}}
-        doc = {"dimension": space.dim, "state_space": block, "coefficients": coefficients}
+        # spec_dict() is the model file's state_space block as it is
+        doc = {"dimension": space.dim, "state_space": space.spec_dict(), "coefficients": coefficients}
         spec = parse_model_spec(json.loads(json.dumps(doc)))
-        assert type(spec.statespace) is type(space)
+        assert type(spec.statespace) is type(space) and spec.statespace.dim == space.dim
         assert spec.statespace.spec_dict() == space.spec_dict()
         assert spec.model == assemble_model(space, params)
         if spec.params is not None:

@@ -516,7 +516,9 @@ class TestParamValidation:
             SimplexParams(alpha=[[0.0, np.inf], [np.inf, 0.0]], beta=np.zeros(2), B=np.zeros((2, 2)))
 
     def test_spec_dicts(self):
-        assert Quadric(np.eye(2)).spec_dict() == {"family": "quadric", "Q": [1.0, 1.0], "orientation": "inside"}
+        # each is a model file's state_space block: Q as its matrix, the dimension left to the file
+        assert Quadric(np.eye(2)).spec_dict() == {"family": "quadric", "Q": [[1.0, 0.0], [0.0, 1.0]],
+                                                  "orientation": "inside"}
         assert BoxOrthant(2, 1).spec_dict() == {"family": "box_orthant", "m": 2, "n": 1}
-        assert Simplex(3).spec_dict() == {"family": "simplex", "dim": 3}
-        assert FullSpace(4).spec_dict() == {"family": "full", "dim": 4}
+        assert Simplex(3).spec_dict() == {"family": "simplex"}
+        assert FullSpace(4).spec_dict() == {"family": "full"}
