@@ -185,42 +185,88 @@ def variance_swap_rate(pm: PricingModel, x, t: float, T: float) -> float:
 
 @dataclass
 class LognormalIndexPricer:
-    """Flat-volatility lognormal call prices C(T, K) for the index."""
+    """Flat-volatility lognormal call prices C(T, K) for the index; K is a
+    scalar (a float is returned) or an ndarray (an ndarray is returned)."""
 
     spot: float
     rate: float
     vol: float
 
-    def __call__(self, T: float, K: float) -> float:
+    def __call__(self, T: float, K):
+        K = np.asarray(K, dtype=float)
         if T <= 0.0:
-            return max(self.spot - K, 0.0)
-        if K <= 0.0:
-            return self.spot - K * math.exp(-self.rate * T)
-        sig = self.vol * math.sqrt(T)
-        fwd = self.spot * math.exp(self.rate * T)
-        d1 = (math.log(fwd / K) + 0.5 * sig * sig) / sig
-        d2 = d1 - sig
-        return math.exp(-self.rate * T) * (fwd * ndtr(d1) - K * ndtr(d2))
+            price = np.maximum(self.spot - K, 0.0)
+        else:
+            disc = math.exp(-self.rate * T)
+            sig = self.vol * math.sqrt(T)
+            fwd = self.spot * math.exp(self.rate * T)
+            forward = K <= 0.0  # a nonpositive strike is a forward; NaN stays on the formula
+            Kp = np.where(forward, 1.0, K)
+            with np.errstate(over="ignore"):  # fwd / K overflows to inf at a tiny K, giving the forward
+                ratio = (fwd / Kp).ravel()
+            # libm's log, not numpy's SIMD one, which can differ in the last bit
+            log_ratio = np.fromiter(map(math.log, ratio), float, ratio.size).reshape(Kp.shape)
+            d1 = (log_ratio + 0.5 * sig * sig) / sig
+            d2 = d1 - sig
+            price = np.where(forward, self.spot - K * disc, disc * (fwd * ndtr(d1) - Kp * ndtr(d2)))
+        return float(price) if K.ndim == 0 else price
+
+
+def _pchip_derivatives(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Node derivatives of the monotone cubic through points with spacings h
+    and secant slopes m (Fritsch & Carlson), as scipy's PchipInterpolator
+    takes them: zero where the slope changes sign or vanishes, else the
+    weighted harmonic mean; a shape-kept one-sided estimate at the ends; the
+    secant on a 2-point table."""
+    if len(m) == 1:
+        return np.array([m[0], m[0]])
+    # 1/slope -> inf at a zero or tiny slope gives the zero derivative PCHIP intends
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        ends = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(ends) > 3.0 * np.abs(m0))
+    ends = np.where(np.sign(ends) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, ends))
+    return np.concatenate((ends[:1], np.where(flat, 0.0, inner), ends[1:]))
 
 
 class TabulatedIndexPricer:
-    """Index call prices interpolated in strike from a table (monotone cubic)."""
+    """Index call prices interpolated in strike from a table by the monotone
+    cubic (PCHIP), extrapolated from the end intervals.  Values match scipy's
+    PchipInterpolator bit for bit: the same derivatives, power-form
+    coefficients and term order.  K is a scalar (a float is returned) or an
+    ndarray (an ndarray is returned)."""
 
     def __init__(self, strikes, prices):
-        from scipy.interpolate import PchipInterpolator
-
         strikes = np.asarray(strikes, dtype=float)
         prices = np.asarray(prices, dtype=float)
         if strikes.ndim != 1 or strikes.shape != prices.shape or len(strikes) < 2:
             raise ValueError("need matching 1-d strike and price tables with at least 2 points")
-        if np.any(np.diff(strikes) <= 0.0):
+        if not (np.isfinite(strikes).all() and np.isfinite(prices).all()):
+            raise ValueError("strikes and prices must be finite")
+        h = np.diff(strikes)
+        if np.any(h <= 0.0):
             raise ValueError("strikes must be strictly increasing")
-        # 1/slope -> inf at a zero or tiny slope gives the zero derivative PCHIP intends
-        with np.errstate(over="ignore", divide="ignore"):
-            self._interp = PchipInterpolator(strikes, prices, extrapolate=True)
+        m = np.diff(prices) / h
+        d = _pchip_derivatives(h, m)
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite derivative stays infinite
+            t = (d[:-1] + d[1:] - 2 * m) / h
+            self._coef = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], prices[:-1]))
+        self._strikes = strikes
 
-    def __call__(self, T: float, K: float) -> float:
-        return float(self._interp(K))
+    def __call__(self, T: float, K):
+        K = np.asarray(K, dtype=float)
+        # intervals closed on the left, the last one on both sides; NaN lands in the last
+        i = np.clip(np.searchsorted(self._strikes, K, side="right") - 1, 0, len(self._strikes) - 2)
+        c0, c1, c2, c3 = self._coef[:, i]
+        s = K - self._strikes[i]
+        with np.errstate(over="ignore", invalid="ignore"):  # far extrapolation overflows to +-inf
+            price = c3 + c2 * s + c1 * (s * s) + c0 * ((s * s) * s)
+        return float(price) if K.ndim == 0 else price
 
 
 @dataclass
@@ -275,7 +321,12 @@ def fit_index_payoff(
 ) -> tuple[Polynomial, float]:
     """Chebyshev fit of g(xi) = xi C(T, K/xi) on [_FIT_EPS, 1], composed with the
     affine map x -> Y^i_T(x).  Returns the payoff polynomial in the simplex
-    coordinates and the max abs fit residual on a dense reference grid."""
+    coordinates and the max abs fit residual on a dense reference grid.
+
+    ``index_pricer(T, K)`` (default ``sim.pricer``) is called once on the
+    array of fit nodes and once on the reference grid, so K is an ndarray
+    there: a custom pricer must broadcast over K and return an array (or a
+    scalar, for a price that does not depend on K)."""
     if index_pricer is None:
         index_pricer = sim.pricer
     if not 0 <= constituent < sim.dim:
@@ -293,7 +344,7 @@ def fit_index_payoff(
         raise ValueError("need K > 0")
 
     def g(xi):
-        return np.array([x * index_pricer(T, K / x) for x in np.atleast_1d(xi)])
+        return xi * index_pricer(T, K / xi)
 
     # least-squares fit at mapped Chebyshev nodes, residual on a uniform grid
     nodes = np.cos(np.pi * (2 * np.arange(grid_size) + 1) / (2 * grid_size))

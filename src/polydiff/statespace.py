@@ -164,7 +164,7 @@ class Quadric(StateSpace):
     family = "quadric"
 
     def __init__(self, Q, orientation: str = "inside"):
-        Q = np.asarray(Q, dtype=float)
+        Q = np.array(Q, dtype=float)  # a copy: the caller's array may change later
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be a square matrix")
         d = Q.shape[0]
@@ -175,6 +175,7 @@ class Quadric(StateSpace):
         if orientation not in ("inside", "outside"):
             raise ValueError("orientation must be 'inside' or 'outside'")
         self.dim = d
+        Q.flags.writeable = False
         self.Q = Q
         self.orientation = orientation
         p = _summed(d, [(_exps(d), 1.0), *((_exps(d, i, i), -Q[i, i]) for i in range(d))])  # 1 - x'Qx

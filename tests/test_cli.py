@@ -508,6 +508,15 @@ class TestMalformedInput:
         assert r.exit_code == 2
         assert r.stderr == "error: $.pricer.type: 'tabulated' is not one of ['lognormal', 'table']\n"
 
+    def test_overflowing_table_price_is_one_error_line(self, specs, tmp_path):
+        # JSON reads 1e999 as inf: the finite-number check names it before any pricer is built
+        path = tmp_path / "instrument.json"
+        path.write_text('{"kind": "equity_option", "x": [0.3, 0.7], "constituent": 0, "T": 1.0, "K": 0.4, '
+                        '"horizon": 2.0, "pricer": {"type": "table", "strikes": [0.5, 1.0], "prices": [0.5, 1e999]}}')
+        r = run(["price", specs["simplex_pricing"], path])
+        assert r.exit_code == 2
+        assert r.stderr == "error: instrument.pricer.prices[1]: expected a finite number, got inf\n"
+
     @staticmethod
     def _fresh_python(code):
         src = os.path.dirname(os.path.dirname(polydiff.__file__))
@@ -517,6 +526,19 @@ class TestMalformedInput:
 
     def test_import_leaves_scipy_stats_out(self):
         done = self._fresh_python("import sys, polydiff.cli; sys.exit('scipy.stats' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+
+    def test_index_option_leaves_scipy_interpolate_out(self):
+        # scipy.interpolate drags in optimize, sparse, spatial and fft: about 20 MB of RSS
+        done = self._fresh_python(
+            "import sys, polydiff.cli\n"
+            "from polydiff import LognormalIndexPricer, SimplexIndexModel, TabulatedIndexPricer\n"
+            "from polydiff import SimplexParams, constituent_option_price\n"
+            "params = SimplexParams(alpha=[[0.0, 1.0], [1.0, 0.0]], beta=[0.5, 0.5], B=[[-1.5, 0.5], [0.5, -1.5]])\n"
+            "sim = SimplexIndexModel(params=params, T_star=2.0, degree=4)\n"
+            "for pricer in (LognormalIndexPricer(1.0, 0.02, 0.3), TabulatedIndexPricer([0.1, 1.0, 1e6], [0.9, 0.1, 0.0])):\n"
+            "    constituent_option_price(sim, pricer, 0, 1.0, 0.4, [0.3, 0.7], residual_warn=1.0)\n"
+            "sys.exit('scipy.interpolate' in sys.modules)")
         assert done.returncode == 0, done.stderr
 
     def test_valid_input_leaves_jsonschema_out(self):

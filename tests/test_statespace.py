@@ -53,6 +53,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Quadric(np.eye(2), orientation="sideways")
 
+    def test_quadric_keeps_its_own_q(self):
+        Q = np.eye(2)
+        s = Quadric(Q)
+        Q[1, 1] = -1.0
+        x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+        assert s.spec_dict()["Q"] == [[1.0, 0.0], [0.0, 1.0]]
+        assert s.inequalities == (Polynomial.one(2) - x1 ** 2 - x2 ** 2,)
+        assert s.is_compact
+        with pytest.raises(ValueError):
+            s.Q[1, 1] = -1.0  # read-only, so the model-file block cannot drift either
+
     def test_box_orthant_needs_a_coordinate(self):
         with pytest.raises(ValueError):
             BoxOrthant(0, 0)
