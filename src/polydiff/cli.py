@@ -6,7 +6,9 @@ state space, degree overruns, bad state-price densities, a moment or price
 that is not a finite number, a ``--verify`` Monte Carlo check of more than
 ``_MC_PATH_STEPS`` path-steps, a swaption simulation past the caps of
 ``pricing.swaption_price_mc``, a ``basis-dump --degree``, ``pricing.degree``
-or ``moments --poly`` whose basis has more than ``_BASIS_SIZE`` monomials),
+or ``moments --poly`` whose basis has more than ``_BASIS_SIZE`` monomials, a
+``simulate`` of more than ``_SIM_PATH_STEPS`` path-steps or ``_SIM_ROWS``
+stored states),
 2 for unreadable or malformed input
 (non-finite points, horizons, steps or thresholds, non-finite instrument
 numbers, reported as ``instrument.<field>``, negative horizons, degrees,
@@ -62,6 +64,8 @@ EXIT_INPUT = 2
 
 _MC_PATH_STEPS = 10**6  # the most paths x steps a --verify Monte Carlo check runs: seconds in 4-d
 _BASIS_SIZE = 5000  # the most monomials a command builds a basis on: a dense generator of 200 MB
+_SIM_PATH_STEPS = 10**9  # the most paths x steps simulate runs: about a minute and a half in 1-d
+_SIM_ROWS = 2 * 10**7  # the most path states simulate stores: about 1 GB of CSV in 1-d
 
 # every library error not caused by malformed input is a domain-negative
 # outcome: points outside the state space, degree overruns, generators that
@@ -161,6 +165,20 @@ def _check_basis_size(space, degree: int, name: str) -> None:
     if n > _BASIS_SIZE:
         raise ValueError(f"{name}: degree {degree} gives a basis of {n} monomials, above the cap of "
                          f"{_BASIS_SIZE}; use a lower degree")
+
+
+def _check_simulation_size(paths: int, steps: float, stride: int) -> None:
+    """Refuse a simulation of more than ``_SIM_PATH_STEPS`` path-steps or
+    ``_SIM_ROWS`` stored states, before anything is allocated; ``steps`` is
+    t-end / dt, which may be inf."""
+    n = round(steps) if math.isfinite(steps) else math.inf
+    if paths * n > _SIM_PATH_STEPS:
+        raise ValueError(f"--paths: {paths} paths of {n} steps exceed the simulation cap of {_SIM_PATH_STEPS} "
+                         "path-steps; use fewer paths or a larger --dt")
+    rows = -(-n // stride) + 1  # every stride-th step from 0, and the last
+    if paths * rows > _SIM_ROWS:
+        raise ValueError(f"--paths: {paths} paths of {rows} stored states exceed the cap of {_SIM_ROWS} "
+                         "stored states; use fewer paths or a larger --store-stride")
 
 
 def _fail(message: str, code: int):
@@ -296,6 +314,7 @@ def simulate(ctx, spec_path, x0_text, paths, dt, t_end, store_stride, threshold,
     _check_positive("--t-end", t_end)
     if not math.isfinite(threshold):
         raise SpecError(f"--threshold: expected a finite value, got {threshold}")
+    _check_simulation_size(paths, t_end / dt, store_stride)
     ps = simulate_paths(spec.model, spec.statespace, x0, t_end, dt, paths,
                         ctx.obj["seed"], store_stride=store_stride)
     if use_gzip:

@@ -1,12 +1,18 @@
 """Admissibility, boundary attainment, and uniqueness diagnostics.
 
-Exactly checkable conditions (sign patterns, eigenvalues of constant
-matrices, linear identities) are decided outright.  Conditions quantified
-over infinite sets are sampled on deterministic grids with a margin: a clear
-violation yields Invalid with a witness point, values inside the margin band
-yield Inconclusive, and a clear pass is reported Valid.  Sampling therefore
-never produces a false Valid on the exact subset and never converts
-margin-zone noise into a rejection.
+Every condition verdict comes from one of six judges.  Exact ones decide
+pass or fail outright: ``_exact`` (sign patterns, linear identities,
+symbolic reductions) and ``_exact_psd`` (a constant matrix, smallest
+eigenvalue >= -1e-12 (1 + max |M|)).  Sampled ones run on deterministic
+grids and fail with a witness point: ``_sampled_min`` (values >= -tol) and
+``_sampled_zero`` (|values| <= tol) pass otherwise; ``_sampled_sign``, for
+a strict inequality, reads a value inside its margin band inconclusive;
+and ``_sampled_uncertified``, for a set that sampling cannot exhaust, never
+passes.  Sampling therefore never produces a false Valid on the exact
+subset and never turns margin-zone noise of a strict inequality into a
+rejection.  The gradient certificate of ``check_sufficient``, an exact
+division whose failure reads inconclusive, is the one verdict built outside
+the judges.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .statespace import (
     SimplexParams,
     StateSpace,
     _check_params,
-    skew_symmetric_basis,
+    _quadric_c_tensor,
 )
 
 __all__ = [
@@ -99,6 +105,21 @@ def _exact(cond_id: str, ok: bool, detail: str, witness=None) -> ConditionResult
     return ConditionResult(cond_id, "pass" if ok else "fail", detail, witness)
 
 
+def _eigmin(M: np.ndarray):
+    """Smallest eigenvalue of the symmetric part of M, or of each matrix of a
+    stack; inf for an empty matrix."""
+    if M.size == 0:
+        return np.inf
+    return np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2))).min(axis=-1)
+
+
+def _exact_psd(cond_id: str, M: np.ndarray, name: str) -> ConditionResult:
+    """Pass when the constant matrix M is PSD up to rounding."""
+    e = _eigmin(M)
+    return _exact(cond_id, e >= -_EXACT_TOL * (1.0 + np.abs(M).max(initial=0.0)),
+                  f"{name} PSD (min eigenvalue {e:.6g})")
+
+
 def _sampled_sign(cond_id: str, values: np.ndarray, points: np.ndarray, want: str,
                   margin: float, detail: str) -> ConditionResult:
     """Judge a sampled inequality.  ``want`` is "neg" (values < 0) or "pos"."""
@@ -113,10 +134,29 @@ def _sampled_sign(cond_id: str, values: np.ndarray, points: np.ndarray, want: st
     return ConditionResult(cond_id, "pass", f"{detail}; extreme sampled value {values[worst]:.6g}")
 
 
-def _eigmin(M: np.ndarray) -> float:
-    if M.size == 0:
-        return np.inf
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
+def _sampled_min(cond_id: str, values: np.ndarray, points: np.ndarray, tol: float, detail: str) -> ConditionResult:
+    """Pass when every sampled value is >= -tol, else fail at the smallest."""
+    worst = int(np.argmin(values))
+    ok = values[worst] >= -tol
+    return _exact(cond_id, ok, f"{detail} is {values[worst]:.6g}", None if ok else points[worst].tolist())
+
+
+def _sampled_zero(cond_id: str, values: np.ndarray, points: np.ndarray, tol: float, detail: str) -> ConditionResult:
+    """Pass when every sampled row of ``values`` is within tol of zero, else fail at the worst point."""
+    worst = int(np.argmax(np.abs(values).max(axis=1)))
+    bad = np.abs(values[worst]).max()
+    return _exact(cond_id, bad <= tol, f"{detail} is {bad:.6g}", None if bad <= tol else points[worst].tolist())
+
+
+def _sampled_uncertified(cond_id: str, values: np.ndarray, points: np.ndarray, margin: float,
+                         failed: str, unsure: str) -> ConditionResult:
+    """Judge values >= 0 sampled on a set that sampling cannot exhaust: fail
+    below -margin at the first smallest value, else inconclusive, never pass.
+    ``failed`` and ``unsure`` are format strings given that value."""
+    worst = int(np.argmin(values))
+    if values[worst] < -margin:
+        return ConditionResult(cond_id, "fail", failed.format(values[worst]), points[worst].tolist())
+    return ConditionResult(cond_id, "inconclusive", unsure.format(values[worst]))
 
 
 # ---------------------------------------------------------------------------
@@ -125,35 +165,17 @@ def _eigmin(M: np.ndarray) -> float:
 
 
 def _validate_quadric(space: Quadric, params: QuadricParams, samples: int, margin: float) -> ValidationReport:
-    conds: list[ConditionResult] = []
     inside = space.orientation == "inside"
-    alpha = params.alpha if inside else -params.alpha
-    tol = _EXACT_TOL * (1.0 + np.abs(params.alpha).max(initial=0.0))
-    e_alpha = _eigmin(alpha)
-    conds.append(_exact("quadric.alpha_psd", e_alpha >= -tol,
-                        f"{'alpha' if inside else '-alpha'} PSD (min eigenvalue {e_alpha:.6g})"))
-    e_gamma = _eigmin(params.gamma)
-    tol_g = _EXACT_TOL * (1.0 + np.abs(params.gamma).max(initial=0.0))
-    conds.append(_exact("quadric.gamma_psd", e_gamma >= -tol_g,
-                        f"gamma PSD (min eigenvalue {e_gamma:.6g})"))
-
+    # on {x'Qx = 1}, G(1 - x'Qx) = -2 (x'Q b(x) + (1/2) sum_i Q_ii c_ii(x)) with c_ij(x) = x' M[i, j] x
+    M = _quadric_c_tensor(space, params.gamma)
+    form = params.B.T @ space.Q + 0.5 * np.einsum("i,iiuv->uv", np.diag(space.Q), M)
     X = space.boundary_samples(0, samples)
-    Qd = np.diag(space.Q)
-    lin = X @ (space.Q @ params.beta)
-    quad = np.einsum("ki,ij,kj->k", X, params.B.T @ space.Q, X)
-    corr = np.zeros(len(X))
-    S = skew_symmetric_basis(space.dim)
-    for k in range(len(S)):
-        for l in range(len(S)):
-            if params.gamma[k, l] != 0.0:
-                Wk = X @ S[k].T
-                Wl = X @ S[l].T
-                corr += 0.5 * params.gamma[k, l] * np.einsum("ki,i,ki->k", Wl, Qd, Wk)
-    vals = lin + quad + corr
-    want = "neg" if inside else "pos"
-    sense = "< 0" if inside else "> 0"
-    conds.append(_sampled_sign("quadric.boundary_drift", vals, X, want, margin,
-                               f"boundary drift form {sense} on the quadric"))
+    vals = X @ (space.Q @ params.beta) + np.einsum("ki,ij,kj->k", X, form, X)
+    conds = [_exact_psd("quadric.alpha_psd", params.alpha if inside else -params.alpha,
+                        "alpha" if inside else "-alpha"),
+             _exact_psd("quadric.gamma_psd", params.gamma, "gamma"),
+             _sampled_sign("quadric.boundary_drift", vals, X, "neg" if inside else "pos", margin,
+                           f"boundary drift form {'< 0' if inside else '> 0'} on the quadric")]
     return ValidationReport("quadric", _verdict(conds), conds)
 
 
@@ -188,30 +210,17 @@ def _validate_box_orthant(space: BoxOrthant, params: BoxOrthantParams, samples: 
                             "phi_j dominates the negative part of psi_j"
                             if ok else f"phi[{j_bad}] = {params.phi[j_bad]:.6g} < {psi_neg[j_bad]:.6g}"))
 
-        tol_a = _EXACT_TOL * (1.0 + np.abs(params.alpha).max(initial=0.0))
         e_alpha = _eigmin(params.alpha)
-        if e_alpha >= -tol_a:
-            conds.append(ConditionResult("box.alpha_psd_shifted", "pass",
-                                         f"alpha itself PSD (min eigenvalue {e_alpha:.6g}), shift is nonnegative"))
+        if e_alpha >= -_EXACT_TOL * (1.0 + np.abs(params.alpha).max(initial=0.0)):
+            conds.append(_exact("box.alpha_psd_shifted", True,
+                                f"alpha itself PSD (min eigenvalue {e_alpha:.6g}), shift is nonnegative"))
         else:
-            rng = np.random.default_rng(711)
-            U = rng.dirichlet(np.ones(n), samples)
-            U = np.maximum(U, 1e-12)
-            worst = np.inf
-            worst_u = U[0]
-            for u in U:
-                shift = np.diag((params.pi.T @ u) / u)
-                e = _eigmin(params.alpha + shift)
-                if e < worst:
-                    worst, worst_u = e, u
-            if worst < -margin:
-                conds.append(ConditionResult("box.alpha_psd_shifted", "fail",
-                                             f"alpha + Diag(pi'u)/Diag(u) has eigenvalue {worst:.6g} < 0",
-                                             witness=worst_u.tolist()))
-            else:
-                conds.append(ConditionResult("box.alpha_psd_shifted", "inconclusive",
-                                             f"alpha not PSD alone; sampled shifted minimum {worst:.6g} "
-                                             "cannot certify all of the orthant"))
+            U = np.maximum(np.random.default_rng(711).dirichlet(np.ones(n), samples), 1e-12)
+            shifted = np.array([params.alpha + np.diag((params.pi.T @ u) / u) for u in U])
+            conds.append(_sampled_uncertified("box.alpha_psd_shifted", _eigmin(shifted), U, margin,
+                                              "alpha + Diag(pi'u)/Diag(u) has eigenvalue {:.6g} < 0",
+                                              "alpha not PSD alone; sampled shifted minimum {:.6g} "
+                                              "cannot certify all of the orthant"))
         beta_orth = params.beta[m:]
         floor = np.maximum(-B[m:, :m], 0.0).sum(axis=1)
         ok = np.all(beta_orth > floor)
@@ -264,24 +273,14 @@ def _validate_simplex(space: Simplex, params: SimplexParams, samples: int, margi
 
 
 def _validate_full(space: FullSpace, model: ModelCoefficients, samples: int, margin: float) -> ValidationReport:
-    conds: list[ConditionResult] = []
     if all(model.a[i][j].degree <= 0 for i in range(space.dim) for j in range(space.dim)):
-        A = model.a_eval(np.zeros(space.dim))
-        e = _eigmin(A)
-        conds.append(_exact("full.diffusion_psd", e >= -_EXACT_TOL * (1.0 + np.abs(A).max()),
-                            f"constant diffusion matrix PSD (min eigenvalue {e:.6g})"))
+        cond = _exact_psd("full.diffusion_psd", model.a_eval(np.zeros(space.dim)), "constant diffusion matrix")
     else:
         X = space.interior_samples(samples)
-        eig = np.linalg.eigvalsh(model.a_eval(X)).min(axis=-1)
-        worst = int(np.argmin(eig))
-        if eig[worst] < -margin:
-            conds.append(ConditionResult("full.diffusion_psd", "fail",
-                                         f"diffusion eigenvalue {eig[worst]:.6g} < 0",
-                                         witness=X[worst].tolist()))
-        else:
-            conds.append(ConditionResult("full.diffusion_psd", "inconclusive",
-                                         "sampled PSD check passed but cannot certify all of R^d"))
-    return ValidationReport("full", _verdict(conds), conds)
+        cond = _sampled_uncertified("full.diffusion_psd", np.linalg.eigvalsh(model.a_eval(X)).min(axis=-1), X,
+                                    margin, "diffusion eigenvalue {:.6g} < 0",
+                                    "sampled PSD check passed but cannot certify all of R^d")
+    return ValidationReport("full", _verdict([cond]), [cond])
 
 
 _VALIDATORS = {QuadricParams: _validate_quadric, BoxOrthantParams: _validate_box_orthant,
@@ -329,14 +328,6 @@ def _eval_vector(polys: list[Polynomial], X: np.ndarray) -> np.ndarray:
     return np.column_stack(_evaluator(polys)(X))
 
 
-def _sampled_zero(cond_id: str, values: np.ndarray, points: np.ndarray, tol: float, detail: str) -> ConditionResult:
-    """Pass when every sampled row of ``values`` is within tol of zero, else fail at the worst point."""
-    worst = int(np.argmax(np.abs(values).max(axis=1)))
-    bad = np.abs(values[worst]).max()
-    return ConditionResult(cond_id, "pass" if bad <= tol else "fail", f"{detail} is {bad:.6g}",
-                           witness=None if bad <= tol else points[worst].tolist())
-
-
 def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 400,
                     tol: float = DEFAULT_MARGIN) -> CheckReport:
     """Sampled necessary invariance conditions.
@@ -353,13 +344,7 @@ def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 
         Gp, *agp = _images(model, p)
         conds.append(_sampled_zero(f"necessary.a_gradp_zero[{k}]", _eval_vector(agp, X), X, tol,
                                    f"max |a grad p| on stratum {k}"))
-        gp = Gp(X)
-        worst = int(np.argmin(gp))
-        conds.append(ConditionResult(
-            f"necessary.gp_nonneg[{k}]",
-            "pass" if gp[worst] >= -tol else "fail",
-            f"min G p on stratum {k} is {gp[worst]:.6g}",
-            witness=None if gp[worst] >= -tol else X[worst].tolist()))
+        conds.append(_sampled_min(f"necessary.gp_nonneg[{k}]", Gp(X), X, tol, f"min G p on stratum {k}"))
     if space.equalities:
         X = space.all_samples(samples)
         for k, q in enumerate(space.equalities):
@@ -395,15 +380,9 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
     """
     if model.dim != space.dim:
         raise ValueError("model and state space dimensions differ")
-    conds: list[ConditionResult] = []
     X = space.all_samples(samples)
-    eig = np.linalg.eigvalsh(model.a_eval(X)).min(axis=-1)
-    worst = int(np.argmin(eig))
-    conds.append(ConditionResult(
-        "sufficient.diffusion_psd",
-        "pass" if eig[worst] >= -margin else "fail",
-        f"min diffusion eigenvalue on E samples is {eig[worst]:.6g}",
-        witness=None if eig[worst] >= -margin else X[worst].tolist()))
+    conds = [_sampled_min("sufficient.diffusion_psd", np.linalg.eigvalsh(model.a_eval(X)).min(axis=-1), X, margin,
+                          "min diffusion eigenvalue on E samples")]
     for k, p in enumerate(space.inequalities):
         Gp, *agp = _images(model, p)
         try:
@@ -420,15 +399,11 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
         conds.append(_sampled_sign(f"sufficient.boundary_drift[{k}]", gp, Xb, "pos", margin,
                                    f"G p > 0 on stratum {k}"))
     for k, (q, drift, diffusion) in enumerate(manifold_defects(model, space)):
-        conds.append(ConditionResult(
-            f"sufficient.manifold_drift[{k}]",
-            "pass" if drift is None else "fail",
-            "G q vanishes on the manifold" if drift is None else f"G q reduces to {drift}"))
-        conds.append(ConditionResult(
-            f"sufficient.manifold_diffusion[{k}]",
-            "pass" if diffusion is None else "fail",
-            "a grad q vanishes on the manifold" if diffusion is None else
-            f"(a grad q)_{diffusion[0]} reduces to {diffusion[1]}"))
+        conds.append(_exact(f"sufficient.manifold_drift[{k}]", drift is None,
+                            "G q vanishes on the manifold" if drift is None else f"G q reduces to {drift}"))
+        conds.append(_exact(f"sufficient.manifold_diffusion[{k}]", diffusion is None,
+                            "a grad q vanishes on the manifold" if diffusion is None else
+                            f"(a grad q)_{diffusion[0]} reduces to {diffusion[1]}"))
     return CheckReport("sufficient", _check_verdict(conds), conds)
 
 

@@ -24,7 +24,7 @@ from .conditions import validate_params
 from .generator import ModelCoefficients, _basis_and_generator, augmented_exp, check_point
 from .polynomial import Polynomial
 from .simulate import simulate_paths
-from .statespace import Simplex, SimplexParams, StateSpace, assemble_model
+from .statespace import Simplex, SimplexParams, StateSpace, _linear_drift, assemble_model
 
 __all__ = [
     "InvalidStatePriceDensity",
@@ -356,10 +356,7 @@ def fit_index_payoff(
     # compose with the affine weight map: xi(x) = Phi_i + (Psi x)_i
     d = sim.dim
     Psi, Phi = augmented_exp(sim.params.B, sim.params.beta, sim.T_star - T)
-    affine = Polynomial.constant(d, Phi[constituent])
-    for j in range(d):
-        if Psi[constituent, j] != 0.0:
-            affine = affine + Psi[constituent, j] * Polynomial.variable(j, d)
+    affine = _linear_drift(Phi, Psi)[constituent]
     # rescale to the Chebyshev variable on [-1, 1] and expand in powers
     a, b = fit.domain
     t_poly = (2.0 * affine - (a + b)) * (1.0 / (b - a))

@@ -569,7 +569,7 @@ class BoxOrthantParams:
         m, n = int(self.m), int(self.n)
         d = m + n
         self.gamma = _as_matrix(self.gamma, (m,), "gamma")
-        self.alpha = _require_symmetric(_as_matrix(self.alpha, (n, n), "alpha"), "alpha") if n else np.zeros((0, 0))
+        self.alpha = _require_symmetric(_as_matrix(self.alpha, (n, n), "alpha"), "alpha")
         self.phi = _as_matrix(self.phi, (n,), "phi")
         self.psi = _as_matrix(self.psi, (n, m), "psi")
         self.pi = _as_matrix(self.pi, (n, n), "pi")
@@ -615,22 +615,18 @@ def _linear_drift(beta: np.ndarray, B: np.ndarray) -> list[Polynomial]:
     return [_summed(d, [(_exps(d), beta[i]), *((_exps(d, j), B[i, j]) for j in range(d))]) for i in range(d)]
 
 
-def _quadric_c_polys(space: Quadric, gamma: np.ndarray) -> list[list[Polynomial]]:
+def _quadric_c_tensor(space: Quadric, gamma: np.ndarray) -> np.ndarray:
+    """The (d, d, d, d) array M with c_ij(x) = x' M[i, j] x, where
+    c_ij(x) = sum_kl gamma_kl (Q S_k x)_i (Q S_l x)_j over the skew-symmetric
+    basis S.  Q S_k has entries 0 and +-1, so the outer products are exact."""
     d = space.dim
-    S = skew_symmetric_basis(d)
-    QS = [space.Q @ s for s in S]
-    c = [[Polynomial.zero(d) for _ in range(d)] for _ in range(d)]
-    if not len(S):
-        return c
-    for i in range(d):
-        for j in range(d):
-            M = np.zeros((d, d))
-            for k in range(len(S)):
-                for l in range(len(S)):
-                    if gamma[k, l] != 0.0:
-                        M += gamma[k, l] * np.outer(QS[k][i], QS[l][j])
-            c[i][j] = _summed(d, [(_exps(d, u, v), M[u, v]) for u in range(d) for v in range(d) if M[u, v] != 0.0])
-    return c
+    QS = [space.Q @ s for s in skew_symmetric_basis(d)]
+    M = np.zeros((d, d, d, d))
+    for k in range(len(QS)):
+        for l in range(len(QS)):
+            if gamma[k, l] != 0.0:
+                M += gamma[k, l] * np.einsum("iu,jv->ijuv", QS[k], QS[l])
+    return M
 
 
 # each family's parameter type; a full space takes raw coefficients
@@ -663,8 +659,10 @@ def assemble_model(space: StateSpace, params) -> ModelCoefficients:
     if isinstance(space, Quadric):
         d = space.dim
         p = space.inequalities[0] if space.orientation == "inside" else -space.inequalities[0]
-        c = _quadric_c_polys(space, params.gamma)
-        a = [[p * params.alpha[i, j] + c[i][j] for j in range(d)] for i in range(d)]
+        M = _quadric_c_tensor(space, params.gamma)
+        a = [[p * params.alpha[i, j] + _summed(d, [(_exps(d, u, v), M[i, j, u, v])
+                                                   for u in range(d) for v in range(d) if M[i, j, u, v] != 0.0])
+              for j in range(d)] for i in range(d)]
         return ModelCoefficients(a, _linear_drift(params.beta, params.B))
 
     if isinstance(space, BoxOrthant):

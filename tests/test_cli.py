@@ -25,7 +25,7 @@ from scipy.linalg import expm
 
 import polydiff
 from polydiff import Polynomial
-from polydiff.cli import _BASIS_SIZE, _MC_PATH_STEPS, main
+from polydiff.cli import _BASIS_SIZE, _MC_PATH_STEPS, _SIM_PATH_STEPS, _SIM_ROWS, _check_simulation_size, main
 from polydiff.pricing import _SWAPTION_PATHS, _SWAPTION_SIZE, PricingModel, bond_price, variance_swap_rate
 from polydiff.simulate import simulate_paths
 from polydiff.specfile import load_schema, parse_model_spec
@@ -132,6 +132,23 @@ FULL4_DOC = {
                            for i in range(4)]},
 }
 
+# the unit disk, whose diffusion gets a correction c(x) from gamma
+DISK_DOC = {
+    "dimension": 2,
+    "state_space": {"family": "quadric", "Q": [[1.0, 0.0], [0.0, 1.0]]},
+    "coefficients": {"kind": "family", "params": {
+        "alpha": [[1.0, 0.0], [0.0, 1.0]], "gamma": [[0.5]], "beta": [0.0, 0.0],
+        "B": [[-1.0, 0.0], [0.0, -1.0]]}},
+}
+
+# the unbounded solid hyperboloid x1^2 - x2^2 <= 1, gamma left to its default 0
+HYPERBOLOID_DOC = {
+    "dimension": 2,
+    "state_space": {"family": "quadric", "Q": [[1.0, 0.0], [0.0, -1.0]], "orientation": "inside"},
+    "coefficients": {"kind": "family", "params": {
+        "alpha": [[1.0, 0.0], [0.0, 1.0]], "beta": [0.0, 0.0], "B": [[-1.0, 0.0], [0.0, -1.0]]}},
+}
+
 
 def _variant(doc, **params):
     out = copy.deepcopy(doc)
@@ -152,6 +169,8 @@ DOCS = {
     "simplex3": SIMPLEX3_DOC,
     "simplex4": SIMPLEX4_DOC,
     "full4": FULL4_DOC,
+    "disk": DISK_DOC,
+    "hyperboloid": HYPERBOLOID_DOC,
 }
 
 
@@ -643,6 +662,65 @@ class TestMalformedInput:
         assert r.exit_code == 2
         assert r.stderr == f"error: coefficients: {message}\n"
 
+    def test_unreadable_poly_file_is_one_line(self, specs, tmp_path):
+        missing = tmp_path / "missing.json"
+        r = run(["moments", specs["cir"], "--degree", 4, "--x", "0.8", "--tau", 1.0, "--poly", f"@{missing}"])
+        assert r.exit_code == 2
+        assert r.stderr == f"error: --poly: [Errno 2] No such file or directory: '{missing}'\n"
+
+    def test_malformed_poly_file_is_one_line(self, specs, tmp_path):
+        bad = tmp_path / "poly.json"
+        bad.write_text("{not json")
+        r = run(["moments", specs["cir"], "--degree", 4, "--x", "0.8", "--tau", 1.0, "--poly", f"@{bad}"])
+        assert r.exit_code == 2
+        assert r.stderr == ("error: --poly: Expecting property name enclosed in double quotes: "
+                            "line 1 column 2 (char 1)\n")
+
+    def test_poly_of_another_dimension_is_one_line(self, specs):
+        poly = json.dumps({"dim": 2, "terms": [{"e": [1, 0], "c": 1.0}]})
+        r = run(["moments", specs["cir"], "--degree", 4, "--x", "0.8", "--tau", 1.0, "--poly", poly])
+        assert r.exit_code == 2
+        assert r.stderr == "error: --poly: polynomial dimension 2 does not match model dimension 1\n"
+
+    # an exponent vector of length 2 in a 1-d polynomial: a raw drift entry, or the pricing p
+    LONG_EXPONENT = {"dim": 1, "terms": [{"e": [1, 0], "c": 1.0}]}
+    MODEL_FILE_ERRORS = {
+        "raw_term_exponent": ("raw_full", ("coefficients", "b", 0), LONG_EXPONENT,
+                              "coefficients: exponent vector (1, 0) has length 2, expected 1"),
+        "pricing_p_exponent": ("cir", ("pricing", "p"), LONG_EXPONENT,
+                               "pricing.p: exponent vector (1, 0) has length 2, expected 1"),
+        "full_family_params": ("raw_full", ("coefficients",), {"kind": "family", "params": {}},
+                               "coefficients: family 'full' has no parameter form; use kind 'raw'"),
+        # with n = 0, alpha is checked like phi: [] or shape (0, 0), nothing else
+        "empty_orthant_alpha": ("jacobi", ("coefficients", "params", "alpha"), [[5.0, 1.0]],
+                                "coefficients.params: alpha must have shape (0, 0), got (1, 2)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MODEL_FILE_ERRORS))
+    def test_model_file_error_is_one_line(self, case, tmp_path):
+        model, (*parents, key), value, message = self.MODEL_FILE_ERRORS[case]
+        doc = copy.deepcopy(DOCS[model])
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        r = run(["validate", path])
+        assert r.exit_code == 2
+        assert r.stderr == f"error: {message}\n"
+
+    def test_zero_state_price_density_is_one_line(self, instrument, tmp_path):
+        # p = x1 vanishes at x = 0, where a bond has no state-price density to discount with
+        doc = copy.deepcopy(CIR_DOC)
+        doc["pricing"]["p"] = {"dim": 1, "terms": [{"e": [1], "c": 1.0}]}
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps(doc))
+        r = run(["--quiet", "price", spec, instrument({"kind": "bond", "x": [0.0], "t": 0.0, "T": 1.0})])
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: state-price density H(x)'p = 0 <= 0\n"
+
 
 class TestSimulate:
     def base_args(self, out, spec, seed=7):
@@ -805,9 +883,9 @@ class TestReportSchemas:
 
 
 class TestSizeCaps:
-    """A basis or a swaption simulation past its cap is refused with exit 1
-    and one error: line before it is built.  Only requests just above a cap
-    are run; one at the cap would build it."""
+    """A basis, a simulation or a swaption simulation past its cap is
+    refused with exit 1 and one error: line before it is built.  Only
+    requests just above a cap are run; one at the cap would build it."""
 
     @staticmethod
     def refuse(*args, **kwargs):
@@ -883,6 +961,40 @@ class TestSizeCaps:
         r = run(["price", specs["cir"], instrument({**TestMalformedInput.SWAPTION, "expiry": expiry,
                                                     "coupons": [[1.0, 2.0]], "n_paths": paths, "dt": 1e-3})])
         self.refused(r, self.swaption_message(paths, 1000 if expiry == 1.0 else 1, n))
+
+    @staticmethod
+    def simulate(specs, tmp_path, monkeypatch, *args):
+        monkeypatch.setattr(polydiff.cli, "simulate_paths", TestSizeCaps.refuse)
+        return run(["--out", tmp_path / "paths.csv", "simulate", specs["jacobi"], "--x0", "0.2", *args])
+
+    def test_simulate_path_steps(self, specs, tmp_path, monkeypatch):
+        # one path of one step more than the cap, storing only its two ends
+        n = _SIM_PATH_STEPS + 1
+        r = self.simulate(specs, tmp_path, monkeypatch, "--paths", 1, "--dt", 1, "--t-end", n, "--store-stride", n)
+        self.refused(r, f"--paths: 1 paths of {n} steps exceed the simulation cap of {_SIM_PATH_STEPS} path-steps; "
+                        "use fewer paths or a larger --dt")
+        assert not (tmp_path / "paths.csv").exists()
+
+    def test_simulate_infinite_step_count(self, specs, tmp_path, monkeypatch):
+        r = self.simulate(specs, tmp_path, monkeypatch, "--paths", 1, "--dt", 5e-324, "--t-end", 1)
+        self.refused(r, f"--paths: 1 paths of inf steps exceed the simulation cap of {_SIM_PATH_STEPS} path-steps; "
+                        "use fewer paths or a larger --dt")
+
+    def test_simulate_stored_states(self, specs, tmp_path, monkeypatch):
+        # three stored states a path, 0, 1 and 2: one state more than the cap
+        assert _SIM_ROWS % 3 == 2
+        paths = (_SIM_ROWS + 1) // 3
+        r = self.simulate(specs, tmp_path, monkeypatch, "--paths", paths, "--dt", 1, "--t-end", 2)
+        self.refused(r, f"--paths: {paths} paths of 3 stored states exceed the cap of {_SIM_ROWS} stored states; "
+                        "use fewer paths or a larger --store-stride")
+
+    @pytest.mark.parametrize("paths, steps, stride", [
+        (1, _SIM_PATH_STEPS, _SIM_PATH_STEPS),  # the step cap exactly, two stored states
+        (_SIM_ROWS // 2, 1, 1),  # the stored-state cap exactly
+        (10**4, 1000, 1),  # the README example: 10^4 paths of 1001 stored states
+    ])
+    def test_simulate_caps_admit_what_they_bound(self, paths, steps, stride):
+        _check_simulation_size(paths, float(steps), stride)
 
     def test_readme_swaption_prices(self, specs, instrument):
         # 20000 paths x 500 steps, the size of the README example
@@ -1222,8 +1334,13 @@ def point_texts(draw, dim):
 @st.composite
 def step_grids(draw):
     """(--dt, --t-end): any numbers, except that a positive finite horizon
-    spans at most MAX_STEPS positive finite steps."""
+    spans at most MAX_STEPS positive finite steps, or more than the
+    simulation cap of path-steps, which is refused before it runs."""
     dt = draw(NUMBERS | st.floats(1e-3, 0.1) | st.floats(1e6, 1e200))  # the last overflow some models
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            return 5e-324, draw(st.floats(1.0, 1e300))  # t-end / dt is inf
+        return dt, dt * draw(st.integers(_SIM_PATH_STEPS + 1, 4 * _SIM_PATH_STEPS))
     steps = draw(st.integers(1, MAX_STEPS))
     t_end = draw(st.just(steps * dt) | NUMBERS)
     if math.isfinite(dt) and dt > 0 and math.isfinite(t_end) and t_end > 0:
@@ -1267,7 +1384,8 @@ class TestOptionFuzz:
         _check_contract(run(args), "moments")
 
     @settings(FUZZ, max_examples=150)
-    @given(name=st.sampled_from(sorted(DOCS)), grid=step_grids(), paths=st.integers(1, 16) | st.integers(-1, 16),
+    @given(name=st.sampled_from(sorted(DOCS)), grid=step_grids(),
+           paths=st.integers(1, 16) | st.integers(-1, 16) | st.integers(_SIM_ROWS + 1, 4 * _SIM_ROWS),
            stride=st.integers(1, 8) | st.integers(-1, 8))
     def test_simulate(self, name, grid, paths, stride, specs, tmp_path):
         dim = DOCS[name]["dimension"]

@@ -14,6 +14,7 @@ from polydiff import (
     QuadricParams,
     Simplex,
     SimplexParams,
+    apply_generator,
     assemble_model,
     check_necessary,
     check_sufficient,
@@ -177,6 +178,27 @@ class TestRejections:
         assert bad.witness is not None
         x = np.asarray(bad.witness)
         assert abs(x @ x - 1.0) < 1e-9  # witness sits on the quadric
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_quadric_boundary_form_is_the_generator_of_p(self, seed):
+        # on {x'Qx = 1}, G(1 - x'Qx) = -2 x form, so the reported extreme is
+        # that of -G p / 2 on the same samples, for G built from the assembled a and b
+        rng = np.random.default_rng(seed)
+        d = 1 + seed % 4
+        q = rng.choice([-1.0, 1.0], d)
+        q[0] = 1.0
+        inside = seed % 2 == 0
+        space = Quadric(np.diag(q), "inside" if inside else "outside")
+        gamma = rng.standard_normal((d * (d - 1) // 2,) * 2)
+        params = QuadricParams(alpha=np.eye(d), beta=rng.standard_normal(d), B=rng.standard_normal((d, d)),
+                               gamma=gamma + gamma.T)
+        cond = validate_params(space, params, samples=200).conditions[-1]
+        assert cond.id == "quadric.boundary_drift"
+        X = space.boundary_samples(0, 200)
+        p = space.inequalities[0] if inside else -space.inequalities[0]
+        form = -0.5 * apply_generator(assemble_model(space, params), p)(X)
+        reported = float(cond.detail.split("value ")[1].split()[0])
+        assert reported == pytest.approx(form.max() if inside else form.min(), rel=1e-5, abs=1e-9)
 
     def test_inconclusive_frozen_quadric(self):
         # zero drift: the strict boundary form is identically 0, inside the

@@ -522,6 +522,12 @@ class TestParamValidation:
         assert p.psi.shape == (1, 0)
         assert p.gamma.shape == (0,)
 
+    def test_empty_orthant_alpha_is_checked(self):
+        # with n = 0, alpha is a (0, 0) block like psi and pi: [] or that shape, nothing else
+        with pytest.raises(ValueError, match=r"alpha must have shape \(0, 0\), got \(1, 2\)"):
+            BoxOrthantParams(m=1, n=0, gamma=[1.0], alpha=[[5.0, 1.0]], phi=[], psi=[], pi=[],
+                             beta=[0.5], B=[[-1.0]])
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             SimplexParams(alpha=[[0.0, np.inf], [np.inf, 0.0]], beta=np.zeros(2), B=np.zeros((2, 2)))
