@@ -15,6 +15,12 @@ with numpy alone.  The contract holds across chunk and step-block
 boundaries: paths are bit-identical across runs, platforms and chunk sizes,
 and adding paths never reshuffles existing ones.
 
+Two producers give these bits, chosen by the block's shape alone.  A chunk of
+at least ``_ARRAY_MIN_PATHS`` paths drawing at most ``_ARRAY_MAX_WORDS`` words
+per path in a block runs Philox4x64-10 itself, on arrays over all its paths
+and counters (``_philox_uniforms``); any other block sets each path's key and
+counter on one numpy ``Philox`` and draws through its ``Generator``.
+
 Keys: numpy's entropy for path k is the seed's 32-bit words, zero-padded to
 the 4-word pool, then k's one or two words.  So a chunk of paths starts from
 numpy's own ``SeedSequence(seed).pool``, mixes in only k's words per path,
@@ -46,6 +52,12 @@ _CHUNK_PATHS = 8192  # paths simulated together; the paths do not depend on it
 # a block of d-dimensional steps is a whole number of 4-word Philox outputs,
 # so every block starts on an empty buffer at counter step * d / 4
 assert _STEP_BLOCK % 4 == 0
+# blocks of chunks this wide drawing this few words per path take the array
+# Philox: on a 2-core x86 VM it cost about 0.2 ms plus 70-100 ns a word, the
+# generator loop 2.5-3 us a path, so the array wins on wide chunks of short
+# blocks only (the sweep is in CHANGES.md)
+_ARRAY_MIN_PATHS = 256
+_ARRAY_MAX_WORDS = 16
 
 # numpy SeedSequence constants (O'Neill's seed_seq_fe with a 4-word pool)
 _MASK32 = 0xFFFFFFFF
@@ -53,6 +65,13 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# Philox4x64-10 (Salmon et al., SC'11) as numpy runs it: the round multipliers
+# and key increments of the two lanes (counter words 0 and 2)
+_PHILOX_MUL = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+_MUL_LO, _MUL_HI = _PHILOX_MUL & _LOW32, _PHILOX_MUL >> _SHIFT32
 
 
 def _psd_sqrt_batch(A: np.ndarray) -> np.ndarray:
@@ -235,23 +254,58 @@ def _path_keys(seed: int, indices) -> np.ndarray:
     return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
-def _uniforms(gen: np.random.Generator, keys: list, step: int, block: int, d: int) -> np.ndarray:
+def _uniforms(gen: np.random.Generator, keys: np.ndarray, step: int, block: int, d: int) -> np.ndarray:
     """Uniforms (len(keys), block, d) of steps [step, step + block) of the
-    Philox streams keyed by ``keys``, all drawn through the one generator ``gen``.
+    Philox streams keyed by the rows of ``keys`` (n, 2) uint64.
 
-    Each path sets its key and counter step * d / 4 on an empty buffer, which
-    is where its own fresh stream stands after ``step`` steps whenever
-    step * d is a multiple of 4 (Philox counts 4-word outputs).
+    A block of at least ``_ARRAY_MIN_PATHS`` paths and at most
+    ``_ARRAY_MAX_WORDS`` words a path is ``_philox_uniforms``.  Any other draws
+    through the one generator ``gen``: each path sets its key and counter
+    step * d / 4 on an empty buffer, which is where its own fresh stream stands
+    after ``step`` steps whenever step * d is a multiple of 4 (Philox counts
+    4-word outputs).  Both give the same bits.
     """
+    if len(keys) >= _ARRAY_MIN_PATHS and block * d <= _ARRAY_MAX_WORDS:
+        return _philox_uniforms(keys, step, block, d)
     u = np.empty((len(keys), block, d))
     bitgen = gen.bit_generator
     state = {"bit_generator": "Philox", "state": {"counter": [step * d // 4, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for i, key in enumerate(keys):
+    for i, key in enumerate(keys.tolist()):
         state["state"]["key"] = key
         bitgen.state = state
         gen.random((block, d), out=u[i])
     return u
+
+
+def _philox_uniforms(keys: np.ndarray, step: int, block: int, d: int) -> np.ndarray:
+    """``_uniforms`` computed as numpy's Philox4x64-10 computes it, on arrays
+    (2, paths, counters) of the counter words 0 and 2 (the multiplied lanes)
+    and 1 and 3, for every path and counter of the block at once.
+
+    numpy counts up before it draws, so the block's first counter is
+    step * d / 4 + 1; each 64-bit output u gives (u >> 11) * 2**-53.  The high
+    word of a 64 x 64-bit product is summed from 32-bit halves.
+    """
+    n, words = len(keys), block * d
+    counters = -(-words // 4)
+    first = step * d // 4 + 1
+    key = keys.T.reshape(2, n, 1)
+    # round one sees only the counters; the keys widen x to every path after it
+    x = np.zeros((2, 1, counters), dtype=np.uint64)
+    x[0] = np.arange(first, first + counters, dtype=np.uint64)
+    y = np.zeros_like(x)
+    for r in range(10):
+        if r:
+            key = key + _PHILOX_BUMP
+        # each partial sum of 32 x 32-bit products stays below 2**64
+        low, high = x & _LOW32, x >> _SHIFT32
+        mid = _MUL_LO * high + (_MUL_LO * low >> _SHIFT32)
+        cross = _MUL_HI * low + (mid & _LOW32)
+        hi = _MUL_HI * high + (mid >> _SHIFT32) + (cross >> _SHIFT32)
+        x, y = hi[::-1] ^ y ^ key, (_PHILOX_MUL * x)[::-1]
+    out = np.stack((x[0], y[0], x[1], y[1]), axis=-1).reshape(n, 4 * counters)[:, :words]
+    return ((out >> np.uint64(11)) * 2.0**-53).reshape(n, block, d)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a path that overflows raises at the end
@@ -304,7 +358,7 @@ def simulate_paths(
 
     for start in range(0, n_paths, _CHUNK_PATHS):
         stop = min(start + _CHUNK_PATHS, n_paths)
-        keys = _path_keys(seed, np.arange(start, stop)).tolist()
+        keys = _path_keys(seed, np.arange(start, stop))
         c = stop - start
         x = np.tile(x0, (c, 1))
         out[start:stop, 0] = x

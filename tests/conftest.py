@@ -79,13 +79,19 @@ def oracle_eval(p, x):
     return np.asarray(out)
 
 
+def reference_stream(seed, k):
+    """Path k's stream as the documented contract states it, in numpy alone."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
+
+
 def oracle_simulate_paths(model, statespace, x0, T, dt, n_paths, seed, store_stride=1):
     """The Euler step as ``simulate_paths`` defines it, one piece at a time:
     b and each inequality polynomial through ``oracle_eval``, the matrix a
     formed here from its upper triangle and given to the eigendecomposition
-    root, that root times z, and the projection.  Same streams, chunks and
-    storage as the package, so d = 1 and d >= 3 paths must agree with it bit
-    for bit."""
+    root, that root times z, and the projection.  Each path draws from its
+    own ``reference_stream``, not from the package's stream code; chunks and
+    storage are the package's, so d = 1 and d >= 3 paths must agree with it
+    bit for bit."""
     x0 = statespace.project(check_point(statespace, x0))
     d = statespace.dim
     ineqs = statespace.inequalities
@@ -95,10 +101,9 @@ def oracle_simulate_paths(model, statespace, x0, T, dt, n_paths, seed, store_str
     out = np.empty((n_paths, len(stored_steps), d))
     minima = np.empty((n_paths, len(ineqs))) if ineqs else None
     sqdt = np.sqrt(dt)
-    gen = np.random.Generator(np.random.Philox(0))
     for start in range(0, n_paths, simulate._CHUNK_PATHS):
         stop = min(start + simulate._CHUNK_PATHS, n_paths)
-        keys = simulate._path_keys(seed, np.arange(start, stop)).tolist()
+        streams = [reference_stream(seed, k) for k in range(start, stop)]
         c = stop - start
         x = np.tile(x0, (c, 1))
         out[start:stop, 0] = x
@@ -107,7 +112,7 @@ def oracle_simulate_paths(model, statespace, x0, T, dt, n_paths, seed, store_str
         step = 0
         while step < n_steps:
             block = min(simulate._STEP_BLOCK, n_steps - step)
-            u = simulate._uniforms(gen, keys, step, block, d)
+            u = np.stack([g.random((block, d)) for g in streams])
             z = ndtri(np.clip(u, 1e-300, 1.0 - 2**-53))
             for j in range(block):
                 drift = np.column_stack([oracle_eval(p, x) for p in model.b])

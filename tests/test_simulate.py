@@ -23,7 +23,7 @@ from polydiff import (
 )
 
 from polydiff.polynomial import _evaluator
-from polydiff.simulate import _path_keys, _psd_sqrt_batch, _root_times, _uniforms
+from polydiff.simulate import _path_keys, _philox_uniforms, _psd_sqrt_batch, _root_times, _uniforms
 
 from conftest import (
     MODEL_MATRIX,
@@ -33,6 +33,7 @@ from conftest import (
     jacobi_model,
     oracle_eval,
     oracle_simulate_paths,
+    reference_stream,
     simplex3_model,
     simplex_jacobi_model,
     simplex_x2_form_model,
@@ -46,11 +47,6 @@ def eigh_root(A):
     return np.einsum("...ik,...k,...jk->...ij", V, np.sqrt(np.maximum(w, 0.0)), V)
 
 
-def reference_stream(seed, k):
-    """Path k's stream as the documented contract states it, in numpy alone."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
-
-
 def brownian(d):
     a = [[Polynomial.constant(d, float(i == j)) for j in range(d)] for i in range(d)]
     return ModelCoefficients(a, [Polynomial.zero(d)] * d), FullSpace(d)
@@ -60,6 +56,15 @@ def brownian(d):
 # mixes the words of longer ones in after the pool
 SEEDS = [0, 2**32 + 1, 2**96 + 3, 2**128 - 1, 2**130 + 5, 2**255 + 1]
 INDICES = [0, 1, 2**32 - 1, 2**32, 2**50]
+# padded past the path count of the array route
+ROUTE_INDICES = INDICES + list(range(3, 3 + polydiff.simulate._ARRAY_MIN_PATHS))
+
+
+def count_array_route(monkeypatch):
+    """Patch ``_philox_uniforms`` to record the path count of each call; returns the record."""
+    taken, philox = [], polydiff.simulate._philox_uniforms
+    monkeypatch.setattr(polydiff.simulate, "_philox_uniforms", lambda keys, *a: taken.append(len(keys)) or philox(keys, *a))
+    return taken
 
 
 class TestStreams:
@@ -88,12 +93,31 @@ class TestStreams:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_uniforms_at_any_block_start(self, seed, d):
-        keys = _path_keys(seed, INDICES).tolist()
+        keys = _path_keys(seed, INDICES)
         gen = np.random.Generator(np.random.Philox(0))
         for step, block in [(0, 5), (4, 3), (8, 9), (0, 1)]:
             u = _uniforms(gen, keys, step, block, d)
             for i, k in enumerate(INDICES):
                 assert np.array_equal(u[i], reference_stream(seed, k).random((step + block, d))[step:])
+            # the array Philox is exact beyond the shapes its route takes
+            assert np.array_equal(_philox_uniforms(keys, step, block, d), u)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("route", ["array", "loop"])
+    def test_both_routes_draw_the_reference_uniforms(self, monkeypatch, seed, d, route):
+        if route == "loop":
+            monkeypatch.setattr(polydiff.simulate, "_ARRAY_MIN_PATHS", len(ROUTE_INDICES) + 1)
+        taken = count_array_route(monkeypatch)
+        keys = _path_keys(seed, ROUTE_INDICES)
+        want = np.stack([reference_stream(seed, k).random((1024 + 16, d)) for k in ROUTE_INDICES])
+        gen = np.random.Generator(np.random.Philox(0))
+        # every block the array route takes, at starts 0 and 1024; most are
+        # ragged, block * d not a multiple of 4
+        blocks = [(step, block) for step in (0, 1024) for block in range(1, 16 // d + 1)]
+        for step, block in blocks:
+            assert np.array_equal(_uniforms(gen, keys, step, block, d), want[:, step:step + block])
+        assert taken == ([len(keys)] * len(blocks) if route == "array" else [])
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -111,6 +135,20 @@ class TestStreams:
         u = np.concatenate([np.concatenate(drawn[i:i + 3], axis=1) for i in (0, 3, 6)])
         want = np.stack([reference_stream(seed, k).random((11, d)) for k in range(7)])
         assert np.array_equal(u, np.clip(want, 1e-300, 1.0 - 2**-53))
+
+    @pytest.mark.parametrize("make", [jacobi_model, simplex_jacobi_model])
+    def test_chunks_across_the_route_boundary(self, monkeypatch, make):
+        # 300 paths x 8 steps draw through the array route in one chunk, and
+        # through the generator loop in chunks of 7
+        model, space = make()
+        x0 = [0.2] if space.dim == 1 else [0.3, 0.7]
+        taken = count_array_route(monkeypatch)
+        a = simulate_paths(model, space, x0, 0.08, 0.01, 300, seed=5)
+        monkeypatch.setattr(polydiff.simulate, "_CHUNK_PATHS", 7)
+        b = simulate_paths(model, space, x0, 0.08, 0.01, 300, seed=5)
+        assert taken == [300]
+        assert np.array_equal(a.paths, b.paths)
+        assert np.array_equal(a.constraint_minima, b.constraint_minima)
 
     @pytest.mark.parametrize("make", [jacobi_model, simplex_jacobi_model])
     def test_step_block_invisible(self, monkeypatch, make):
@@ -450,6 +488,17 @@ class TestAgainstOracle:
             assert np.array_equal(got.paths, want.paths)
             if space.inequalities:
                 assert np.array_equal(got.constraint_minima, want.constraint_minima)
+
+    @pytest.mark.parametrize("make, steps", [(jacobi_model, 8), (simplex3_model, 5)])
+    def test_a_chunk_on_the_array_route(self, monkeypatch, make, steps):
+        model, space = make()
+        taken = count_array_route(monkeypatch)
+        x0 = space.interior_samples(2)[1]
+        got = simulate_paths(model, space, x0, steps * 0.01, 0.01, 300, seed=13)
+        want = oracle_simulate_paths(model, space, x0, steps * 0.01, 0.01, 300, seed=13)
+        assert taken == [300]
+        assert np.array_equal(got.paths, want.paths)
+        assert np.array_equal(got.constraint_minima, want.constraint_minima)
 
 
 class TestSimulatePaths:
