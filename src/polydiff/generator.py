@@ -10,9 +10,11 @@ finite matrix and conditional moments are matrix exponentials:
 
 Because G maps Pol_k into Pol_k for every k, it is block upper-triangular by
 degree on the graded basis, and expm(tau G) pvec only involves the leading
-block of G on Pol_{deg p}.  Every moment and price is propagated on that
-block (GeneratorMatrix.propagate); a degree bound such as the CLI's
-``--degree`` caps the payoff degree but does not size the exponential.
+block of G on Pol_{deg p}.  GeneratorMatrix is the one owner of that choice:
+propagate, expectation and integral_expectation (H' int_0^tau expm(sG) ds v,
+from the Van Loan block of G and v) pick the block, and one private method
+exponentiates it.  A degree bound such as the CLI's ``--degree`` caps the
+payoff degree but does not size the exponential.
 
 moment_by_ode cross-checks that route without it: a stepped Taylor series of
 expm(tau G) p, with G p formed by Polynomial arithmetic on a and b, so no
@@ -259,8 +261,7 @@ class GeneratorMatrix:
 
     def propagator(self, tau: float) -> np.ndarray:
         """expm(tau G) on the whole basis, the dense reference for propagate."""
-        with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp raises instead
-            return matrix_exp(tau * self.matrix)
+        return self._exp(tau, len(self.basis), lambda E: E)
 
     def leading(self, v) -> int:
         """n_m, the number of basis monomials of degree <= m, where m is the
@@ -277,16 +278,35 @@ class GeneratorMatrix:
         v = np.asarray(v, dtype=float)
         n = self.leading(v)
         out = np.zeros(len(v))
-        with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp raises instead
-            out[:n] = matrix_exp(tau * self.matrix[:n, :n]) @ v[:n]
+        out[:n] = self._exp(tau, n, lambda E: E @ v[:n])
         return out
 
     def expectation(self, H, tau: float, v) -> float:
         """H(x)' expm(tau G) v: the expectation at tau of the polynomial with
         coordinates v, given the basis row H = H(x) of a checked point x."""
         n = self.leading(v)
-        with np.errstate(over="ignore", invalid="ignore"):  # the caller reports a non-finite value
-            return float(H[:n] @ self.propagate(tau, v)[:n])
+        return float(self._exp(tau, n, lambda E: H[:n] @ (E @ v[:n])))
+
+    def integral_expectation(self, H, tau: float, v) -> float:
+        """H(x)' (int_0^tau expm(s G) ds) v: the expectation of the polynomial
+        with coordinates v integrated over [0, tau], given H = H(x) as above."""
+        n = self.leading(v)
+        return float(self._exp(tau, n, lambda E: H[:n] @ E[:n, n], column=v[:n]))
+
+    def _exp(self, tau: float, n: int, apply, column=None):
+        """apply(expm(tau A)) for the leading block A = G[:n, :n] or, given a
+        column c, for the Van Loan block A = [[G[:n, :n], c], [0, 0]], whose
+        exponential holds int_0^tau expm(s G[:n, :n]) ds c above its corner
+        (IEEE TAC 1978).  Every exponential of G is formed here.  A huge tau
+        overflows tau A to inf, which matrix_exp rejects; the caller reports a
+        non-finite applied value."""
+        A = self.matrix[:n, :n]
+        if column is not None:
+            A = np.zeros((n + 1, n + 1))
+            A[:n, :n] = self.matrix[:n, :n]
+            A[:n, n] = column
+        with np.errstate(over="ignore", invalid="ignore"):
+            return apply(matrix_exp(tau * A))
 
     def csv_text(self) -> str:
         """Row-major CSV with monomial-exponent headers."""
@@ -399,14 +419,19 @@ def _basis_and_generator(model: ModelCoefficients, statespace, degree: int) -> t
 
 
 def matrix_exp(A) -> np.ndarray:
-    """Matrix exponential (scaling and squaring with Pade order 13)."""
+    """Matrix exponential (scaling and squaring with Pade order 13).
+
+    Raises ValueError for a non-square or non-finite A, and OverflowError when
+    the result leaves the floating-point range.  Both checks are needed: expm
+    maps some non-finite inputs, such as [[-inf]], to finite outputs."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix_exp needs a square matrix")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix_exp needs finite entries")
-    out = scipy.linalg.expm(A)
-    if not np.all(np.isfinite(out)):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        out = scipy.linalg.expm(A)
+    if not np.isfinite(out).all():
         raise OverflowError("matrix exponential overflowed the floating-point range")
     return out
 
@@ -419,7 +444,7 @@ def augmented_exp(A, c, tau: float) -> tuple[np.ndarray, np.ndarray]:
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = A
     M[:n, n] = c
-    with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp raises instead
+    with np.errstate(over="ignore", invalid="ignore"):  # tau M overflows to inf at a huge tau, which matrix_exp rejects
         E = matrix_exp(tau * M)
     return E[:n, :n], E[:n, n]
 
@@ -429,8 +454,8 @@ def conditional_moment(model: ModelCoefficients, statespace, degree: int, p: Pol
 
     ``degree`` bounds the payoff degree (DegreeTooHigh above it); the
     generator is built and exponentiated on Pol_{deg p} alone."""
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be finite and >= 0")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     x = check_point(statespace, x)
@@ -451,15 +476,15 @@ def joint_moment(
 ) -> float:
     """E[prod_k X_{t_k}^{alpha_k} | X_0 = x] by backward iteration.
 
-    Times must be nondecreasing and nonnegative; each iterated product must
+    Times must be finite, nonnegative and nondecreasing; each iterated product must
     stay inside the degree bound or DegreeTooHigh is raised.
     """
     times = [float(t) for t in times]
     exps = [tuple(int(k) for k in e) for e in exponents]
     if len(times) != len(exps) or not times:
         raise ValueError("times and exponents must be equal-length and nonempty")
-    if any(t < 0 for t in times) or any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("times must be nonnegative and nondecreasing")
+    if not all(0.0 <= t < math.inf for t in times) or any(t2 < t1 for t1, t2 in zip(times, times[1:])):
+        raise ValueError("times must be finite, nonnegative and nondecreasing")
     x = check_point(statespace, x)
     basis, gm = _basis_and_generator(model, statespace, degree)
     v = basis.coordinates(Polynomial.monomial(exps[-1], dim=statespace.dim))

@@ -2,8 +2,7 @@
 
 Exponent vectors are plain tuples of nonnegative ints, one entry per
 coordinate.  Coefficients are floats and exact zeros are pruned on
-construction; approximate cleanup is only ever done explicitly through
-:meth:`Polynomial.chop`.
+construction.
 
 Every polynomial is built by ``_summed``, which sums the coefficients of
 equal exponents in input order and rejects a non-finite sum.  Exponents are
@@ -226,10 +225,6 @@ class Polynomial:
 
     def grad(self) -> list["Polynomial"]:
         return [self.partial(i) for i in range(self._dim)]
-
-    def chop(self, eps: float) -> "Polynomial":
-        """Drop terms with |coefficient| <= eps.  The only approximate cleanup."""
-        return _summed(self._dim, (t for t in self._terms.items() if abs(t[1]) > eps))
 
     # -- serialization ----------------------------------------------------------
 

@@ -167,15 +167,11 @@ def swaption_price_mc(
 
 def variance_swap_rate(pm: PricingModel, x, t: float, T: float) -> float:
     """Annualized expected integrated spot variance: here pm.p is the spot
-    variance polynomial and VS(t,T) = H(x)'(int_0^{T-t} expm(sG) ds) pvec / (T-t),
-    integrated on the leading block of G that pvec spans."""
+    variance polynomial and VS(t,T) = H(x)'(int_0^{T-t} expm(sG) ds) pvec / (T-t)."""
     if T <= t:
         raise ValueError("need T > t")
     x = check_point(pm.statespace, x)
-    tau = T - t
-    n = pm.gm.leading(pm.pvec)
-    _, integral = augmented_exp(pm.gm.matrix[:n, :n], pm.pvec[:n], tau)
-    return float(pm.basis.evaluate(x)[:n] @ integral) / tau
+    return pm.gm.integral_expectation(pm.basis.evaluate(x), T - t, pm.pvec) / (T - t)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +187,12 @@ class LognormalIndexPricer:
     spot: float
     rate: float
     vol: float
+
+    def __post_init__(self):
+        if not (0.0 < self.spot < math.inf and 0.0 < self.vol < math.inf):
+            raise ValueError("spot and vol must be finite and > 0")
+        if not math.isfinite(self.rate):
+            raise ValueError("rate must be finite")
 
     def __call__(self, T: float, K):
         K = np.asarray(K, dtype=float)

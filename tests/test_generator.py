@@ -483,6 +483,19 @@ class TestMatrixExp:
         with pytest.raises(ValueError):
             matrix_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("A", [[[-np.inf]], np.diag([-np.inf, 0.0, -1.0]), [[np.inf]]],
+                             ids=["minus_inf", "diag_minus_inf", "inf"])
+    def test_non_finite_input_raises_even_where_expm_is_finite(self, A):
+        # expm maps [[-inf]] to [[0.]] and diag(-inf, 0, -1) to a finite matrix
+        with pytest.raises(ValueError, match="finite entries"):
+            matrix_exp(A)
+
+    def test_overflow_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                matrix_exp([[800.0]])
+
 
 class TestSemigroup:
     @pytest.mark.parametrize("name", sorted(MODEL_MATRIX))
@@ -551,8 +564,14 @@ class TestConditionalMoment:
 
     def test_negative_tau_rejected(self):
         model, space = brownian_model()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
             conditional_moment(model, space, 2, Polynomial.one(1), [0.0], -0.1)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        model, space = brownian_model()
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            conditional_moment(model, space, 2, Polynomial.variable(0, 1), [0.0], tau)
 
 
 class TestAnalyticMoments:
@@ -672,8 +691,14 @@ class TestJointMoment:
 
     def test_decreasing_times_rejected(self):
         model, space = brownian_model()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nondecreasing"):
             joint_moment(model, space, 2, [0.0], [1.0, 0.5], [(1,), (1,)])
+
+    @pytest.mark.parametrize("times", [[np.nan, 1.0], [0.5, np.inf], [np.inf, np.inf]])
+    def test_non_finite_times_rejected(self, times):
+        model, space = brownian_model()
+        with pytest.raises(ValueError, match="times must be finite"):
+            joint_moment(model, space, 2, [0.0], times, [(1,), (1,)])
 
     def test_mismatched_lengths_rejected(self):
         model, space = brownian_model()

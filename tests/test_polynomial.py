@@ -349,10 +349,6 @@ class TestOrderingAndUtilities:
         e, c = p.leading_term()
         assert e == (2, 0) and c == 1.0
 
-    def test_chop(self):
-        p = x(0, 1) + Polynomial.constant(1, 1e-14)
-        assert p.chop(1e-12) == x(0, 1)
-
     def test_homogeneous_part(self):
         p = x(0, 2) ** 2 + x(0, 2) + 5.0
         assert p.homogeneous_part(2) == x(0, 2) ** 2
@@ -408,7 +404,7 @@ class TestBuiltTerms:
     def test_arithmetic_matches_the_constructor(self, case, s):
         p, q, i = case
         for r in (p + q, p - q, p * q, -p, p * s, s * p, p + s, s - p, p - s, p ** 2, p.partial(i),
-                  p.chop(1.0), p.homogeneous_part(2)):
+                  p.homogeneous_part(2)):
             built_terms_are_constructed(r)
 
     @PROPERTY

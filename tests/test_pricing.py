@@ -33,11 +33,12 @@ from polydiff import (
     swaption_price_mc,
     variance_swap_rate,
 )
+import polydiff.generator
 import polydiff.pricing
 from polydiff.pricing import _SWAPTION_PATHS, _SWAPTION_SIZE
 from polydiff.statespace import SimplexParams
 
-from conftest import jacobi_model, ou_model, simplex_params
+from conftest import cir_model, jacobi_model, ou_model, simplex_params
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +172,24 @@ class TestVarianceSwap:
     def test_degenerate_window_rejected(self, ou_variance_pm):
         with pytest.raises(ValueError):
             variance_swap_rate(ou_variance_pm, [0.4], 1.0, 1.0)
+
+    def test_linear_variance_exponentiates_one_three_by_three_block(self, monkeypatch):
+        # CIR dX = (0.5 - 0.5 X) dt + sqrt(X) dW: E[X_s] = 1 + (x - 1) exp(-s / 2), and p = x
+        # spans the constants and x, so only their Van Loan block [[G_2, p_2], [0, 0]] is formed
+        model, space = cir_model()
+        with pytest.warns(UserWarning, match="within 0 of zero"):
+            pm = PricingModel(model, space, degree=4, p=Polynomial.variable(0, 1))
+        shapes = []
+        inner = polydiff.generator.matrix_exp
+
+        def recorded(A):
+            shapes.append(np.shape(A))
+            return inner(A)
+
+        monkeypatch.setattr(polydiff.generator, "matrix_exp", recorded)
+        got = variance_swap_rate(pm, [0.4], 0.0, 2.0)
+        assert shapes == [(3, 3)]
+        assert got == pytest.approx(1.0 - 0.6 * (1.0 - math.exp(-1.0)), rel=1e-13)
 
 
 class TestSwaptions:
@@ -395,6 +414,16 @@ class TestIndexPricers:
     def test_tabulated_rejects_non_finite_tables(self, strikes, prices):
         with pytest.raises(ValueError, match="finite"):
             TabulatedIndexPricer(strikes, prices)
+
+    @pytest.mark.parametrize("spot, rate, vol", [
+        (1.0, 0.02, -0.3), (1.0, 0.02, 0.0), (1.0, 0.02, math.nan), (1.0, 0.02, math.inf),
+        (0.0, 0.02, 0.3), (-1.0, 0.02, 0.3), (math.nan, 0.02, 0.3), (math.inf, 0.02, 0.3),
+        (1.0, math.nan, 0.3), (1.0, -math.inf, 0.3),
+    ])
+    def test_lognormal_rejects_invalid_fields(self, spot, rate, vol):
+        # a negative vol used to price a call at -0.1084
+        with pytest.raises(ValueError, match="must be finite"):
+            LognormalIndexPricer(spot, rate, vol)
 
     STRIKES = np.array([-0.5, 0.0, 0.01, 0.5, 0.75, 1.0, 1.5, 3.0, 1e4, math.nan])
 
