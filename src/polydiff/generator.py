@@ -13,8 +13,9 @@ degree on the graded basis, and expm(tau G) pvec only involves the leading
 block of G on Pol_{deg p}.  GeneratorMatrix is the one owner of that choice:
 propagate, expectation and integral_expectation (H' int_0^tau expm(sG) ds v,
 from the Van Loan block of G and v) pick the block, and one private method
-exponentiates it.  A degree bound such as the CLI's ``--degree`` caps the
-payoff degree but does not size the exponential.
+exponentiates it, for every moment, price and index weight of the package.
+A degree bound such as the CLI's ``--degree`` caps the payoff degree but
+does not size the exponential.
 
 moment_by_ode cross-checks that route without it: a stepped Taylor series of
 expm(tau G) p, with G p formed by Polynomial arithmetic on a and b, so no
@@ -51,7 +52,6 @@ __all__ = [
     "PointOutsideStateSpace",
     "a_grad",
     "apply_generator",
-    "augmented_exp",
     "check_point",
     "generator_matrix",
     "manifold_defects",
@@ -297,16 +297,23 @@ class GeneratorMatrix:
         """apply(expm(tau A)) for the leading block A = G[:n, :n] or, given a
         column c, for the Van Loan block A = [[G[:n, :n], c], [0, 0]], whose
         exponential holds int_0^tau expm(s G[:n, :n]) ds c above its corner
-        (IEEE TAC 1978).  Every exponential of G is formed here.  A huge tau
-        overflows tau A to inf, which matrix_exp rejects; the caller reports a
-        non-finite applied value."""
+        (IEEE TAC 1978).  Every exponential of G is formed here.  A huge finite
+        tau overflows tau A to inf, which is an OverflowError naming tau; the
+        caller reports a non-finite applied value."""
         A = self.matrix[:n, :n]
         if column is not None:
             A = np.zeros((n + 1, n + 1))
             A[:n, :n] = self.matrix[:n, :n]
             A[:n, n] = column
         with np.errstate(over="ignore", invalid="ignore"):
-            return apply(matrix_exp(tau * A))
+            try:
+                E = matrix_exp(tau * A)
+            except ValueError:
+                if math.isfinite(tau) and np.isfinite(A).all():  # only the product left the doubles
+                    raise OverflowError(f"tau = {tau:g} times the generator overflows "
+                                        "the floating-point range") from None
+                raise
+            return apply(E)
 
     def csv_text(self) -> str:
         """Row-major CSV with monomial-exponent headers."""
@@ -434,19 +441,6 @@ def matrix_exp(A) -> np.ndarray:
     if not np.isfinite(out).all():
         raise OverflowError("matrix exponential overflowed the floating-point range")
     return out
-
-
-def augmented_exp(A, c, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """(expm(tau A), int_0^tau expm(s A) ds c) from one exponential of the
-    augmented block tau [[A, c], [0, 0]] (Van Loan, IEEE TAC 1978)."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = A
-    M[:n, n] = c
-    with np.errstate(over="ignore", invalid="ignore"):  # tau M overflows to inf at a huge tau, which matrix_exp rejects
-        E = matrix_exp(tau * M)
-    return E[:n, :n], E[:n, n]
 
 
 def conditional_moment(model: ModelCoefficients, statespace, degree: int, p: Polynomial, x, tau: float) -> float:

@@ -6,7 +6,8 @@ payoffs then reduce to moment formulas in the generator matrix.  Variance
 swap rates integrate the propagated spot-variance polynomial in closed form,
 and index options on a simplex model are priced by fitting the transformed
 payoff with a Chebyshev polynomial and pushing it through the same moment
-machinery.
+machinery.  The index weights Y_t = E[X_{T*} | X_t] are degree-1 moments of
+that model's generator.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from scipy.special import ndtr
 
 from .basis import DegreeTooHigh
 from .conditions import validate_params
-from .generator import ModelCoefficients, _basis_and_generator, augmented_exp, check_point
+from .generator import ModelCoefficients, _basis_and_generator, check_point
 from .polynomial import Polynomial
 from .simulate import simulate_paths
-from .statespace import Simplex, SimplexParams, StateSpace, _linear_drift, assemble_model
+from .statespace import Simplex, SimplexParams, StateSpace, assemble_model
 
 __all__ = [
     "InvalidStatePriceDensity",
@@ -275,9 +276,10 @@ class TabulatedIndexPricer:
 class SimplexIndexModel:
     """Simplex diffusion whose coordinates are discounted constituent weights.
 
-    The index weights at time t are Y_t = Phi(T*-t) + Psi(T*-t) X_t with
-    Phi(tau) = int_0^tau expm(sB) beta ds and Psi(tau) = expm(tau B); they sum
-    to one because the drift is tangent to the mass constraint.
+    The index weights at time t are the degree-1 moments Y^i_t = E[X^i_{T*} | X_t]
+    = H(X_t)' expm((T*-t) G) e_i, where e_i (``units``) holds the coordinates of
+    x_i on the basis (x_d = 1 - x_1 - ... - x_{d-1}); they sum to one because the
+    drift is tangent to the mass constraint.  Needs 0 <= T* < inf and degree >= 1.
     """
 
     params: SimplexParams
@@ -286,9 +288,14 @@ class SimplexIndexModel:
     pricer: object = None  # default callable (T, K) -> index call price
 
     def __post_init__(self):
+        if not 0.0 <= self.T_star < math.inf:
+            raise ValueError(f"T_star must be finite and >= 0, got {self.T_star}")
+        if self.degree < 1:
+            raise ValueError(f"degree must be >= 1 to hold the index weights, got {self.degree}")
         self.statespace = Simplex(self.params.dim)
         self.model = assemble_model(self.statespace, self.params)
         self.basis, self.gm = _basis_and_generator(self.model, self.statespace, self.degree)
+        self.units = [self.basis.coordinates(Polynomial.variable(i, self.dim)) for i in range(self.dim)]
         report = validate_params(self.statespace, self.params)
         if report.verdict != "Valid":
             warnings.warn(f"simplex parameters are {report.verdict}: {report.failed_ids()}")
@@ -302,9 +309,8 @@ def index_weights(sim: SimplexIndexModel, x, t: float) -> np.ndarray:
     """Y_t given X_t = x."""
     if not 0.0 <= t <= sim.T_star:
         raise ValueError("need 0 <= t <= T*")
-    x = check_point(sim.statespace, x)
-    Psi, Phi = augmented_exp(sim.params.B, sim.params.beta, sim.T_star - t)
-    return Phi + Psi @ x
+    H = sim.basis.evaluate(check_point(sim.statespace, x))
+    return np.array([sim.gm.expectation(H, sim.T_star - t, u) for u in sim.units])
 
 
 def _cheb_degree(sim: SimplexIndexModel, cheb_degree: int | None) -> int:
@@ -342,8 +348,8 @@ def fit_index_payoff(
         raise DegreeTooHigh(f"Chebyshev degree {cheb_degree} exceeds the basis degree {sim.degree}")
     if grid_size <= cheb_degree:
         raise ValueError("grid_size must exceed cheb_degree")
-    if K <= 0.0:
-        raise ValueError("need K > 0")
+    if not 0.0 < K < math.inf:
+        raise ValueError("need 0 < K < inf")
 
     def g(xi):
         return xi * index_pricer(T, K / xi)
@@ -355,19 +361,14 @@ def fit_index_payoff(
     xs_ref = np.linspace(_FIT_EPS, 1.0, max(512, 2 * grid_size))
     residual = float(np.abs(fit(xs_ref) - g(xs_ref)).max())
 
-    # compose with the affine weight map: xi(x) = Phi_i + (Psi x)_i
-    d = sim.dim
-    Psi, Phi = augmented_exp(sim.params.B, sim.params.beta, sim.T_star - T)
-    affine = _linear_drift(Phi, Psi)[constituent]
-    # rescale to the Chebyshev variable on [-1, 1] and expand in powers
+    # compose with the weight xi(x) = Y^i_T(x), a degree-1 moment, rescaled to the
+    # Chebyshev variable on [-1, 1], and expand in powers by Horner's rule
+    affine = sim.basis.polynomial(sim.gm.propagate(sim.T_star - T, sim.units[constituent]))
     a, b = fit.domain
     t_poly = (2.0 * affine - (a + b)) * (1.0 / (b - a))
-    coeffs = chebyshev.cheb2poly(fit.coef)
-    payoff = Polynomial.zero(d)
-    power = Polynomial.one(d)
-    for c in coeffs:
-        payoff = payoff + float(c) * power
-        power = power * t_poly
+    payoff = Polynomial.zero(sim.dim)
+    for c in chebyshev.cheb2poly(fit.coef)[::-1]:
+        payoff = payoff * t_poly + float(c)
     return payoff, residual
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
+from scipy.linalg import expm
 from scipy.special import ndtri
 
 from polydiff import generator, simulate
@@ -62,6 +63,20 @@ def oracle_reduce(space, p):
     for e, c in p.terms.items():
         out = out + Polynomial.monomial(e[:-1] + (0,), c) * last ** e[-1]
     return out
+
+
+def augmented_exp(A, c, tau):
+    """(expm(tau A), int_0^tau expm(s A) ds c) from one exponential of the
+    augmented block tau [[A, c], [0, 0]] (Van Loan, IEEE TAC 1978): the mean
+    map x -> E[X_tau] of an affine drift c + A x, formed without the
+    generator matrix."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = A
+    M[:n, n] = c
+    E = expm(tau * M)
+    return E[:n, :n], E[:n, n]
 
 
 def oracle_eval(p, x):

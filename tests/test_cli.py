@@ -512,6 +512,15 @@ class TestMalformedInput:
         r = run([files.get(a, a) if isinstance(a, str) else a for a in self.CASES[case][0]])
         assert r.stderr == "error: a simulated path left the finite doubles; try a smaller dt\n"
 
+    def test_overflowing_tau_names_the_horizon(self, specs):
+        # on x the product tau G stays finite and its exponential overflows; on x^3 the product overflows
+        for e, message in ((1, "matrix exponential overflowed the floating-point range"),
+                           (3, "tau = 1e+308 times the generator overflows the floating-point range")):
+            poly = json.dumps({"dim": 1, "terms": [{"e": [e], "c": 1.0}]})
+            r = run(["moments", specs["cir"], "--degree", 4, "--x", "0.8", "--tau", "1e308", "--poly", poly])
+            assert r.exit_code == 1
+            assert r.stderr == f"error: {message}\n"
+
     def test_negative_seed_names_the_option(self, specs, tmp_path):
         r = run(["--seed", -1, "--out", tmp_path / "paths.csv", "simulate", specs["jacobi"],
                  "--x0", "0.2", "--t-end", 0.5])

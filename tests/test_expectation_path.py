@@ -35,9 +35,17 @@ from polydiff import (
     validate_params,
     variance_swap_rate,
 )
-from polydiff.generator import augmented_exp, check_point, manifold_defects
+from polydiff.generator import check_point, manifold_defects
 
-from conftest import jacobi_model, oracle_a_grad, oracle_apply_generator, oracle_reduce, ou_model, simplex_params
+from conftest import (
+    augmented_exp,
+    jacobi_model,
+    oracle_a_grad,
+    oracle_apply_generator,
+    oracle_reduce,
+    ou_model,
+    simplex_params,
+)
 from test_generator import FAMILY_MODELS, full_ou4, non_dyadic_model
 
 
@@ -209,14 +217,13 @@ class TestAugmentedExp:
             assert variance_swap_rate(pm, [0.4], 0.0, tau) == pytest.approx(want, rel=1e-14)
 
     def test_index_weights_are_the_mean_of_the_state(self, index_model):
-        # E[X_T | X_t = x] solves the affine drift ODE: the same (d+1) block
+        # E[X_T | X_t = x] solves the affine drift ODE: the (d+1) block of (B, beta), not G
         x = np.array([0.35, 0.65])
+        params = index_model.params
         for t in (0.0, 0.8):
             Y = index_weights(index_model, x, t)
-            for i in range(2):
-                mean = conditional_moment(index_model.model, index_model.statespace, 1,
-                                          Polynomial.variable(i, 2), x, 2.0 - t)
-                assert Y[i] == pytest.approx(mean, rel=1e-12)
+            E, phi = augmented_exp(params.B, params.beta, 2.0 - t)
+            assert Y == pytest.approx(E @ x + phi, rel=1e-12)
 
 
 def rounding_simplex(d=4):

@@ -573,6 +573,13 @@ class TestConditionalMoment:
         with pytest.raises(ValueError, match="tau must be finite and >= 0"):
             conditional_moment(model, space, 2, Polynomial.variable(0, 1), [0.0], tau)
 
+    def test_huge_finite_tau_overflows(self):
+        # every input is finite; only the product tau G leaves the doubles
+        model, space = cir_model()
+        message = r"^tau = 1e\+308 times the generator overflows the floating-point range$"
+        with pytest.raises(OverflowError, match=message):
+            conditional_moment(model, space, 4, Polynomial.monomial((3,)), [0.8], 1e308)
+
 
 class TestAnalyticMoments:
     """First two moments against textbook closed forms, which do not use the

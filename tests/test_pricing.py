@@ -286,6 +286,20 @@ class TestIndexWeights:
         with pytest.raises(ValueError):
             index_weights(index_model, [0.5, 0.5], 2.5)
 
+    @pytest.mark.parametrize("T_star", [math.nan, -1.0, math.inf, -math.inf])
+    def test_model_rejects_a_bad_horizon(self, T_star):
+        with pytest.raises(ValueError, match=f"^T_star must be finite and >= 0, got {T_star}$"):
+            SimplexIndexModel(params=simplex_params(), T_star=T_star, degree=4)
+
+    def test_model_needs_degree_one_for_the_weights(self):
+        with pytest.raises(ValueError, match="^degree must be >= 1 to hold the index weights, got 0$"):
+            SimplexIndexModel(params=simplex_params(), T_star=1.0, degree=0)
+
+    def test_units_are_the_coordinates_of_each_x_i(self, index_model):
+        # the unit vectors hold x_1 and x_2 = 1 - x_1 on the free coordinate
+        assert [u.tolist()[:2] for u in index_model.units] == [[0.0, 1.0], [1.0, -1.0]]
+        assert all(not u[2:].any() for u in index_model.units)
+
 
 class TestPayoffFit:
     def test_linear_payoff_is_exact(self, index_model):
@@ -314,6 +328,11 @@ class TestPayoffFit:
         with pytest.raises(ValueError):
             fit_index_payoff(index_model, None, 0, 3.0, 1.0)
 
+    @pytest.mark.parametrize("K", [0.0, math.nan, math.inf])
+    def test_strike_must_be_positive_and_finite(self, index_model, K):
+        with pytest.raises(ValueError, match="^need 0 < K < inf$"):
+            fit_index_payoff(index_model, None, 0, 1.0, K)
+
 
 class TestConstituentOption:
     def test_constant_pricer_prices_expected_weight(self, index_model):
@@ -331,6 +350,20 @@ class TestConstituentOption:
         E = matrix_exp((index_model.T_star - T) * M)
         want = c * (E[0, d] + E[0, :d] @ m)
         assert got == pytest.approx(want, rel=1e-10)
+
+    def test_degree_six_fit_exponentiates_two_blocks(self, index_model, monkeypatch):
+        # the weight x_1 -> Y^1_T propagates the 2x2 block of degree <= 1; the degree-6
+        # payoff in the free coordinate x_1 meets the 7x7 block of degree <= 6
+        shapes = []
+        inner = polydiff.generator.matrix_exp
+
+        def recorded(A):
+            shapes.append(np.shape(A))
+            return inner(A)
+
+        monkeypatch.setattr(polydiff.generator, "matrix_exp", recorded)
+        constituent_option_price(index_model, None, 0, 1.0, 1.0, [0.4, 0.6], cheb_degree=6, residual_warn=1.0)
+        assert shapes == [(2, 2), (7, 7)]
 
     def test_monotone_in_strike(self, index_model):
         with warnings.catch_warnings():
