@@ -12,17 +12,22 @@ and ``Polynomial.from_json_dict``, which both reject coefficients that are
 not real numbers by one check, ``_coefficient``; arithmetic, derivatives,
 reductions and the generator trust the exponents they compute.
 
-Evaluation at points has one implementation, ``_evaluator``, which shares one
-table of coordinate powers across a family of polynomials;
-``Polynomial.__call__`` is that evaluator over a single polynomial.
+Evaluation at points has one implementation, ``_evaluator``: a family of
+polynomials compiles once (and is cached by its terms) into a straight-line
+program of ufunc calls over registers for the coordinates, their powers and
+the distinct terms, each computed once.  A first call on a batch shape runs it
+on new arrays; repeated calls on one shape, as in the Euler step, run it in
+place on a preallocated register file.  ``Polynomial.__call__`` is that
+evaluator over a single polynomial.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -213,7 +218,7 @@ class Polynomial:
 
     def __call__(self, x):
         """Evaluate at a point of shape (dim,) or a batch of shape (..., dim)."""
-        (out,) = _evaluator([self])(x)
+        out = _evaluator([self])(x)[0]
         return float(out) if out.ndim == 0 else out
 
     def partial(self, index: int) -> "Polynomial":
@@ -271,44 +276,164 @@ class Polynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _evaluator(polys: Sequence[Polynomial]) -> Callable[[np.ndarray], list[np.ndarray]]:
+def _evaluator(polys: Sequence[Polynomial]) -> Callable[[np.ndarray], Sequence[np.ndarray]]:
     """evaluate(x) -> [p(x) for p in polys] at a point (dim,) or a batch (..., dim).
 
-    The one polynomial evaluator.  A single table holds the powers x_i**k that
-    the terms of all of ``polys`` need; each term is c times its powers for i
-    ascending, in term order, and each sum starts from zero.  Every value is a
-    new ndarray of shape x.shape[:-1].
+    The one polynomial evaluator: ``polys`` compile into one straight-line
+    program of ufunc calls (``_compiled``), which ``_Program`` runs.  Each value
+    is c times the term's powers x_i**k for i ascending, term by term, summed
+    onto zero; x_i**2 is x_i * x_i, as numpy's ``x ** 2``, and higher powers are
+    ``np.power``.  Every value is an ndarray of shape x.shape[:-1] that no other
+    value shares.  The first call on a batch shape returns new arrays; later
+    calls on it return the rows of the program's register file, valid until the
+    next call (see ``_Program``).
     """
-    dim = polys[0].dim
-    powers = sorted({(i, k) for p in polys for e in p._terms for i, k in enumerate(e) if k})
-    slot = {ik: n for n, ik in enumerate(powers)}
-    plans = [[(c, [slot[i, k] for i, k in enumerate(e) if k]) for e, c in p._terms.items()] for p in polys]
+    return _Program(_compiled(polys[0].dim, tuple(tuple(p._terms.items()) for p in polys)), len(polys))
 
-    def evaluate(x) -> list[np.ndarray]:
+
+class _Code(NamedTuple):
+    """A compiled program; see ``_compiled``."""
+
+    dim: int
+    registers: int
+    consts: tuple  # constant operands, floats; index -1 is the last one
+    arrays: tuple  # the same as read-only 0-d arrays, which ufuncs take faster on batches
+    code: tuple  # (op, a, b, out) over registers
+    sums: tuple  # (op, a, b, row); a None is the row's own value
+    fills: tuple  # (row, constant) of each constant polynomial
+    copies: tuple  # (row, earlier row) of each repeated polynomial
+
+
+# the operators of a program's first run on a batch shape (at a point they take
+# numpy's scalar arithmetic), and the ufuncs that run the same arithmetic in place
+_UFUNC = {operator.add: np.add, operator.mul: np.multiply, operator.pow: np.power}
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(dim: int, family: tuple) -> _Code:
+    """The program of the polynomials whose term lists, in term order, are ``family``.
+
+    Registers are the coordinates, then each distinct power and term in order
+    of first use; the constants follow them, so a negative index finds one.
+    Equal powers, terms and polynomials are computed once.  The key keeps the
+    term order, which sets the order of the sums.
+    """
+    slot = {(i, 1): i for i in range(dim)}  # a power (i, k) or a term (e, c) -> its register
+    consts = {0.0: -1}  # a constant -> its index, counted back from the end
+
+    def const(c: float) -> int:
+        return consts.setdefault(c, -1 - len(consts))
+
+    code, sums, fills, copies = [], [], [], []
+    for i, k in sorted({ik for terms in family for e, _ in terms for ik in enumerate(e) if ik[1] > 1}):
+        r = slot[i, k] = len(slot)
+        code.append((operator.mul, i, i, r) if k == 2 else (operator.pow, i, const(float(k)), r))
+    done = {}  # a polynomial's terms -> its row
+    for row, terms in enumerate(family):
+        if terms in done:
+            copies.append((row, done[terms]))
+            continue
+        done[terms] = row
+        held = None  # the sum so far: None, a leading constant, or the row (True)
+        for e, c in terms:
+            factors = [slot[ik] for ik in enumerate(e) if ik[1]]
+            if not factors:
+                if held is None:
+                    held = c
+                    continue
+                t = const(c)
+            elif c == 1.0 and len(factors) == 1:
+                t = factors[0]
+            else:
+                t = slot.get((e, c))
+                if t is None:
+                    t = slot[e, c] = len(slot)
+                    a = factors.pop(0) if c == 1.0 else const(c)
+                    for f in factors:
+                        code.append((operator.mul, a, f, t))
+                        a = t
+            # the sum starts from zero, which turns a leading -0.0 into 0.0
+            if held is None:
+                sums.append((operator.add, t, const(0.0), row))
+            else:
+                sums.append((operator.add, None if held is True else const(held), t, row))
+            held = True
+        if held is not True:
+            fills.append((row, 0.0 if held is None else held))
+    floats = tuple(consts)[::-1]
+    return _Code(dim, len(slot), floats, tuple(map(_frozen, floats)), tuple(code), tuple(sums), tuple(fills),
+                 tuple(copies))
+
+
+def _frozen(v: float) -> np.ndarray:
+    """v as a read-only 0-d array, a constant operand that ufuncs take faster than a float."""
+    a = np.array(v)
+    a.flags.writeable = False
+    return a
+
+
+class _Program:
+    """A compiled program and the register file it runs on.
+
+    A call whose batch shape differs from the last call's runs the program on
+    new arrays and returns them.  A second call with the same shape binds the
+    program to one preallocated register file, whose last rows hold the values
+    in polynomial order, with the constant polynomials filled in once; from
+    then on each call of that shape runs there in place, through ufuncs with
+    ``out``, and returns that block of rows (at a point, a list of its 0-d
+    rows), which the next call overwrites.  So a caller that evaluates many
+    batches of one shape, such as the Euler step, binds once, and keeps a copy
+    of whatever must outlive the next call.
+    """
+
+    __slots__ = ("_code", "_size", "_shape", "_run", "_coords", "_copies", "_values")
+
+    def __init__(self, code: _Code, size: int):
+        self._code, self._size = code, size
+        self._shape = self._run = None
+
+    def _bind(self, shape: tuple) -> None:
+        c = self._code
+        R = np.empty((c.registers + self._size,) + shape)
+        regs = [R[r, ...] for r in range(c.registers)] + list(c.arrays)
+        self._coords, self._values = R[:c.dim], R[c.registers:]
+        rows = list(self._values) if shape else [self._values[k, ...] for k in range(self._size)]
+        for row, v in c.fills:
+            rows[row].fill(v)
+        self._copies = [(rows[row], rows[src]) for row, src in c.copies]
+        self._run = [(_UFUNC[f], regs[a], regs[b], regs[o]) for f, a, b, o in c.code]
+        self._run += [(_UFUNC[f], rows[row] if a is None else regs[a], regs[b], rows[row]) for f, a, b, row in c.sums]
+
+    def __call__(self, x):
+        c = self._code
         x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (dim,):
-            raise ValueError(f"point has shape {x.shape}, expected trailing dim {dim}")
-        # x ** 1 is x, so the column itself stands for it
-        table = [x[..., i] if k == 1 else x[..., i] ** k for i, k in powers]
-        values = []
-        for terms in plans:
-            out = None
-            for c, slots in terms:
-                if slots:
-                    term = table[slots[0]] if c == 1.0 else c * table[slots[0]]
-                    for s in slots[1:]:
-                        term = term * table[s]
-                    # the sum starts from zero, which turns a leading -0.0 into 0.0
-                    out = term + 0.0 if out is None else out + term
-                else:
-                    out = c if out is None else out + c
-            if out is None or isinstance(out, float):
-                # a constant sum, or any sum at a single point, is a float
-                out = np.full(x.shape[:-1], 0.0 if out is None else out)
-            values.append(out)
-        return values
-
-    return evaluate
+        if x.shape[-1:] != (c.dim,):
+            raise ValueError(f"point has shape {x.shape}, expected trailing dim {c.dim}")
+        shape = x.shape[:-1]
+        if shape != self._shape:
+            self._shape, self._run = shape, None
+            # at a point the arithmetic is numpy's scalar arithmetic, which takes floats faster
+            consts = c.arrays if shape else c.consts
+            regs = [x[..., i] for i in range(c.dim)] + [None] * (c.registers - c.dim) + list(consts)
+            for f, a, b, o in c.code:
+                regs[o] = f(regs[a], regs[b])
+            values = [None] * self._size
+            for f, a, b, row in c.sums:
+                values[row] = f(values[row] if a is None else regs[a], regs[b])
+            for row, v in c.fills:
+                values[row] = np.full(shape, v)
+            for row, src in c.copies:
+                values[row] = values[src].copy()
+            # at a point the sums are numpy scalars
+            return values if shape else [np.asarray(v) for v in values]
+        if self._run is None:
+            self._bind(shape)
+        np.copyto(self._coords, x.T if x.ndim <= 2 else np.moveaxis(x, -1, 0))
+        for f, a, b, o in self._run:
+            f(a, b, o)
+        for dst, src in self._copies:
+            np.copyto(dst, src)
+        return self._values if shape else [self._values[k, ...] for k in range(self._size)]
 
 
 def _term_arrays(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:

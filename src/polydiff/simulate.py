@@ -2,9 +2,15 @@
 
 Dispersion is the PSD square root of the (projected) diffusion matrix, so
 slightly inadmissible coefficients off the constraint set never produce
-complex noise.  Each Euler step makes one call to the polynomial evaluator
-over b, the upper triangle of a and the state-space inequalities, so they
-share one table of coordinate powers.
+complex noise.  b, the upper triangle of a and the state-space inequalities
+compile once per ``simulate_paths`` call into one straight-line program of
+ufunc calls (``polynomial._evaluator``).  From a chunk's first step on, that
+program runs in place on a register file bound to the chunk, so each Euler
+step is the program, the PSD root applied to the noise (in d = 2 a closed
+form with no reductions), the update formed as rows, and the projection,
+which copies only when a state leaves the space.  Every value keeps the
+arithmetic and its order of the term-by-term evaluation and the
+eigendecomposition-free root, so paths and minima are bit for bit the same.
 
 Stream contract: path k draws from numpy's ``Philox`` keyed by
 ``SeedSequence(entropy=seed, spawn_key=(k,))``, one double (u >> 11) * 2**-53
@@ -31,13 +37,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
 
-from .basis import _csv_text
 from .generator import check_point
-from .polynomial import Polynomial, _evaluator
+from .polynomial import Polynomial, _evaluator, _frozen
 
 __all__ = [
     "PathSet",
@@ -88,6 +94,8 @@ def dispersion(model, x) -> np.ndarray:
 
 # a PSD A with tr A between these has entries whose products stay normal doubles
 _SCALE_LOW, _SCALE_HIGH = 2.0**-480, 2.0**480
+# the constants of the step kernel as 0-d arrays, which ufuncs take faster than floats
+_LOW, _HIGH, _ZERO, _TWO = map(_frozen, (_SCALE_LOW, _SCALE_HIGH, 0.0, 2.0))
 
 
 def _root_times(a: list, z: np.ndarray) -> np.ndarray:
@@ -135,18 +143,32 @@ def _psd_root_times(a00, a01, a11, z0, z1) -> tuple[np.ndarray, np.ndarray | Non
     """(A + sI) z / sqrt(tr A + 2s) row by row, and None when every row has
     det A >= 0 and a trace in _SCALE_LOW.._SCALE_HIGH (so A is PSD and no
     product leaves the normal doubles), else the mask of the rows that do not,
-    whose values are meaningless."""
+    whose values are meaningless.
+
+    The values are the (n, 2) transpose of one C-order (2, n) array, so the
+    Euler step reads them as rows.  Whether every row is usual takes three
+    counts, no reduction, and the mask is formed only when one is not.
+    """
     tr = a00 + a11
     diag, off = a00 * a11, a01 * a01
-    s = np.sqrt(np.maximum(diag - off, 0.0))
-    n = tr + 2.0 * s
-    usual = (tr > _SCALE_LOW) & (tr < _SCALE_HIGH) & (off <= diag)
-    every = usual.all()
-    t = np.sqrt(n if every else np.where(usual, n, 1.0))
-    out = np.empty(z0.shape + (2,))
-    out[:, 0] = ((a00 + s) * z0 + a01 * z1) / t
-    out[:, 1] = (a01 * z0 + (a11 + s) * z1) / t
-    return out, None if every else ~usual
+    every = (np.count_nonzero(np.greater(tr, _LOW)) == tr.size and np.count_nonzero(np.less(tr, _HIGH)) == tr.size
+             and np.count_nonzero(np.less_equal(off, diag)) == tr.size)
+    s = np.subtract(diag, off)
+    np.sqrt(np.maximum(s, _ZERO, out=s), out=s)
+    n = np.multiply(_TWO, s)
+    np.add(tr, n, out=n)
+    if every:
+        usual, t = None, np.sqrt(n, out=n)
+    else:
+        usual = (tr > _SCALE_LOW) & (tr < _SCALE_HIGH) & (off <= diag)
+        t = np.sqrt(np.where(usual, n, 1.0))
+    out = np.empty((2,) + z0.shape)
+    r0, r1 = out
+    np.multiply(np.add(a00, s, out=r0), z0, out=r0)
+    np.divide(np.add(r0, np.multiply(a01, z1, out=off), out=r0), t, out=r0)
+    np.multiply(np.add(a11, s, out=diag), z1, out=diag)
+    np.divide(np.add(np.multiply(a01, z0, out=r1), diag, out=r1), t, out=r1)
+    return out.T, None if every else ~usual
 
 
 def _clipped_root_times(a00, a01, a11, z0, z1) -> np.ndarray:
@@ -208,12 +230,26 @@ class PathSet:
         return self.paths.shape[2]
 
     def csv_text(self) -> str:
-        """Long-format CSV: path_id, step, t, x_1..x_d."""
+        """Long-format CSV: path_id, step, t, x_1..x_d, every value at 17
+        significant digits (integers below 2**53 print as integers).
+
+        Each path id and each stored step's (step, t) pair is formatted once;
+        only the states are formatted row by row, one format operation per
+        block of paths.
+        """
         header = "path_id,step,t," + ",".join(f"x_{i + 1}" for i in range(self.dim))
         n, m = self.paths.shape[:2]
-        rows = np.column_stack([np.repeat(np.arange(n), m), np.tile(np.rint(self.times / self.dt), n),
-                                np.tile(self.times, n), self.paths.reshape(n * m, self.dim)])
-        return _csv_text(rows, header)
+        state = ",".join(["%.17g"] * self.dim)
+        # the format of a stored step's row after its path id; no formatted number holds a %
+        tails = ["%.17g,%.17g," % st + state for st in zip(np.rint(self.times / self.dt).tolist(), self.times.tolist())]
+        per = max(1, 4096 // max(m, 1))  # paths per block, which bounds the Python floats alive at once
+        chunks = [header]
+        for start in range(0, n if tails else 0, per):
+            stop = min(start + per, n)
+            heads = ["%.17g," % k for k in range(start, stop)]
+            fmt = "\n".join(head + ("\n" + head).join(tails) for head in heads)
+            chunks.append(fmt % tuple(self.paths[start:stop].ravel().tolist()))
+        return "\n".join(chunks) + "\n"
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -254,32 +290,41 @@ def _path_keys(seed: int, indices) -> np.ndarray:
     return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
-def _uniforms(gen: np.random.Generator, keys: np.ndarray, step: int, block: int, d: int) -> np.ndarray:
-    """Uniforms (len(keys), block, d) of steps [step, step + block) of the
-    Philox streams keyed by the rows of ``keys`` (n, 2) uint64.
+def _stream(gen: np.random.Generator, keys: np.ndarray, d: int) -> Callable[[int, int], np.ndarray]:
+    """draw(step, block) -> uniforms (len(keys), block, d) of steps
+    [step, step + block) of the Philox streams keyed by the rows of ``keys``
+    (n, 2) uint64: the blocks of one chunk of paths.
 
     A block of at least ``_ARRAY_MIN_PATHS`` paths and at most
     ``_ARRAY_MAX_WORDS`` words a path is ``_philox_uniforms``.  Any other draws
     through the one generator ``gen``: each path sets its key and counter
     step * d / 4 on an empty buffer, which is where its own fresh stream stands
     after ``step`` steps whenever step * d is a multiple of 4 (Philox counts
-    4-word outputs).  Both give the same bits.
+    4-word outputs).  Both give the same bits.  The keys become Python ints
+    once, on the first block that draws through ``gen``.
     """
-    if len(keys) >= _ARRAY_MIN_PATHS and block * d <= _ARRAY_MAX_WORDS:
-        return _philox_uniforms(keys, step, block, d)
-    u = np.empty((len(keys), block, d))
-    bitgen = gen.bit_generator
-    state = {"bit_generator": "Philox", "state": {"counter": [step * d // 4, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for i, key in enumerate(keys.tolist()):
-        state["state"]["key"] = key
-        bitgen.state = state
-        gen.random((block, d), out=u[i])
-    return u
+    rows: list = []
+
+    def draw(step: int, block: int) -> np.ndarray:
+        if len(keys) >= _ARRAY_MIN_PATHS and block * d <= _ARRAY_MAX_WORDS:
+            return _philox_uniforms(keys, step, block, d)
+        if not rows:
+            rows.extend(keys.tolist())
+        u = np.empty((len(keys), block, d))
+        bitgen = gen.bit_generator
+        state = {"bit_generator": "Philox", "state": {"counter": [step * d // 4, 0, 0, 0], "key": None},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for i, key in enumerate(rows):
+            state["state"]["key"] = key
+            bitgen.state = state
+            gen.random((block, d), out=u[i])
+        return u
+
+    return draw
 
 
 def _philox_uniforms(keys: np.ndarray, step: int, block: int, d: int) -> np.ndarray:
-    """``_uniforms`` computed as numpy's Philox4x64-10 computes it, on arrays
+    """A ``_stream`` block computed as numpy's Philox4x64-10 computes it, on arrays
     (2, paths, counters) of the counter words 0 and 2 (the multiplied lanes)
     and 1 and 3, for every path and counter of the block at once.
 
@@ -351,41 +396,44 @@ def simulate_paths(
     stored_pos = {s: i for i, s in enumerate(stored_steps)}
     out = np.empty((n_paths, len(stored_steps), d))
     minima = np.empty((n_paths, len(ineqs))) if ineqs else None
-    sqdt = np.sqrt(dt)
+    dt0 = _frozen(float(dt))
+    sqdt = _frozen(np.sqrt(dt))
     gen = np.random.Generator(np.random.Philox(0))  # every path overwrites its state
     evaluate = _evaluator([*model.b, *(model.a[i][j] for i in range(d) for j in range(i, d)), *ineqs])
     hi = d + d * (d + 1) // 2  # values[:d] is b, values[d:hi] the upper triangle of a
 
     for start in range(0, n_paths, _CHUNK_PATHS):
         stop = min(start + _CHUNK_PATHS, n_paths)
-        keys = _path_keys(seed, np.arange(start, stop))
+        draw = _stream(gen, _path_keys(seed, np.arange(start, stop)), d)
         c = stop - start
         x = np.tile(x0, (c, 1))
         out[start:stop, 0] = x
         values = evaluate(x)
-        mins = values[hi:]  # the evaluator returns new arrays, so the minima may own them
-        drift = np.empty((c, d))
+        # the minima are their own array: from its second call on a shape, the evaluator
+        # returns rows of its register file, which the next call overwrites
+        mins = np.array(values[hi:])
+        # the update as rows, x' + b dt + sqdt sigma z, one row per coordinate
+        xt, noise = np.empty((d, c)), np.empty((d, c))
         step = 0
         while step < n_steps:
             block = min(_STEP_BLOCK, n_steps - step)
-            u = _uniforms(gen, keys, step, block, d)
+            u = draw(step, block)
             # uniform draws live in [0, 1 - 2**-53]; keep the inverse CDF finite at 0
             z = ndtri(np.maximum(u, 1e-300, out=u))
             for j in range(block):
-                for i in range(d):
-                    drift[:, i] = values[i]
-                x = x + drift * dt + sqdt * _root_times(values[d:hi], z[:, j])
-                x = statespace.project(x)
+                np.add(x.T, np.multiply(values[:d], dt0, out=xt), out=xt)
+                np.add(xt, np.multiply(sqdt, _root_times(values[d:hi], z[:, j]).T, out=noise), out=xt)
+                x = statespace.project(xt.T.copy())
                 step += 1
                 # one evaluation at the new state serves its constraints and the next step
                 values = evaluate(x)
-                for m, v in zip(mins, values[hi:]):
-                    np.minimum(m, v, out=m)
+                if ineqs:
+                    np.minimum(mins, values[hi:], out=mins)
                 pos = stored_pos.get(step)
                 if pos is not None:
                     out[start:stop, pos] = x
         if ineqs:
-            minima[start:stop] = np.column_stack(mins)
+            minima[start:stop] = mins.T
 
     if not (np.isfinite(out).all() and (minima is None or np.isfinite(minima).all())):
         raise FloatingPointError("a simulated path left the finite doubles; try a smaller dt")

@@ -187,7 +187,7 @@ class Quadric(StateSpace):
 
     def _qform(self, x):
         x = np.asarray(x, dtype=float)
-        return np.sum(x * x * self._q, axis=-1)
+        return np.add.reduce(x * x * self._q, axis=-1)  # np.sum's arithmetic, without its wrapper
 
     def violation(self, x):
         q = self._qform(x)
@@ -195,27 +195,29 @@ class Quadric(StateSpace):
         return np.maximum(v, 0.0)
 
     def project(self, x):
+        """Rows outside scale radially onto the quadric; the input is copied
+        only when a row lies outside, else returned as it is."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        X = np.array(x, ndmin=2)
+        X = x if x.ndim >= 2 else x.reshape(1, -1)
         q = self._qform(X)
-        if self.orientation == "inside":
-            bad = q > 1.0
-            if bad.any():
+        bad = q > 1.0 if self.orientation == "inside" else q < 1.0
+        if np.count_nonzero(bad):
+            X = X.copy()
+            if self.orientation == "inside":
                 X[bad] /= np.sqrt(q[bad])[:, None]
-        else:
-            bad = q < 1.0
-            pos = bad & (q > 1e-12)
-            if pos.any():
-                X[pos] /= np.sqrt(q[pos])[:, None]
-            rest = bad & ~pos
-            if rest.any():
-                # radial scaling undefined near the cone x'Qx <= 0: push along
-                # the first +1 coordinate until the quadric is reached
-                i = self._plus[0]
-                xi = X[rest, i]
-                t = -xi + np.sqrt(xi * xi + 1.0 - q[rest])
-                X[rest, i] = xi + t
+            else:
+                pos = bad & (q > 1e-12)
+                if pos.any():
+                    X[pos] /= np.sqrt(q[pos])[:, None]
+                rest = bad & ~pos
+                if rest.any():
+                    # radial scaling undefined near the cone x'Qx <= 0: push along
+                    # the first +1 coordinate until the quadric is reached
+                    i = self._plus[0]
+                    xi = X[rest, i]
+                    t = -xi + np.sqrt(xi * xi + 1.0 - q[rest])
+                    X[rest, i] = xi + t
         return X[0] if single else X
 
     def boundary_samples(self, index: int, count: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Path simulation, dispersion, and Monte Carlo statistics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,16 @@ from hypothesis import strategies as st
 import polydiff.simulate
 from polydiff import (
     BoxOrthant,
+    BoxOrthantParams,
     FullSpace,
     ModelCoefficients,
     PathSet,
     PointOutsideStateSpace,
     Polynomial,
     Quadric,
+    QuadricParams,
     Simplex,
+    assemble_model,
     boundary_hit_stats,
     conditional_moment,
     dispersion,
@@ -22,8 +27,8 @@ from polydiff import (
     simulate_paths,
 )
 
-from polydiff.polynomial import _evaluator
-from polydiff.simulate import _path_keys, _philox_uniforms, _psd_sqrt_batch, _root_times, _uniforms
+from polydiff.polynomial import _compiled, _evaluator
+from polydiff.simulate import _path_keys, _philox_uniforms, _psd_sqrt_batch, _root_times, _stream
 
 from conftest import (
     MODEL_MATRIX,
@@ -96,7 +101,7 @@ class TestStreams:
         keys = _path_keys(seed, INDICES)
         gen = np.random.Generator(np.random.Philox(0))
         for step, block in [(0, 5), (4, 3), (8, 9), (0, 1)]:
-            u = _uniforms(gen, keys, step, block, d)
+            u = _stream(gen, keys, d)(step, block)
             for i, k in enumerate(INDICES):
                 assert np.array_equal(u[i], reference_stream(seed, k).random((step + block, d))[step:])
             # the array Philox is exact beyond the shapes its route takes
@@ -116,7 +121,7 @@ class TestStreams:
         # ragged, block * d not a multiple of 4
         blocks = [(step, block) for step in (0, 1024) for block in range(1, 16 // d + 1)]
         for step, block in blocks:
-            assert np.array_equal(_uniforms(gen, keys, step, block, d), want[:, step:step + block])
+            assert np.array_equal(_stream(gen, keys, d)(step, block), want[:, step:step + block])
         assert taken == ([len(keys)] * len(blocks) if route == "array" else [])
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -149,6 +154,24 @@ class TestStreams:
         assert taken == [300]
         assert np.array_equal(a.paths, b.paths)
         assert np.array_equal(a.constraint_minima, b.constraint_minima)
+
+    def test_keys_become_ints_once_a_chunk(self, monkeypatch):
+        # 11 steps in blocks of 4 draw three blocks through the generator loop;
+        # each chunk converts its keys to Python ints once
+        monkeypatch.setattr(polydiff.simulate, "_STEP_BLOCK", 4)
+        monkeypatch.setattr(polydiff.simulate, "_CHUNK_PATHS", 3)
+        converted = []
+
+        class Keys(np.ndarray):
+            def tolist(self):
+                converted.append(len(self))
+                return super().tolist()
+
+        path_keys = polydiff.simulate._path_keys
+        monkeypatch.setattr(polydiff.simulate, "_path_keys", lambda seed, idx: path_keys(seed, idx).view(Keys))
+        model, space = brownian(2)
+        simulate_paths(model, space, [0.0, 0.0], 1.375, 0.125, 7, seed=5)
+        assert converted == [3, 3, 1]
 
     @pytest.mark.parametrize("make", [jacobi_model, simplex_jacobi_model])
     def test_step_block_invisible(self, monkeypatch, make):
@@ -253,11 +276,15 @@ FAMILIES = [FullSpace(2), Quadric(np.eye(2)), Quadric(np.diag([1.0, -1.0]), orie
 
 def assert_evaluator_is_the_oracle(polys, X):
     """The family evaluator and each ``Polynomial.__call__`` against
-    ``oracle_eval``, byte for byte."""
+    ``oracle_eval``, byte for byte: the first call on the batch shape, which
+    runs on new arrays, and the second and third, which run in place on the
+    program's register file."""
     want = [oracle_eval(p, X) for p in polys]
-    got = _evaluator(polys)(X)
-    assert all(type(v) is np.ndarray and v.shape == X.shape[:-1] for v in got)
-    assert [v.tobytes() for v in got] == [w.tobytes() for w in want]
+    evaluate = _evaluator(polys)
+    for _ in range(3):
+        got = evaluate(X)
+        assert all(type(v) is np.ndarray and v.shape == X.shape[:-1] for v in got)
+        assert [v.tobytes() for v in got] == [w.tobytes() for w in want]
     assert [np.asarray(p(X)).tobytes() for p in polys] == [w.tobytes() for w in want]
 
 
@@ -309,6 +336,53 @@ class TestEvaluator:
         X = np.array([[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 2.0], [np.inf, -np.inf], [0.5, np.nan], [1.0, 2.0]])
         with np.errstate(invalid="ignore", over="ignore"):
             assert_evaluator_is_the_oracle(polys, X)
+
+    def test_repeated_polynomials_and_shared_terms_are_merged(self):
+        x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+        p = 1.0 - x1 ** 2 - x2 ** 2
+        # p twice, an equal copy of it, and two polynomials that share its terms
+        polys = [p, -x1, p, 1.0 - x1 ** 2 - x2 ** 2, p + 3.0 * x1 * x2, 2.0 - x2 ** 2]
+        code = _compiled(2, tuple(tuple(q.terms.items()) for q in polys))
+        assert [row for row, _ in code.copies] == [2, 3]
+        # x1^2 and x2^2, then the terms -x1^2, -x2^2, -x1, 3 x1 x2: each once
+        assert code.registers == 2 + 2 + 4
+        X = np.random.default_rng(8).uniform(-2.0, 2.0, (5, 2))
+        assert_evaluator_is_the_oracle(polys, X)
+
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3)], ids=["point", "batch", "two_axes"])
+    def test_powers_above_two(self, shape):
+        x1, x2, x3 = (Polynomial.variable(i, 3) for i in range(3))
+        polys = [x1 ** 3, 0.5 * x1 ** 4 * x2 ** 3 - x3 ** 7, x2 ** 5 * x3 ** 2 + 2.0 * x1 ** 3, x3 ** 9 - 1.0]
+        X = np.random.default_rng(9).uniform(-3.0, 3.0, shape + (3,)) * 10.0 ** np.arange(-2, 1)
+        assert_evaluator_is_the_oracle(polys, X)
+
+    def test_values_are_distinct_arrays(self):
+        # the first call's values are new arrays, a repeated polynomial included
+        x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+        p = x1 * x2 - 1.0
+        polys = [p, p, Polynomial.constant(2, 2.0), x1]
+        X = np.array([[0.5, 2.0], [3.0, -1.0]])
+        evaluate = _evaluator(polys)
+        first = evaluate(X)
+        assert not any(np.shares_memory(first[i], first[j]) or np.shares_memory(first[i], X)
+                       for i in range(4) for j in range(i))
+        first[0][:] = 7.0
+        assert [v.tolist() for v in first[1:]] == [[0.0, -4.0], [2.0, 2.0], [0.5, 3.0]]
+        # later calls on the shape run in place and return rows of one block, each its own row
+        second = evaluate(X)
+        assert not any(np.shares_memory(second[i], second[j]) for i in range(4) for j in range(i))
+        assert not any(np.shares_memory(v, w) for v in first for w in second)
+        assert np.shares_memory(evaluate(X + 1.0), second)
+
+    @pytest.mark.parametrize("name", ["simplex_jacobi", "unit_ball", "jacobi"])
+    def test_step_minima_own_their_rows(self, monkeypatch, name):
+        # the minima stay the running minimum over every step, though each step's
+        # values are rows of the register file that the next step overwrites
+        monkeypatch.setattr(polydiff.simulate, "_CHUNK_PATHS", 5)
+        model, space = MODEL_MATRIX[name]()
+        ps = simulate_paths(model, space, space.interior_samples(2)[1], 0.3, 0.01, 12, seed=4)
+        for q, p in enumerate(space.inequalities):
+            assert ps.constraint_minima[:, q].tobytes() == oracle_eval(p, ps.paths).min(axis=1).tobytes()
 
     def test_wrong_trailing_dim_raises(self):
         with pytest.raises(ValueError, match="trailing dim 2"):
@@ -501,6 +575,137 @@ class TestAgainstOracle:
         assert np.array_equal(got.constraint_minima, want.constraint_minima)
 
 
+def hyperboloid_outside_model():
+    """{x1^2 - x2^2 >= 1}, outside the hyperbola, with a drift towards the origin, so projection fires."""
+    space = Quadric(np.diag([1.0, -1.0]), orientation="outside")
+    return assemble_model(space, QuadricParams(alpha=np.eye(2), beta=np.zeros(2), B=-0.5 * np.eye(2))), space
+
+
+def ou2_model():
+    """A correlated 2-d Ornstein-Uhlenbeck model on the full plane."""
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    c = [[Polynomial.constant(2, 1.0), Polynomial.constant(2, 0.3)],
+         [Polynomial.constant(2, 0.3), Polynomial.constant(2, 0.5)]]
+    return ModelCoefficients(c, [0.2 - x1, 0.1 * x1 - 0.5 * x2]), FullSpace(2)
+
+
+def box_orthant_model():
+    """[0, 1] x R_+: a Jacobi coordinate and a CIR-like one driven by it."""
+    space = BoxOrthant(1, 1)
+    params = BoxOrthantParams(m=1, n=1, gamma=[1.0], alpha=[[0.5]], phi=[0.3], psi=[[0.2]], pi=[[0.0]],
+                              beta=[0.5, 0.4], B=[[-1.0, 0.0], [0.1, -0.5]])
+    return assemble_model(space, params), space
+
+
+def disk_off_e_model():
+    """a(x) = I - x x' on the unit disk, PSD on E and indefinite off it, with an
+    outward drift: projected states sit on the circle up to rounding, where
+    det a(x) = 1 - |x|^2 takes either sign, so the clipped 2x2 root runs."""
+    x1, x2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    a = [[1.0 - x1 * x1, -(x1 * x2)], [-(x1 * x2), 1.0 - x2 * x2]]
+    return ModelCoefficients(a, [x1, x2]), Quadric(np.eye(2))
+
+
+PINNED_MODELS = {"ball2": unit_ball_model, "ball3": lambda: unit_ball_model(3), "simplex2": simplex_jacobi_model,
+                 "hyperboloid_outside": hyperboloid_outside_model, "ou2": ou2_model, "box_orthant": box_orthant_model,
+                 "disk_off_e": disk_off_e_model}
+# starting points other than the second interior sample: away from the hyperbola,
+# where its diffusion vanishes
+PINNED_X0 = {"hyperboloid_outside": [2.0, 0.5]}
+# (paths, steps, chunk): the benchmark's two shapes, a chunk wider than the
+# array route's threshold, and chunks of 5 paths that end on a short one
+PINNED_SHAPES = {"16x512": (16, 512, None), "2048x8": (2048, 8, None), "257x16": (257, 16, None),
+                 "12x40_chunk5": (12, 40, 5)}
+
+
+class TestPinnedBits:
+    """sha256 of ``paths`` and ``constraint_minima`` of d = 2 and d = 3 runs as
+    the step kernel computed them when they were recorded.  d = 2 has no
+    bit-for-bit oracle (the oracle's root is ``eigh``), so these pin every
+    rounding of the closed-form root, the projections and the minima."""
+
+    DIGESTS = {
+        ("ball2", "12x40_chunk5"): ("a0ad746b8fbc0f3ce150a78b6ff183c5265904411f161e3a6065156a9f72e607",
+                                   "8fc475c569bf4da40cae5a0ec16390648cda5b6e2e83103260d79e770c30bef0"),
+        ("ball2", "16x512"): ("1dc7a510777a17e50e2fd92860ba9f7aed786028d93d4c22690b1a33d93d0d78",
+                             "483db51c9a607d3349331807dae226b0c146b720ef5aa69dcb27c93d65481ba0"),
+        ("ball2", "2048x8"): ("249d6399615a24fe7b9558de8b8e70b8f812e80af47bcf7a3c7223570e4413fc",
+                             "76a45c41a86cbd2d0ffae15e83a0f86f453befb42b7750744c00ff09656253ec"),
+        ("ball2", "257x16"): ("f2d9103f663b8059de491f71f235842e2b2c062a70cd753daf66e96f81001497",
+                             "5639a6776b80c52d3e86858265650957435157eefbb729c7c94d376b0e1c42db"),
+        ("ball3", "12x40_chunk5"): ("66dcf7d289dd8356fc72e9d8f3a7a8da9b199c83c91147a59eafca983500652b",
+                                   "977f52ea92131664a2fd10080da670fe549a58e679d83656385b751164f324e3"),
+        ("ball3", "16x512"): ("95dd1dfe8eeaf6dbb7f34118b0daad0f1b4bf2c01a4d9fc4c90e5420de4b7f0b",
+                             "5a91c1b9846af3ef55e9bb937a78e544996c6df7933c8d0bf2f33d4a722583ad"),
+        ("ball3", "2048x8"): ("7787c3a041f482a07c51ff42b921d68e9bcd651ca4322be7e7520ba60baebe3f",
+                             "204a215966d28b5f1e7338e237ebcf130fef3ad70fa68c58e390cbfa81b8f7a2"),
+        ("ball3", "257x16"): ("3054d66b7df7d6d8553e295c91c256ba8aea14413f679ca029696d9f34e06111",
+                             "788d10e25252685600578039eefe4997d2a8940ef30fce1b61b98c2333d571c3"),
+        ("box_orthant", "12x40_chunk5"): ("5f3aad379d9f143cdd5b858f3407ee5e8ad3771cfa8acb893657f0d8363f4560",
+                                         "a4dabc0625cad1d2971cec1ed1f2f35b62bf5ebf2f5191920d12738d9be60a23"),
+        ("box_orthant", "16x512"): ("7d4c8eb3faf9f1982596a2665a55638ba8e5a3139324d0b2861def7e8502a2b6",
+                                   "40df195bc601aafade2dfb06bea3b7bbaa3069cec4e33bd4e1ac60ab9d533907"),
+        ("box_orthant", "2048x8"): ("754442df1597b01ad5c7cc618304597b072d76b44e065ea2d25926164ff4e312",
+                                   "2f11d977a97fcb88b6997b4bda3a78d06d748d7cd53b67cb1b55ed80d5959f75"),
+        ("box_orthant", "257x16"): ("e3c7e1adefdab99a2d335a780239291941ba51cc2a4c58b039045901c976cc52",
+                                   "35918187346e10686a76f8ae9a55ba3fb0892c19ca7c033f0bd5908beec38372"),
+        ("disk_off_e", "12x40_chunk5"): ("18acfe1ca36f38626125a920f38e59df26779dc4b82a39b34034e9223323ab09",
+                                        "316e62d931953337d66529382732266b041206501dea66519b7e76124dcd22aa"),
+        ("disk_off_e", "16x512"): ("366b991a71622ec549b9b3a100c117694359271ae762240de70fa960f02eb1eb",
+                                  "d8b5c59c941a6ccaf47071693926fa6be3bddab723205dfbcdccaa19dd97007f"),
+        ("disk_off_e", "2048x8"): ("6ee99ab6d988451a1d3476546014c013357218a35d71124b09e9a3d441e864cd",
+                                  "266eebc25b0c85ed976df9ce4debecc5ad93272147bccb829bbc6b7918275f3f"),
+        ("disk_off_e", "257x16"): ("7f6a482fec49505de4ef15058201208f10a53c70e9e8b79fdbada6b011a32cb8",
+                                  "52efa13a382a8f8b7892093fe9929eb5c3e2952ef9adc47f64d7c661e82506db"),
+        ("hyperboloid_outside", "12x40_chunk5"): ("428fae1b9ee598e47be931aaf2c6b2a3cac5ebc7feb17b86d52ed2633fffe730",
+                                                 "961b6e06b1711132a061b0fd191ed16b75491236587b209445cc30c4a4bd27af"),
+        ("hyperboloid_outside", "16x512"): ("dfc70b6be26e016dfc2c7ef9cdd7370e4e17ca93eebc39526c317deefe34e727",
+                                           "155b84f27ee36b0bdf7e291bfe518b96a5da492fccc243abbbe20097edd3311e"),
+        ("hyperboloid_outside", "2048x8"): ("d87281b05498a690a7a07782b63288d8b0e837d332c6b8ee4a6e066094305036",
+                                           "ac7b4e060c2332c434385bedc040e8fd41aa5b2ce30f4ded659f4f9f7181c675"),
+        ("hyperboloid_outside", "257x16"): ("ea9687427fa7982e18847b20370f8b04fd14385d97ab5db77fcf3ff025143f00",
+                                           "044404c642d1aa730187b53f7b125da8096dc65c498814f6b395190f4669f39a"),
+        ("ou2", "12x40_chunk5"): ("540913f86503e4c1984afdc97f55b33a4f5998de41e8e76f169f9b03802b8d0e",
+                                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("ou2", "16x512"): ("8549fd85582921660810851b51a02eed4b4dfdf3beb5de1c63f890872bdd4a53",
+                           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("ou2", "2048x8"): ("539b5d20abe5fca5038cdf764b4ab215ee7a69a01ffca01e607503437b104e01",
+                           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("ou2", "257x16"): ("0bfeb22c79d1a7285872922f0f98364e121f34ea1be1dbeef10a2b3a135807fb",
+                           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("simplex2", "12x40_chunk5"): ("17ed0298ed068a9b1b9eeb228f8107849e9393f245e32933a3e6f0aa8c0b6dfa",
+                                      "5d922d8d99ed5b21cad39f5f21a3da74a873a1a35b56b357100378dc3cd72925"),
+        ("simplex2", "16x512"): ("a64ef66aa5cc0754373d9c2ae6ccaad8e427a72a85be6577b1320fa42f7e4f59",
+                                "466fbd0b205c630b89732ede4fd3b19488af02febf04aef51b723a0f75e25c33"),
+        ("simplex2", "2048x8"): ("81d487dc9dbcacd5e754d02ac42bc8d16f3605b86f19aeec067ddcf42e2879e7",
+                                "f75272082ce212a34d9cd7b72adef4e033cedbebf68bb04fb63baaf21ccb2c79"),
+        ("simplex2", "257x16"): ("66ee64810de1413f06fb55d1c69ed9fbe49a269a9e28ac5148856fa82ad43960",
+                                "f96df61d0f4b52b776e78d57065563e483d8d8795a282b0d037a4bfbfd691b59"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(PINNED_SHAPES))
+    @pytest.mark.parametrize("name", sorted(PINNED_MODELS))
+    def test_paths_and_minima(self, monkeypatch, name, shape):
+        model, space = PINNED_MODELS[name]()
+        n_paths, steps, chunk = PINNED_SHAPES[shape]
+        if chunk is not None:
+            monkeypatch.setattr(polydiff.simulate, "_CHUNK_PATHS", chunk)
+        x0 = PINNED_X0.get(name, space.interior_samples(2)[1])
+        ps = simulate_paths(model, space, x0, steps * 0.01, 0.01, n_paths, seed=2026)
+        minima = b"" if ps.constraint_minima is None else ps.constraint_minima.tobytes()
+        got = (hashlib.sha256(ps.paths.tobytes()).hexdigest(), hashlib.sha256(minima).hexdigest())
+        assert got == self.DIGESTS[name, shape]
+
+    def test_the_clipped_root_runs(self, monkeypatch):
+        rows, clipped = [], polydiff.simulate._clipped_root_times
+        monkeypatch.setattr(polydiff.simulate, "_clipped_root_times",
+                            lambda a00, a01, a11, *z: rows.append(int((a01 * a01 > a00 * a11).sum()))
+                            or clipped(a00, a01, a11, *z))
+        model, space = disk_off_e_model()
+        simulate_paths(model, space, space.interior_samples(2)[1], 1.0, 0.01, 16, seed=2026)
+        assert rows and sum(rows) > 0  # indefinite rows among them
+
+
 class TestSimulatePaths:
     def test_frozen_model_constant_paths(self):
         space = FullSpace(1)
@@ -583,6 +788,15 @@ class TestCsvWriter:
                    1.7976931348623157e308, 2.0**53, 2.0**53 + 2, 1 / 3, -0.1, 123456789.0]
         paths = np.array(special * 2).reshape(2, 13, 1)
         ps = PathSet(times=np.arange(13) * 0.1, paths=paths, seed=0, dt=0.1, n_steps=12,
+                     store_stride=1, scheme="euler-project", statespace_family="full")
+        assert ps.csv_text() == paths_csv_by_format(ps)
+
+    @pytest.mark.parametrize("n_paths, n_rows", [(300, 20), (5000, 1), (3, 4097)])
+    def test_blocks_of_paths_match_per_value_writer(self, n_paths, n_rows):
+        # several blocks of paths, one row a path, and one path longer than a block
+        rng = np.random.default_rng(n_paths)
+        paths = rng.standard_normal((n_paths, n_rows, 2)) * 10.0 ** rng.integers(-300, 300, (n_paths, n_rows, 2))
+        ps = PathSet(times=np.arange(n_rows) * 0.1, paths=paths, seed=0, dt=0.1, n_steps=n_rows - 1,
                      store_stride=1, scheme="euler-project", statespace_family="full")
         assert ps.csv_text() == paths_csv_by_format(ps)
 

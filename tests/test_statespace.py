@@ -135,6 +135,19 @@ class TestProjection:
         x = np.array([3.0, 0.0, 4.0])
         assert np.allclose(ball.project(x), x / 5.0)
 
+    @pytest.mark.parametrize("orientation", ["inside", "outside"])
+    def test_quadric_copies_only_when_a_row_moves(self, orientation):
+        space = Quadric(np.diag([1.0, -1.0]), orientation=orientation)
+        inside = space.interior_samples(6)
+        assert space.project(inside) is inside
+        assert np.shares_memory(space.project(inside[2]), inside)
+        # a row outside: the result is new and the input stays as it was
+        X = np.vstack([inside, [[0.0, 3.0] if orientation == "outside" else [3.0, 0.0]]])
+        before = X.copy()
+        P = space.project(X)
+        assert not np.shares_memory(P, X) and np.array_equal(X, before)
+        assert np.array_equal(P[:-1], inside) and np.all(space.contains(P))
+
     def test_outside_quadric_near_cone(self):
         # radial scaling is undefined where x'Qx <= 0; the projection must
         # still land on the space
