@@ -296,8 +296,7 @@ class _Code(NamedTuple):
 
     dim: int
     registers: int
-    consts: tuple  # constant operands, floats; index -1 is the last one
-    arrays: tuple  # the same as read-only 0-d arrays, which ufuncs take faster on batches
+    consts: tuple  # constant operands; index -1 is the last one
     code: tuple  # (op, a, b, out) over registers
     sums: tuple  # (op, a, b, row); a None is the row's own value
     fills: tuple  # (row, constant) of each constant polynomial
@@ -320,14 +319,11 @@ def _compiled(dim: int, family: tuple) -> _Code:
     """
     slot = {(i, 1): i for i in range(dim)}  # a power (i, k) or a term (e, c) -> its register
     consts = {0.0: -1}  # a constant -> its index, counted back from the end
-
-    def const(c: float) -> int:
-        return consts.setdefault(c, -1 - len(consts))
-
+    add, mul = operator.add, operator.mul
     code, sums, fills, copies = [], [], [], []
     for i, k in sorted({ik for terms in family for e, _ in terms for ik in enumerate(e) if ik[1] > 1}):
         r = slot[i, k] = len(slot)
-        code.append((operator.mul, i, i, r) if k == 2 else (operator.pow, i, const(float(k)), r))
+        code.append((mul, i, i, r) if k == 2 else (operator.pow, i, consts.setdefault(float(k), -1 - len(consts)), r))
     done = {}  # a polynomial's terms -> its row
     for row, terms in enumerate(family):
         if terms in done:
@@ -341,28 +337,28 @@ def _compiled(dim: int, family: tuple) -> _Code:
                 if held is None:
                     held = c
                     continue
-                t = const(c)
+                t = consts.setdefault(c, -1 - len(consts))
             elif c == 1.0 and len(factors) == 1:
                 t = factors[0]
             else:
                 t = slot.get((e, c))
                 if t is None:
                     t = slot[e, c] = len(slot)
-                    a = factors.pop(0) if c == 1.0 else const(c)
+                    a = factors.pop(0) if c == 1.0 else consts.setdefault(c, -1 - len(consts))
                     for f in factors:
-                        code.append((operator.mul, a, f, t))
+                        code.append((mul, a, f, t))
                         a = t
-            # the sum starts from zero, which turns a leading -0.0 into 0.0
+            # the sum starts from zero (constant -1), which turns a leading -0.0 into 0.0
             if held is None:
-                sums.append((operator.add, t, const(0.0), row))
+                sums.append((add, t, -1, row))
+            elif held is True:
+                sums.append((add, None, t, row))
             else:
-                sums.append((operator.add, None if held is True else const(held), t, row))
+                sums.append((add, consts.setdefault(held, -1 - len(consts)), t, row))
             held = True
         if held is not True:
             fills.append((row, 0.0 if held is None else held))
-    floats = tuple(consts)[::-1]
-    return _Code(dim, len(slot), floats, tuple(map(_frozen, floats)), tuple(code), tuple(sums), tuple(fills),
-                 tuple(copies))
+    return _Code(dim, len(slot), tuple(consts)[::-1], tuple(code), tuple(sums), tuple(fills), tuple(copies))
 
 
 def _frozen(v: float) -> np.ndarray:
@@ -395,7 +391,7 @@ class _Program:
     def _bind(self, shape: tuple) -> None:
         c = self._code
         R = np.empty((c.registers + self._size,) + shape)
-        regs = [R[r, ...] for r in range(c.registers)] + list(c.arrays)
+        regs = [R[r, ...] for r in range(c.registers)] + [_frozen(v) for v in c.consts]
         self._coords, self._values = R[:c.dim], R[c.registers:]
         rows = list(self._values) if shape else [self._values[k, ...] for k in range(self._size)]
         for row, v in c.fills:
@@ -412,9 +408,7 @@ class _Program:
         shape = x.shape[:-1]
         if shape != self._shape:
             self._shape, self._run = shape, None
-            # at a point the arithmetic is numpy's scalar arithmetic, which takes floats faster
-            consts = c.arrays if shape else c.consts
-            regs = [x[..., i] for i in range(c.dim)] + [None] * (c.registers - c.dim) + list(consts)
+            regs = [x[..., i] for i in range(c.dim)] + [None] * (c.registers - c.dim) + list(c.consts)
             for f, a, b, o in c.code:
                 regs[o] = f(regs[a], regs[b])
             values = [None] * self._size
