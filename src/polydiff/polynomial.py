@@ -297,17 +297,13 @@ class _Code(NamedTuple):
     dim: int
     registers: int
     consts: tuple  # constant operands; index -1 is the last one
-    code: tuple  # (op, a, b, out) over registers
-    sums: tuple  # (op, a, b, row); a None is the row's own value
+    code: tuple  # (power, a, b, out) over registers: a ** b if power else a * b
+    sums: tuple  # (a, b, row): a + b into the row; a None is the row's own value
     fills: tuple  # (row, constant) of each constant polynomial
     copies: tuple  # (row, earlier row) of each repeated polynomial
 
 
-# the operators of a program's first run on a batch shape (at a point they take
-# numpy's scalar arithmetic), and the ufuncs that run the same arithmetic in place
-_UFUNC = {operator.add: np.add, operator.mul: np.multiply, operator.pow: np.power}
-
-
+# a program holds numbers only, so the garbage collector leaves the cached ones alone
 @functools.lru_cache(maxsize=256)
 def _compiled(dim: int, family: tuple) -> _Code:
     """The program of the polynomials whose term lists, in term order, are ``family``.
@@ -319,11 +315,10 @@ def _compiled(dim: int, family: tuple) -> _Code:
     """
     slot = {(i, 1): i for i in range(dim)}  # a power (i, k) or a term (e, c) -> its register
     consts = {0.0: -1}  # a constant -> its index, counted back from the end
-    add, mul = operator.add, operator.mul
     code, sums, fills, copies = [], [], [], []
     for i, k in sorted({ik for terms in family for e, _ in terms for ik in enumerate(e) if ik[1] > 1}):
         r = slot[i, k] = len(slot)
-        code.append((mul, i, i, r) if k == 2 else (operator.pow, i, consts.setdefault(float(k), -1 - len(consts)), r))
+        code.append((False, i, i, r) if k == 2 else (True, i, consts.setdefault(float(k), -1 - len(consts)), r))
     done = {}  # a polynomial's terms -> its row
     for row, terms in enumerate(family):
         if terms in done:
@@ -346,15 +341,15 @@ def _compiled(dim: int, family: tuple) -> _Code:
                     t = slot[e, c] = len(slot)
                     a = factors.pop(0) if c == 1.0 else consts.setdefault(c, -1 - len(consts))
                     for f in factors:
-                        code.append((mul, a, f, t))
+                        code.append((False, a, f, t))
                         a = t
             # the sum starts from zero (constant -1), which turns a leading -0.0 into 0.0
             if held is None:
-                sums.append((add, t, -1, row))
+                sums.append((t, -1, row))
             elif held is True:
-                sums.append((add, None, t, row))
+                sums.append((None, t, row))
             else:
-                sums.append((add, consts.setdefault(held, -1 - len(consts)), t, row))
+                sums.append((consts.setdefault(held, -1 - len(consts)), t, row))
             held = True
         if held is not True:
             fills.append((row, 0.0 if held is None else held))
@@ -397,8 +392,8 @@ class _Program:
         for row, v in c.fills:
             rows[row].fill(v)
         self._copies = [(rows[row], rows[src]) for row, src in c.copies]
-        self._run = [(_UFUNC[f], regs[a], regs[b], regs[o]) for f, a, b, o in c.code]
-        self._run += [(_UFUNC[f], rows[row] if a is None else regs[a], regs[b], rows[row]) for f, a, b, row in c.sums]
+        self._run = [(np.power if power else np.multiply, regs[a], regs[b], regs[o]) for power, a, b, o in c.code]
+        self._run += [(np.add, rows[row] if a is None else regs[a], regs[b], rows[row]) for a, b, row in c.sums]
 
     def __call__(self, x):
         c = self._code
@@ -408,12 +403,13 @@ class _Program:
         shape = x.shape[:-1]
         if shape != self._shape:
             self._shape, self._run = shape, None
+            # Python's operators, which at a point take numpy's scalar arithmetic
             regs = [x[..., i] for i in range(c.dim)] + [None] * (c.registers - c.dim) + list(c.consts)
-            for f, a, b, o in c.code:
-                regs[o] = f(regs[a], regs[b])
+            for power, a, b, o in c.code:
+                regs[o] = regs[a] ** regs[b] if power else regs[a] * regs[b]
             values = [None] * self._size
-            for f, a, b, row in c.sums:
-                values[row] = f(values[row] if a is None else regs[a], regs[b])
+            for a, b, row in c.sums:
+                values[row] = (values[row] if a is None else regs[a]) + regs[b]
             for row, v in c.fills:
                 values[row] = np.full(shape, v)
             for row, src in c.copies:
