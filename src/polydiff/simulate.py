@@ -6,11 +6,18 @@ complex noise.  b, the upper triangle of a and the state-space inequalities
 compile once per ``simulate_paths`` call into one straight-line program of
 ufunc calls (``polynomial._evaluator``).  From a chunk's first step on, that
 program runs in place on a register file bound to the chunk, so each Euler
-step is the program, the PSD root applied to the noise (in d = 2 a closed
-form with no reductions), the update formed as rows, and the projection,
-which copies only when a state leaves the space.  Every value keeps the
-arithmetic and its order of the term-by-term evaluation and the
+step is the program, the PSD root applied to the noise (in d = 2 and d = 3
+a closed form with no reductions), the update formed as rows, and the
+projection, which copies only when a state leaves the space.  Every value
+keeps the arithmetic and its order of the term-by-term evaluation and the
 eigendecomposition-free root, so paths and minima are bit for bit the same.
+
+Which bits the noise has depends on its route (``_root_times``).  In d <= 3
+it is built from +, -, *, / and sqrt alone, which IEEE 754 rounds correctly,
+so its bits are the same on every CPU and BLAS.  In d >= 4, and on the d = 3
+rows the closed form leaves (indefinite, near rank one, far from unit scale
+or non-finite), it goes through LAPACK ``eigh``, whose bits depend on the BLAS
+kernel.  ``dispersion`` is the ``eigh`` reference for every d.
 
 Stream contract: path k draws from numpy's ``Philox`` keyed by
 ``SeedSequence(entropy=seed, spawn_key=(k,))``, one double (u >> 11) * 2**-53
@@ -18,8 +25,9 @@ per 64-bit output u, d doubles per step in step order; normal variates go
 through the inverse CDF.  So ``Generator(Philox(SeedSequence(entropy=seed,
 spawn_key=(k,)))).random((n_steps, d))`` reproduces the uniforms of path k
 with numpy alone.  The contract holds across chunk and step-block
-boundaries: paths are bit-identical across runs, platforms and chunk sizes,
-and adding paths never reshuffles existing ones.
+boundaries: paths are bit-identical across runs and chunk sizes, and across
+platforms wherever the noise stays off LAPACK (above), and adding paths never
+reshuffles existing ones.
 
 Two producers give these bits, chosen by the block's shape alone.  A chunk of
 at least ``_ARRAY_MIN_PATHS`` paths drawing at most ``_ARRAY_MAX_WORDS`` words
@@ -88,7 +96,10 @@ def _psd_sqrt_batch(A: np.ndarray) -> np.ndarray:
 
 
 def dispersion(model, x) -> np.ndarray:
-    """PSD square root of the projected diffusion matrix a(x).  Batched."""
+    """PSD square root of the projected diffusion matrix a(x).  Batched.
+
+    This is the ``eigh`` reference: the Euler step applies the same root to the
+    noise without forming it in d <= 3, equal to this one up to rounding."""
     return _psd_sqrt_batch(model.a_eval(x))
 
 
@@ -96,23 +107,45 @@ def dispersion(model, x) -> np.ndarray:
 _SCALE_LOW, _SCALE_HIGH = 2.0**-480, 2.0**480
 # the constants of the step kernel as 0-d arrays, which ufuncs take faster than floats
 _LOW, _HIGH, _ZERO, _TWO = map(_frozen, (_SCALE_LOW, _SCALE_HIGH, 0.0, 2.0))
+# a 3x3 A with tr A between these has products of three entries that stay normal doubles
+_SCALE3_LOW, _SCALE3_HIGH = 2.0**-320, 2.0**320
+_NEWTON_STEPS = 5
+# in the d = 3 closed form, c3 = det A within _ROUNDING c1 c2 of zero is rank two
+# up to rounding (c3 / c2 is about the third eigenvalue, and moves RR' by as much);
+# a row is kept when c3 is not below that band, its last Newton step is at most
+# _CONVERGED I1, and its I1 I2 - I3, about (u2 + u3) / u1 times I1^3 for the roots
+# u1 >= u2 >= u3 of the eigenvalues, is at least _SEPARATED I1^3: rounding of
+# det A moves RR' by about eps tr A / _SEPARATED^2
+_CONVERGED, _ROUNDING, _SEPARATED = map(_frozen, (2.0**-50, 2.0**-46, 2.0**-6))
+_LOW3, _HIGH3, _HALF, _THREE = map(_frozen, (_SCALE3_LOW, _SCALE3_HIGH, 0.5, 3.0))
 
 
 def _root_times(a: list, z: np.ndarray) -> np.ndarray:
     """sigma z, row by row, for sigma the PSD square root of the eigenvalue-clipped
     matrix with upper triangle ``a`` (a_00, a_01, ..., a_11, ...: arrays (n,))
-    and z of shape (n, d), without forming sigma where d <= 2.
+    and z of shape (n, d), without forming sigma where d <= 3.
 
-    d = 1 is sqrt(max(a, 0)) z, bit for bit the 1x1 root times z.  d = 2 is the
-    closed form of the 2x2 root, equal to the eigendecomposition route up to
-    rounding.  d >= 3 goes through ``eigh``, bit for bit as ``dispersion``; a
-    row with a non-finite entry, which ``eigh`` cannot take, gives NaN.
+    d = 1 is sqrt(max(a, 0)) z, bit for bit the 1x1 root times z.  d = 2 and
+    d = 3 are closed forms built from +, -, *, / and sqrt alone, which IEEE 754
+    rounds correctly, so their bits do not depend on the CPU or the BLAS; they
+    equal the eigendecomposition route up to rounding.  d >= 4, and the d = 3
+    rows the closed form leaves, go through LAPACK ``eigh``, bit for bit as
+    ``dispersion`` on the same rows (``_eigh_root_times``).
     """
     d = z.shape[1]
     if d == 1:
         return np.sqrt(np.maximum(a[0], 0.0))[:, None] * z
     if d == 2:
         return _root_times_2x2(*a, z[:, 0], z[:, 1])
+    if d == 3:
+        return _root_times_3x3(a, z)
+    return _eigh_root_times(a, z)
+
+
+def _eigh_root_times(a: list, z: np.ndarray) -> np.ndarray:
+    """``_root_times`` through the batched ``eigh`` root of ``dispersion``; a row
+    with a non-finite entry, which ``eigh`` cannot take, gives NaN."""
+    d = z.shape[1]
     A = np.empty((len(z), d, d))
     k = 0
     for i in range(d):
@@ -199,6 +232,98 @@ def _clipped_root_times(a00, a01, a11, z0, z1) -> np.ndarray:
             out[indefinite, 1] = w * (b01 * y0 + (b11 - low) * y1)
         out[~np.isfinite(m)] = np.nan
     return np.ldexp(out, k[:, None])
+
+
+def _root_times_3x3(a: list, z: np.ndarray) -> np.ndarray:
+    """The d = 3 case of ``_root_times``.
+
+    Let c1 = tr A, c2 the sum of its principal 2x2 minors and c3 = det A.  The
+    PSD root U of a PSD A has the invariants I3 = sqrt(c3), I1 the largest root
+    of ((x^2 - c1) / 2)^2 - c2 - 2 I3 x and I2 = (I1^2 - c1) / 2, and then
+    U z = ((I1^2 - I2) A z + I1 I3 z - A (A z)) / (I1 I2 - I3) by
+    Cayley-Hamilton (Hoger and Carlson, Q. Appl. Math. 1984; Franca, Comput.
+    Math. Appl. 1989).  sqrt(c1 + 2 sqrt(c2 + 2 I3 sqrt(3 c1))) is an upper bound
+    on I1, exact when c3 = 0: a row whose c3 is within rounding of zero (rank
+    two) takes it with I3 = 0, the others take ``_NEWTON_STEPS`` Newton steps
+    down from it, which are skipped when no row needs them.  The rows this
+    leaves go to ``_clipped_root_times_3x3``.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out, rest = _psd_root_times_3x3(*a, *z.T)
+        if rest is not None:
+            out[rest] = _clipped_root_times_3x3([v[rest] for v in a], z[rest])
+    return out
+
+
+def _psd_root_times_3x3(a00, a01, a02, a11, a12, a22, z0, z1, z2) -> tuple[np.ndarray, np.ndarray | None]:
+    """The closed form of ``_root_times_3x3`` row by row, and None when it keeps
+    every row, else the mask of the rows it leaves, whose values are
+    meaningless: rows with a trace outside _SCALE3_LOW.._SCALE3_HIGH (which
+    holds the non-finite ones), c2 < 0 or c3 < -_ROUNDING c1 c2 (indefinite
+    beyond rounding), a Newton step that has not converged, or I1 I2 - I3
+    below _SEPARATED I1^3 (near rank 1).
+
+    As in d = 2, the values are the (n, 3) transpose of one C-order (3, n)
+    array, and whether every row is kept takes a count, no reduction.
+    """
+    c1 = a00 + a11 + a22
+    m00, m11, m22 = a11 * a22 - a12 * a12, a00 * a22 - a02 * a02, a00 * a11 - a01 * a01
+    c2 = m00 + m11 + m22
+    c3 = a00 * m00 + a01 * (a02 * a12 - a01 * a22) + a02 * (a01 * a12 - a02 * a11)
+    band = _ROUNDING * c1 * c2
+    # a c3 within rounding of zero is a rank-two A, whose I1 is the bound itself
+    converged = c3 <= band
+    i3 = np.sqrt(np.where(converged, _ZERO, c3))
+    t = _TWO * i3
+    bound = x = np.sqrt(c1 + _TWO * np.sqrt(c2 + t * np.sqrt(_THREE * c1)))
+    if np.count_nonzero(i3):
+        for _ in range(_NEWTON_STEPS):
+            g = _HALF * (x * x - c1)
+            step = (g * g - c2 - t * x) / (_TWO * (g * x - i3))
+            x = x - step
+        x = np.where(converged, bound, x)
+        converged |= np.abs(step) <= _CONVERGED * x
+    xx = x * x
+    i2 = _HALF * (xx - c1)
+    den = x * i2 - i3
+    kept = ((c1 > _LOW3) & (c1 < _HIGH3) & (c2 >= _ZERO) & (c3 >= -band) & converged
+            & (den >= _SEPARATED * (xx * x)))
+    k, ell = xx - i2, x * i3
+    out = np.empty((3,) + c1.shape)
+    az = _symmetric_times(a00, a01, a02, a11, a12, a22, z0, z1, z2)
+    for r, v, w, zi in zip(out, az, _symmetric_times(a00, a01, a02, a11, a12, a22, *az), (z0, z1, z2)):
+        np.divide(k * v + ell * zi - w, den, out=r)
+    return out.T, None if np.count_nonzero(kept) == kept.size else ~kept
+
+
+def _symmetric_times(a00, a01, a02, a11, a12, a22, v0, v1, v2) -> tuple:
+    """The rows of A v, for A the symmetric 3x3 matrix with upper triangle a."""
+    return a00 * v0 + a01 * v1 + a02 * v2, a01 * v0 + a11 * v1 + a12 * v2, a02 * v0 + a12 * v1 + a22 * v2
+
+
+def _clipped_root_times_3x3(a: list, z: np.ndarray) -> np.ndarray:
+    """``_root_times_3x3`` on the rows its closed form leaves.  A finite row
+    whose Gershgorin discs all lie in x <= 0 has no positive eigenvalue, and
+    its root is zero: such are the zero and negative multiples of I that a(x)
+    takes on the unit sphere.  A row whose 2x2 minors are all zero and whose
+    trace lies in _SCALE3_LOW.._SCALE3_HIGH has rank one, A = l v v', and its
+    root is A / sqrt(tr A): such are the states that projection puts on an edge
+    of the simplex.  The others go to ``_eigh_root_times``."""
+    a00, a01, a02, a11, a12, a22 = a
+    c1 = a00 + a11 + a22
+    r01, r02, r12 = np.abs(a01), np.abs(a02), np.abs(a12)
+    zero = np.isfinite(c1) & (a00 + (r01 + r02) <= 0.0) & (a11 + (r01 + r12) <= 0.0) & (a22 + (r02 + r12) <= 0.0)
+    one = (c1 > _SCALE3_LOW) & (c1 < _SCALE3_HIGH)
+    for m in (a11 * a22 - a12 * a12, a00 * a22 - a02 * a02, a00 * a11 - a01 * a01,
+              a01 * a22 - a02 * a12, a01 * a12 - a02 * a11, a00 * a12 - a01 * a02):
+        one &= m == 0.0
+    out = np.zeros_like(z)
+    if one.any():
+        out[one] = np.stack(_symmetric_times(*(v[one] for v in a), *z[one].T), axis=1) / np.sqrt(c1[one])[:, None]
+    rest = ~(zero | one)
+    if rest.any():
+        out[rest] = _eigh_root_times([v[rest] for v in a], z[rest])
+    return out
 
 
 @dataclass

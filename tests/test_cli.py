@@ -823,7 +823,7 @@ class TestSimulate:
         "simplex2": ("simplex_plain", 2026, ["--x0", "0.3,0.7", "--paths", 16, "--dt", 0.01, "--t-end", 0.5],
                      "2458e7b0c7cff1cd7909e9be34f84f40b2004e42f2e3dbe95b91bc20ce25ead6", 49502),
         "simplex3": ("simplex3", 7, ["--x0", "0.2,0.3,0.5", "--paths", 8, "--dt", 0.01, "--t-end", 0.5],
-                     "89bed86a6ac1c1c6b93a604e176e377fc4fc694f417ab6d2b56e952b8ae4dfe9", 32649),
+                     "03c52e2c2113d64784102750958f90d4cb230116595aa35e75a9818d37968de0", 32619),
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))

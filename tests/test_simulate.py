@@ -28,7 +28,8 @@ from polydiff import (
 )
 
 from polydiff.polynomial import _compiled, _evaluator
-from polydiff.simulate import _path_keys, _philox_uniforms, _psd_sqrt_batch, _root_times, _stream
+from polydiff.simulate import (_eigh_root_times, _path_keys, _philox_uniforms, _psd_root_times_3x3, _psd_sqrt_batch,
+                               _root_times, _stream)
 
 from conftest import (
     MODEL_MATRIX,
@@ -413,22 +414,50 @@ class TestEvaluator:
         assert calls == [(c, 3) for c in chunks for _ in range(10 + 1)]
 
 
+def ball_radial_model():
+    """a(x) = x x' + (1 - |x|^2) I on the unit ball in R^3, with an outward drift:
+    projected states sit on the sphere up to rounding, where a(x) has rank one
+    and the d = 3 closed form leaves its rows to the eigh route."""
+    x = [Polynomial.variable(i, 3) for i in range(3)]
+    r2 = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    return ModelCoefficients([[x[i] * x[j] + ((1.0 - r2) if i == j else 0.0) for j in range(3)] for i in range(3)],
+                             x), Quadric(np.eye(3))
+
+
+def box_orthant3_model():
+    """[0, 1] x R_+^2: a Jacobi coordinate and two CIR ones, decoupled, so a(x) is diagonal."""
+    space = BoxOrthant(1, 2)
+    params = BoxOrthantParams(m=1, n=2, gamma=[1.0], alpha=np.zeros((2, 2)), phi=[0.3, 0.5], psi=np.zeros((2, 1)),
+                              pi=np.zeros((2, 2)), beta=[0.5, 0.4, 0.6], B=np.diag([-1.0, -0.5, -0.8]))
+    return assemble_model(space, params), space
+
+
+# R R' against the eigenvalue-clipped a, relative to max |a|, on every row of the d = 3 root
+RRT_GATE = 1e-12
+
+
 def upper(A):
     d = A.shape[-1]
     return [A[:, i, j] for i in range(d) for j in range(i, d)]
 
 
-def assert_root_close(A, z):
-    """_root_times(A, z) against the eigh route of ``dispersion``: sigma sigma'
-    within a few ulps of |A|, and sigma z within sqrt(eps |A|) |z|, the
-    accuracy of a root of an eigenvalue that is known to an ulp of |A|."""
+def root_matrix(A):
+    """The matrix R of ``_root_times`` on the rows of A: its columns are R e_k."""
+    return np.stack([_root_times(upper(A), np.tile(e, (len(A), 1))) for e in np.eye(A.shape[-1])], axis=2)
+
+
+def assert_root_close(A, z, gate=8.0 * EPS):
+    """_root_times(A, z) against the eigh route of ``dispersion``: R R' within
+    ``gate`` |A| of the eigenvalue-clipped A (a few ulps by default), and R z
+    within sqrt(eps |A|) |z|, the accuracy of a root of an eigenvalue that is
+    known to an ulp of |A|."""
     norm = np.abs(A).max(axis=(1, 2))
     want = polydiff.simulate._psd_sqrt_batch(A)
     got = _root_times(upper(A), z)
     assert np.all(np.abs(got - np.einsum("cij,cj->ci", want, z)).max(axis=1)
                   <= np.sqrt(EPS * norm) * np.abs(z).max(axis=1))
-    sigma = np.stack([_root_times(upper(A), np.tile(e, (len(A), 1))) for e in np.eye(2)], axis=2)
-    assert np.all(np.abs(sigma @ sigma - want @ want).max(axis=(1, 2)) <= 8.0 * EPS * norm)
+    sigma = root_matrix(A)
+    assert np.all(np.abs(sigma @ np.swapaxes(sigma, 1, 2) - want @ want).max(axis=(1, 2)) <= gate * norm)
 
 
 ROOT_KINDS = ["psd", "near_singular", "indefinite", "negative_definite", "negative_rank_one", "zero"]
@@ -452,10 +481,16 @@ class TestRootTimes:
         got = _root_times(upper(model.a_eval(X)), z)
         assert np.array_equal(got, np.einsum("cij,cj->ci", dispersion(model, X), z))
 
-    def test_three_dimensional_is_the_einsum(self):
-        model, space = unit_ball_model(3)
+    @pytest.mark.parametrize("make", [lambda: unit_ball_model(3), simplex3_model, ball_radial_model])
+    def test_three_dimensional_meets_the_gate(self, make):
+        model, space = make()
         X = space.all_samples(64)
-        z = np.random.default_rng(4).standard_normal((len(X), 3))
+        assert_root_close(model.a_eval(X), np.random.default_rng(4).standard_normal((len(X), 3)), gate=RRT_GATE)
+
+    def test_four_dimensional_is_the_einsum(self):
+        model, space = unit_ball_model(4)
+        X = space.all_samples(64)
+        z = np.random.default_rng(4).standard_normal((len(X), 4))
         got = _root_times(upper(model.a_eval(X)), z)
         assert got.tobytes() == np.einsum("cij,cj->ci", dispersion(model, X), z).tobytes()
 
@@ -535,14 +570,152 @@ class TestRootTimes:
         assert_root_close(model.a_eval(X), np.random.default_rng(6).standard_normal((len(X), 2)))
 
 
+# eigenvalues of either sign over twelve decades, with zeros, repeats and rounding-sized negatives
+EIGENVALUES = st.one_of(st.sampled_from([0.0, 1.0, -1e-17]), st.floats(-1.0, 1.0), st.floats(1e-12, 1.0))
+
+
+@st.composite
+def symmetric_3x3(draw):
+    """A batch of symmetric 3x3 matrices V diag(w) V', V a random rotation."""
+    w = np.array(draw(st.lists(st.lists(EIGENVALUES, min_size=3, max_size=3), min_size=1, max_size=6)))
+    V = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((len(w), 3, 3)))[0]
+    return np.einsum("cik,ck,cjk->cij", V, w, V) * 10.0 ** draw(st.integers(-3, 3))
+
+
+def rrt_error(A):
+    """max |R R' - A+| / max |A| row by row, for R the matrix of ``_root_times`` and
+    A+ the eigenvalue-clipped A of the eigh route."""
+    w, V = np.linalg.eigh(A)
+    clipped = np.einsum("cik,ck,cjk->cij", V, np.maximum(w, 0.0), V)
+    R = root_matrix(A)
+    return np.abs(R @ np.swapaxes(R, 1, 2) - clipped).max(axis=(1, 2)) / np.abs(A).max(axis=(1, 2))
+
+
+def kept_rows(A):
+    """The rows of A that the d = 3 closed form keeps."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _, rest = _psd_root_times_3x3(*upper(A), *np.ones((3, len(A))))
+    return np.ones(len(A), dtype=bool) if rest is None else ~rest
+
+
+class TestRootTimesThreeDimensions:
+    """The d = 3 closed form, from +, -, *, / and sqrt alone, and the rows it leaves."""
+
+    @PROPERTY
+    @given(symmetric_3x3())
+    def test_every_row_meets_the_gate(self, A):
+        # kept rows by the closed form, the others by a rank-one root, zero or eigh
+        nonzero = np.abs(A).max(axis=(1, 2)) > 0.0
+        assert np.all(rrt_error(A[nonzero]) <= RRT_GATE)
+
+    def test_most_random_rows_are_kept(self):
+        rng = np.random.default_rng(7)
+        V = np.linalg.qr(rng.standard_normal((2000, 3, 3)))[0]
+        w = np.exp(rng.uniform(-12.0, 0.0, (2000, 3)))
+        A = np.einsum("cik,ck,cjk->cij", V, w, V)
+        kept = kept_rows(A)
+        assert kept.mean() > 0.9
+        assert rrt_error(A[kept]).max() <= RRT_GATE
+
+    @PROPERTY
+    @given(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0**-1074]), st.floats(-1e300, 1e300)))
+    def test_multiples_of_the_identity(self, q):
+        R = root_matrix(q * np.eye(3)[None])[0]
+        want = np.sqrt(max(q, 0.0)) * np.eye(3)
+        assert np.all(np.abs(R - want) <= 8.0 * EPS * want)
+
+    @PROPERTY
+    @given(symmetric_3x3(), st.sampled_from([2.0**-500, 2.0**500]))
+    def test_rows_far_from_unit_scale(self, A, scale):
+        nonzero = np.abs(A).max(axis=(1, 2)) > 0.0
+        assert np.all(rrt_error(scale * A[nonzero]) <= RRT_GATE)
+
+    @PROPERTY
+    @given(symmetric_3x3(), st.integers(0, 5), st.sampled_from([np.inf, -np.inf, np.nan]))
+    def test_non_finite_rows_give_nan(self, A, entry, bad):
+        z = np.random.default_rng(8).standard_normal((len(A), 3))
+        a = upper(A)
+        a[entry][0] = bad
+        got = _root_times(a, z)
+        assert np.isnan(got[0]).all()
+        assert got[1:].tobytes() == _root_times([v[1:] for v in a], z[1:]).tobytes()
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        # simplex3 rows have rank two and skip Newton alone; beside ball rows, Newton runs
+        rng = np.random.default_rng(10)
+        rows = [make()[0].a_eval(make()[1].all_samples(16)) for make in (simplex3_model, lambda: unit_ball_model(3))]
+        A = np.concatenate(rows)
+        z = rng.standard_normal((len(A), 3))
+        got = _root_times(upper(A), z)
+        alone = [_root_times(upper(rows[0]), z[:len(rows[0])]), _root_times(upper(rows[1]), z[len(rows[0]):])]
+        assert got.tobytes() == np.concatenate(alone).tobytes()
+
+    def test_fallback_rows_are_the_eigh_route(self):
+        model, space = ball_radial_model()
+        ps = simulate_paths(model, space, space.interior_samples(2)[1], 0.4, 0.01, 16, seed=2026)
+        X = ps.paths.reshape(-1, 3)
+        a = upper(model.a_eval(X))
+        z = np.random.default_rng(9).standard_normal((len(X), 3))
+        rest = ~kept_rows(model.a_eval(X))
+        assert rest.sum() > 10
+        got = _root_times(a, z)
+        assert got[rest].tobytes() == _eigh_root_times([v[rest] for v in a], z[rest]).tobytes()
+
+    def test_fallback_paths_do_not_depend_on_the_chunk(self, monkeypatch):
+        model, space = ball_radial_model()
+        runs = []
+        for chunk in (5, 8192):
+            monkeypatch.setattr(polydiff.simulate, "_CHUNK_PATHS", chunk)
+            ps = simulate_paths(model, space, space.interior_samples(2)[1], 0.4, 0.01, 12, seed=2026)
+            runs.append((ps.paths.tobytes(), ps.constraint_minima.tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_the_fallback_runs(self, monkeypatch):
+        rows, eigh = [], polydiff.simulate._eigh_root_times
+        monkeypatch.setattr(polydiff.simulate, "_eigh_root_times", lambda a, z: rows.append(len(z)) or eigh(a, z))
+        model, space = ball_radial_model()
+        simulate_paths(model, space, space.interior_samples(2)[1], 0.4, 0.01, 12, seed=2026)
+        assert rows and sum(rows) > 10
+
+    def test_simplex3_never_calls_eigh(self, monkeypatch):
+        # states that projection puts on an edge have rank-one a, which the fallback takes without eigh
+        calls, left = [], []
+        sqrt_batch, clipped = polydiff.simulate._psd_sqrt_batch, polydiff.simulate._clipped_root_times_3x3
+        monkeypatch.setattr(polydiff.simulate, "_psd_sqrt_batch", lambda A: calls.append(len(A)) or sqrt_batch(A))
+        monkeypatch.setattr(polydiff.simulate, "_clipped_root_times_3x3",
+                            lambda a, z: left.append(len(z)) or clipped(a, z))
+        model, space = simplex3_model()
+        ps = simulate_paths(model, space, [0.05, 0.05, 0.9], 0.5, 0.02, 32, seed=7)
+        assert (ps.paths == 0.0).any(axis=2).sum() > 0 and sum(left) > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("make", [lambda: unit_ball_model(3), simplex3_model, box_orthant3_model])
+    def test_no_transcendental_ufuncs(self, monkeypatch, make):
+        model, space = make()
+        x0 = space.interior_samples(2)[1] if space.family != "box_orthant" else np.array([0.5, 0.5, 0.5])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a transcendental ufunc, whose bits depend on the CPU")
+
+        for name in ("arccos", "cos", "sin", "cbrt", "exp", "log", "power"):
+            monkeypatch.setattr(np, name, refuse)
+        ps = simulate_paths(model, space, x0, 0.32, 0.01, 64, seed=5)
+        assert np.isfinite(ps.paths).all()
+
+
 ORACLE_CASES = {**MODEL_MATRIX, "simplex_x2_form": simplex_x2_form_model, "simplex3": simplex3_model,
-                "unit_ball3": lambda: unit_ball_model(3)}
+                "unit_ball3": lambda: unit_ball_model(3), "unit_ball4": lambda: unit_ball_model(4)}
+
+
+def unit_ball5_model():
+    return unit_ball_model(5)
 
 
 class TestAgainstOracle:
     """simulate_paths against the step loop written with the public pieces
     (conftest.oracle_simulate_paths): the same paths and minima bit for bit
-    in d = 1 and d >= 3; in d = 2 the closed-form root moves them by rounding."""
+    in d = 1 and d >= 4; in d = 2 and d = 3 the closed-form root moves them by
+    rounding."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
     def test_paths_and_minima(self, monkeypatch, name):
@@ -554,7 +727,7 @@ class TestAgainstOracle:
         got = simulate_paths(model, space, x0, 0.5, 0.01, 12, seed=11, store_stride=3)
         want = oracle_simulate_paths(model, space, x0, 0.5, 0.01, 12, seed=11, store_stride=3)
         assert np.array_equal(got.times, want.times)
-        if space.dim == 2:
+        if space.dim in (2, 3):
             assert np.abs(got.paths - want.paths).max() <= 1e-8
             if space.inequalities:
                 assert np.abs(got.constraint_minima - want.constraint_minima).max() <= 1e-8
@@ -563,7 +736,7 @@ class TestAgainstOracle:
             if space.inequalities:
                 assert np.array_equal(got.constraint_minima, want.constraint_minima)
 
-    @pytest.mark.parametrize("make, steps", [(jacobi_model, 8), (simplex3_model, 5)])
+    @pytest.mark.parametrize("make, steps", [(jacobi_model, 8), (unit_ball5_model, 3)])
     def test_a_chunk_on_the_array_route(self, monkeypatch, make, steps):
         model, space = make()
         taken = count_array_route(monkeypatch)
@@ -620,9 +793,10 @@ PINNED_SHAPES = {"16x512": (16, 512, None), "2048x8": (2048, 8, None), "257x16":
 
 class TestPinnedBits:
     """sha256 of ``paths`` and ``constraint_minima`` of d = 2 and d = 3 runs as
-    the step kernel computed them when they were recorded.  d = 2 has no
-    bit-for-bit oracle (the oracle's root is ``eigh``), so these pin every
-    rounding of the closed-form root, the projections and the minima."""
+    the step kernel computed them when they were recorded.  d = 2 and d = 3
+    have no bit-for-bit oracle (the oracle's root is ``eigh``), so these pin
+    every rounding of the closed-form roots, the projections and the minima.
+    No pinned run reaches LAPACK, so the digests hold on every CPU and BLAS."""
 
     DIGESTS = {
         ("ball2", "12x40_chunk5"): ("a0ad746b8fbc0f3ce150a78b6ff183c5265904411f161e3a6065156a9f72e607",
@@ -633,14 +807,14 @@ class TestPinnedBits:
                              "76a45c41a86cbd2d0ffae15e83a0f86f453befb42b7750744c00ff09656253ec"),
         ("ball2", "257x16"): ("f2d9103f663b8059de491f71f235842e2b2c062a70cd753daf66e96f81001497",
                              "5639a6776b80c52d3e86858265650957435157eefbb729c7c94d376b0e1c42db"),
-        ("ball3", "12x40_chunk5"): ("66dcf7d289dd8356fc72e9d8f3a7a8da9b199c83c91147a59eafca983500652b",
-                                   "977f52ea92131664a2fd10080da670fe549a58e679d83656385b751164f324e3"),
-        ("ball3", "16x512"): ("95dd1dfe8eeaf6dbb7f34118b0daad0f1b4bf2c01a4d9fc4c90e5420de4b7f0b",
-                             "5a91c1b9846af3ef55e9bb937a78e544996c6df7933c8d0bf2f33d4a722583ad"),
-        ("ball3", "2048x8"): ("7787c3a041f482a07c51ff42b921d68e9bcd651ca4322be7e7520ba60baebe3f",
-                             "204a215966d28b5f1e7338e237ebcf130fef3ad70fa68c58e390cbfa81b8f7a2"),
-        ("ball3", "257x16"): ("3054d66b7df7d6d8553e295c91c256ba8aea14413f679ca029696d9f34e06111",
-                             "788d10e25252685600578039eefe4997d2a8940ef30fce1b61b98c2333d571c3"),
+        ("ball3", "12x40_chunk5"): ("ba5811c00562c30ea2abde8caa86c0e64615c6dfc58acea1840c61e6008cae30",
+                                   "59d885bc0c742e9ea0f210cc0fd31ecf5a60985397c3778183555b24ca8f6d5c"),
+        ("ball3", "16x512"): ("1ff93e2caac0a77c2f6211cbe7578077980ccc04e70720e4758afc45c612dfad",
+                             "e2d154f9678044be30a4838b899801b89ba1cd9c81e829785e4c8343348b2351"),
+        ("ball3", "2048x8"): ("51ed5dd26a2621a36b62ba50ed5871a1aa4c428851d42a89d2bc51d42c0651a8",
+                             "31514c19017255cf6a7d7f143a93070b5251526cd9f0de23983535d6e083b571"),
+        ("ball3", "257x16"): ("ae2a21f9374760305a5c218c5f252450387fe982924bcba1018efdaa4930dcb9",
+                             "fb5478d78c476aef1bbb295747104652c2e4a34db4a350dfbc84cdc1974c43d3"),
         ("box_orthant", "12x40_chunk5"): ("5f3aad379d9f143cdd5b858f3407ee5e8ad3771cfa8acb893657f0d8363f4560",
                                          "a4dabc0625cad1d2971cec1ed1f2f35b62bf5ebf2f5191920d12738d9be60a23"),
         ("box_orthant", "16x512"): ("7d4c8eb3faf9f1982596a2665a55638ba8e5a3139324d0b2861def7e8502a2b6",
