@@ -414,6 +414,14 @@ class TestEvaluator:
         assert calls == [(c, 3) for c in chunks for _ in range(10 + 1)]
 
 
+def unit_ball3_model():
+    return unit_ball_model(3)
+
+
+def unit_ball5_model():
+    return unit_ball_model(5)
+
+
 def ball_radial_model():
     """a(x) = x x' + (1 - |x|^2) I on the unit ball in R^3, with an outward drift:
     projected states sit on the sphere up to rounding, where a(x) has rank one
@@ -481,7 +489,7 @@ class TestRootTimes:
         got = _root_times(upper(model.a_eval(X)), z)
         assert np.array_equal(got, np.einsum("cij,cj->ci", dispersion(model, X), z))
 
-    @pytest.mark.parametrize("make", [lambda: unit_ball_model(3), simplex3_model, ball_radial_model])
+    @pytest.mark.parametrize("make", [unit_ball3_model, simplex3_model, ball_radial_model])
     def test_three_dimensional_meets_the_gate(self, make):
         model, space = make()
         X = space.all_samples(64)
@@ -627,8 +635,9 @@ class TestRootTimesThreeDimensions:
     @PROPERTY
     @given(symmetric_3x3(), st.sampled_from([2.0**-500, 2.0**500]))
     def test_rows_far_from_unit_scale(self, A, scale):
-        nonzero = np.abs(A).max(axis=(1, 2)) > 0.0
-        assert np.all(rrt_error(scale * A[nonzero]) <= RRT_GATE)
+        # rows already below 2^-400 would leave the normal doubles, where R R' itself underflows
+        normal = np.abs(A).max(axis=(1, 2)) > 2.0**-400
+        assert np.all(rrt_error(scale * A[normal]) <= RRT_GATE)
 
     @PROPERTY
     @given(symmetric_3x3(), st.integers(0, 5), st.sampled_from([np.inf, -np.inf, np.nan]))
@@ -662,20 +671,17 @@ class TestRootTimesThreeDimensions:
         assert got[rest].tobytes() == _eigh_root_times([v[rest] for v in a], z[rest]).tobytes()
 
     def test_fallback_paths_do_not_depend_on_the_chunk(self, monkeypatch):
+        # the eigh sub-batches, and so their einsum, differ between the two chunkings
+        rows, eigh = [], polydiff.simulate._eigh_root_times
+        monkeypatch.setattr(polydiff.simulate, "_eigh_root_times", lambda a, z: rows.append(len(z)) or eigh(a, z))
         model, space = ball_radial_model()
         runs = []
         for chunk in (5, 8192):
             monkeypatch.setattr(polydiff.simulate, "_CHUNK_PATHS", chunk)
             ps = simulate_paths(model, space, space.interior_samples(2)[1], 0.4, 0.01, 12, seed=2026)
             runs.append((ps.paths.tobytes(), ps.constraint_minima.tobytes()))
+        assert sum(rows) > 20
         assert runs[0] == runs[1]
-
-    def test_the_fallback_runs(self, monkeypatch):
-        rows, eigh = [], polydiff.simulate._eigh_root_times
-        monkeypatch.setattr(polydiff.simulate, "_eigh_root_times", lambda a, z: rows.append(len(z)) or eigh(a, z))
-        model, space = ball_radial_model()
-        simulate_paths(model, space, space.interior_samples(2)[1], 0.4, 0.01, 12, seed=2026)
-        assert rows and sum(rows) > 10
 
     def test_simplex3_never_calls_eigh(self, monkeypatch):
         # states that projection puts on an edge have rank-one a, which the fallback takes without eigh
@@ -689,7 +695,7 @@ class TestRootTimesThreeDimensions:
         assert (ps.paths == 0.0).any(axis=2).sum() > 0 and sum(left) > 0
         assert calls == []
 
-    @pytest.mark.parametrize("make", [lambda: unit_ball_model(3), simplex3_model, box_orthant3_model])
+    @pytest.mark.parametrize("make", [unit_ball3_model, simplex3_model, box_orthant3_model])
     def test_no_transcendental_ufuncs(self, monkeypatch, make):
         model, space = make()
         x0 = space.interior_samples(2)[1] if space.family != "box_orthant" else np.array([0.5, 0.5, 0.5])
@@ -705,10 +711,6 @@ class TestRootTimesThreeDimensions:
 
 ORACLE_CASES = {**MODEL_MATRIX, "simplex_x2_form": simplex_x2_form_model, "simplex3": simplex3_model,
                 "unit_ball3": lambda: unit_ball_model(3), "unit_ball4": lambda: unit_ball_model(4)}
-
-
-def unit_ball5_model():
-    return unit_ball_model(5)
 
 
 class TestAgainstOracle:
