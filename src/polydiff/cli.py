@@ -24,11 +24,12 @@ runs on Pol_{deg p}, the leading block of the generator, whatever the bound.
 from __future__ import annotations
 
 import functools
-import gzip
 import json
 import math
+import struct
 import sys
 import warnings
+import zlib
 
 import click
 import numpy as np
@@ -66,6 +67,9 @@ _MC_PATH_STEPS = 10**6  # the most paths x steps a --verify Monte Carlo check ru
 _BASIS_SIZE = 5000  # the most monomials a command builds a basis on: a dense generator of 200 MB
 _SIM_PATH_STEPS = 10**9  # the most paths x steps simulate runs: about a minute and a half in 1-d
 _SIM_ROWS = 2 * 10**7  # the most path states simulate stores: about 1 GB of CSV in 1-d
+# the gzip member header (RFC 1952): deflate, no flags, mtime 0, XFL 0, OS 255 "unknown";
+# gzip.compress writes OS 3 on some Python versions and 255 on others
+_GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
 
 # every library error not caused by malformed input is a domain-negative
 # outcome: points outside the state space, degree overruns, generators that
@@ -165,6 +169,14 @@ def _check_basis_size(space, degree: int, name: str) -> None:
     if n > _BASIS_SIZE:
         raise ValueError(f"{name}: degree {degree} gives a basis of {n} monomials, above the cap of "
                          f"{_BASIS_SIZE}; use a lower degree")
+
+
+def _gzip_member(data: bytes) -> bytes:
+    """``data`` as one gzip member at zlib's default level 6, whose bytes
+    depend on the zlib build alone, not on the Python version."""
+    deflate = zlib.compressobj(6, zlib.DEFLATED, -15)  # raw deflate: the header and trailer are ours
+    return b"".join((_GZIP_HEADER, deflate.compress(data), deflate.flush(),
+                     struct.pack("<II", zlib.crc32(data), len(data) & 0xFFFFFFFF)))
 
 
 def _check_simulation_size(paths: int, steps: float, stride: int) -> None:
@@ -300,7 +312,7 @@ def moments(ctx, spec_path, degree, x_text, tau, poly_text, mc_paths, dt):
               help="Keep every k-th step (the endpoint is always kept).")
 @click.option("--threshold", type=float, default=1e-6, show_default=True,
               help="Boundary-hit threshold for the summary statistics.")
-@click.option("--gzip", "use_gzip", is_flag=True, help="Write the path CSV gzip-compressed.")
+@click.option("--gzip", "use_gzip", is_flag=True, help="Write the path CSV as one gzip member (zlib level 6, mtime 0).")
 @click.pass_context
 @_exit_codes
 def simulate(ctx, spec_path, x0_text, paths, dt, t_end, store_stride, threshold, use_gzip):
@@ -318,9 +330,8 @@ def simulate(ctx, spec_path, x0_text, paths, dt, t_end, store_stride, threshold,
     ps = simulate_paths(spec.model, spec.statespace, x0, t_end, dt, paths,
                         ctx.obj["seed"], store_stride=store_stride)
     if use_gzip:
-        # fixed mtime keeps the compressed bytes reproducible across runs
         with open(out, "wb") as fh:
-            fh.write(gzip.compress(ps.csv_text().encode(), mtime=0))
+            fh.write(_gzip_member(ps.csv_text().encode()))
     else:
         with open(out, "w") as fh:
             fh.write(ps.csv_text())

@@ -36,7 +36,7 @@ import math
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -97,30 +97,36 @@ class ModelCoefficients:
         a = tuple(tuple(row) for row in a)
         if len(a) != d or any(len(row) != d for row in a):
             raise ValueError("diffusion matrix must be d x d")
-        for i in range(d):
-            for j in range(d):
-                if a[i][j].dim != d:
-                    raise ValueError("diffusion entries must live in the model dimension")
-                if a[i][j] != a[j][i]:
-                    raise ValueError(f"diffusion matrix not symmetric at ({i},{j})")
-                if a[i][j].degree > 2:
-                    raise ValueError(f"diffusion entry ({i},{j}) has degree {a[i][j].degree} > 2")
-        for i, p in enumerate(b):
-            if p.degree > 1:
-                raise ValueError(f"drift entry {i} has degree {p.degree} > 1")
+        if any(p.dim != d for row in a for p in row):
+            raise ValueError("diffusion entries must live in the model dimension")
+        # every coefficient term (i, j, e, c) of a, row by row; the checks run on these rows
+        terms = [(i, j, e, c) for i, row in enumerate(a) for j, p in enumerate(row) for e, c in p.terms.items()]
+        coef = {(i, j, e): c for i, j, e, c in terms}
+        # the first fault in row-major order, symmetry before degree within an entry:
+        # a term of a_ij without its equal in a_ji makes both entries asymmetric
+        faults = [(min((i, j), (j, i)), 0) for i, j, e, c in terms if coef.get((j, i, e)) != c]
+        faults += [((i, j), 1) for i, j, e, c in terms if sum(e) > 2]
+        if faults:
+            (i, j), rank = min(faults)
+            raise ValueError(f"diffusion entry ({i},{j}) has degree {a[i][j].degree} > 2" if rank else
+                             f"diffusion matrix not symmetric at ({i},{j})")
+        b_terms = [(i, e, c) for i, p in enumerate(b) for e, c in p.terms.items()]
+        if over := [i for i, e, c in b_terms if sum(e) > 1]:
+            raise ValueError(f"drift entry {over[0]} has degree {b[over[0]].degree} > 1")
         self._a, self._b, self._dim = a, b, d
         # rows of G first: b_i gives (-1, i, d, f, c) and a_ij, i <= j, gives (-1, i, j, f, w)
         # with w = c/2 on the diagonal and w = c off it, where a_ij and a_ji give c/2 each
-        g_rows = [(-1, i, d, f, c) for i, p in enumerate(b) for f, c in p.terms.items()]
-        g_rows += [(-1, i, j, f, (0.5 if i == j else 1.0) * c)
-                   for i in range(d) for j in range(i, d) for f, c in a[i][j].terms.items()]
+        g_rows = [(-1, i, d, f, c) for i, f, c in b_terms]
+        g_rows += [(-1, i, j, f, (0.5 if i == j else 1.0) * c) for i, j, f, c in terms if i <= j]
         # then a grad by component: a_kj gives (k, j, d, f, c)
-        rows = g_rows + [(k, j, d, f, c) for k in range(d) for j in range(d) for f, c in a[k][j].terms.items()]
-        label, i, j = (np.array([r[k] for r in rows], dtype=np.int64) for k in range(3))
-        f = np.array([r[3] for r in rows], dtype=np.int64).reshape(len(rows), d)
+        rows = g_rows + [(k, j, d, f, c) for k, j, f, c in terms]
+        # by column: numpy parses a list of ints far faster than a list of tuples
+        label, i, j, f, w = list(zip(*rows)) or [()] * 5
+        label, i, j = (np.array(c, dtype=np.int64) for c in (label, i, j))
+        f = np.fromiter(chain.from_iterable(f), np.int64, len(rows) * d).reshape(len(rows), d)
         unit = np.eye(d + 1, d, dtype=np.int64)  # row d is zero
         self._table = _TermTable(label, i, j, (i == j)[:, None].astype(np.int64), f - unit[i] - unit[j], f,
-                                 np.array([r[4] for r in rows], dtype=float))
+                                 np.array(w, dtype=float))
         # the table lists every coefficient term in order, so it is the model's value
         t = self._table
         self._key = (d, t.label.tobytes(), t.i.tobytes(), t.j.tobytes(), t.f.tobytes(), t.w.tobytes())

@@ -7,13 +7,18 @@ its own usage errors to 2 as well, which is exactly what we want.
 """
 
 import copy
+import gzip
+import hashlib
+import itertools
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import time
 import warnings
+import zlib
 
 import jsonschema
 import numpy as np
@@ -731,6 +736,15 @@ class TestMalformedInput:
         assert r.stderr == "error: state-price density H(x)'p = 0 <= 0\n"
 
 
+def gzip_member(data: bytes) -> bytes:
+    """The gzip member ``simulate --gzip`` writes, from RFC 1952 without the
+    gzip module, whose header byte OS differs between Python versions: the
+    header with mtime 0 and OS 255, raw deflate at level 6, crc32 and size."""
+    deflate = zlib.compressobj(6, zlib.DEFLATED, -15)
+    header = bytes([0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 255])
+    return header + deflate.compress(data) + deflate.flush() + struct.pack("<II", zlib.crc32(data), len(data))
+
+
 class TestSimulate:
     def base_args(self, out, spec, seed=7):
         return ["--out", out, "--seed", seed, "simulate", spec, "--x0", "0.2",
@@ -783,8 +797,6 @@ class TestSimulate:
         assert len(rows) == 1 + 40 * 6
 
     def test_gzip_flag(self, specs, tmp_path):
-        import gzip
-
         plain, packed, packed2 = (tmp_path / n for n in ("p.csv", "a.csv.gz", "b.csv.gz"))
         run(self.base_args(plain, specs["jacobi"]))
         r = run(self.base_args(packed, specs["jacobi"]) + ["--gzip"])
@@ -799,8 +811,6 @@ class TestSimulate:
                                                   ("jacobi", "0.2", 7)])
     @pytest.mark.parametrize("use_gzip", [False, True])
     def test_csv_bytes_match_per_value_writer(self, specs, tmp_path, spec, x0, stride, use_gzip):
-        import gzip
-
         out = tmp_path / "paths.csv"
         r = run(["--out", out, "--seed", 7, "simulate", specs[spec], "--x0", x0, "--paths", 12,
                  "--dt", 0.01, "--t-end", 0.5, "--store-stride", stride] + (["--gzip"] if use_gzip else []))
@@ -809,7 +819,20 @@ class TestSimulate:
         ps = simulate_paths(loaded.model, loaded.statespace, [float(v) for v in x0.split(",")],
                             0.5, 0.01, 12, 7, store_stride=stride)
         want = paths_csv_by_format(ps).encode()
-        assert out.read_bytes() == (gzip.compress(want, mtime=0) if use_gzip else want)
+        assert out.read_bytes() == (gzip_member(want) if use_gzip else want)
+
+    def test_gzip_golden_hash(self, specs, tmp_path):
+        # sha256 and length of one --gzip member: they depend on zlib's deflate at
+        # level 6 alone, so every supported Python writes these bytes
+        out = tmp_path / "paths.csv.gz"
+        r = run(["--out", out, "--seed", 2026, "simulate", specs["jacobi"], "--x0", "0.2", "--paths", 16,
+                 "--dt", 0.01, "--t-end", 0.5, "--gzip"])
+        assert r.exit_code == 0, r.stderr
+        data = out.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+            "b47ccccc7c2d68fa7240ed636815d37f7a3e12d85be671feea5d9cca2d2e01aa", 10601)
+        # the plain CSV of the same run is TestSimulate.GOLDEN["jacobi"]
+        assert hashlib.sha256(gzip.decompress(data)).hexdigest() == self.GOLDEN["jacobi"][3]
 
     # sha256 and length of the CSV bytes as written by the per-path generator
     # streams; keys, counters, draws and the step kernel all show in them
@@ -828,8 +851,6 @@ class TestSimulate:
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_csv_golden_hash(self, specs, tmp_path, case):
-        import hashlib
-
         spec, seed, args, digest, size = self.GOLDEN[case]
         out = tmp_path / "paths.csv"
         r = run(["--out", out, "--seed", seed, "simulate", specs[spec], *args])
@@ -1376,29 +1397,47 @@ class TestOptionFuzz:
     """Mutated numeric options keep the exit-code contract on every DOCS
     model: never a traceback, one ``error:`` line."""
 
-    @FUZZ
-    @given(name=st.sampled_from(sorted(DOCS)), data=st.data())
-    def test_moments(self, name, data, specs):
+    @settings(FUZZ, max_examples=120)  # about half of them over the cap
+    @given(name=st.sampled_from(sorted(DOCS)), over_cap=st.booleans(), data=st.data())
+    def test_moments(self, name, over_cap, data, specs, monkeypatch):
         dim = DOCS[name]["dimension"]
+        # the payoff is x1, or x1^k with a basis just over the cap under a --degree that admits it:
+        # refused before any basis is built.  None just under the cap: a dense generator on about
+        # 5000 monomials is 200 MB
+        k, degree = 1, data.draw(st.integers(-1, 5))
+        if over_cap:
+            m = parse_model_spec(DOCS[name]).statespace.basis_variables
+            first = next(n for n in itertools.count(1) if math.comb(m + n, n) > _BASIS_SIZE)
+            k = first + data.draw(st.integers(0, 2))
+            degree = k + data.draw(st.integers(0, 2))
         # "--x=text" keeps free text that starts with "-" from reading as an option
         # --verify also runs the moment oracle, which ends past its step cap in one error: line
         # and, given --mc-paths, refuses a Monte Carlo check past its path-step cap
         verify = ["--verify"] if data.draw(st.booleans()) else []
         tau = data.draw(NUMBERS | st.floats(0.0, 2.0))  # the second keeps some Monte Carlo checks running
         mc_paths, dt = data.draw(mc_checks(tau))
-        args = [*verify, "moments", specs[name], "--degree", data.draw(st.integers(-1, 5)),
+        args = [*verify, "moments", specs[name], "--degree", degree,
                 f"--x={data.draw(point_texts(dim))}", "--tau", tau,
-                "--poly", json.dumps({"dim": dim, "terms": [{"e": [1] + [0] * (dim - 1), "c": 1.0}]}),
+                "--poly", json.dumps({"dim": dim, "terms": [{"e": [k] + [0] * (dim - 1), "c": 1.0}]}),
                 "--mc-paths", mc_paths, "--dt", dt]
-        _check_contract(run(args), "moments")
+        if not over_cap:
+            _check_contract(run(args), "moments")
+            return
+        with monkeypatch.context() as patch:
+            patch.setattr(polydiff.cli, "monomial_basis", TestSizeCaps.refuse)
+            patch.setattr(polydiff.generator, "monomial_basis", TestSizeCaps.refuse)
+            r = run(args)
+        _check_contract(r, "moments")
+        # malformed input exits 2 first; past it, the cap is the only domain error left
+        assert r.exit_code == 2 or (r.exit_code == 1 and "above the cap of" in r.stderr), r.stderr
 
     @settings(FUZZ, max_examples=150)
     @given(name=st.sampled_from(sorted(DOCS)), grid=step_grids(),
            paths=st.integers(1, 16) | st.integers(-1, 16) | st.integers(_SIM_ROWS + 1, 4 * _SIM_ROWS),
-           stride=st.integers(1, 8) | st.integers(-1, 8))
-    def test_simulate(self, name, grid, paths, stride, specs, tmp_path):
+           stride=st.integers(1, 8) | st.integers(-1, 8), use_gzip=st.booleans())
+    def test_simulate(self, name, grid, paths, stride, use_gzip, specs, tmp_path):
         dim = DOCS[name]["dimension"]
         dt, t_end = grid
         args = ["--out", tmp_path / "paths.csv", "simulate", specs[name], "--x0", ",".join([str(1 / dim)] * dim),
-                "--dt", dt, "--t-end", t_end, "--paths", paths, "--store-stride", stride]
+                "--dt", dt, "--t-end", t_end, "--paths", paths, "--store-stride", stride] + ["--gzip"] * use_gzip
         _check_contract(run(args), "simulate")

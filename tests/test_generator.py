@@ -1,5 +1,6 @@
 """Generator matrices, matrix exponentials, and conditional moments."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -153,6 +154,70 @@ class TestApplyGenerator:
         model, space = jacobi_model()
         got = apply_generator(model, Polynomial.variable(0, 1))
         assert got == Polynomial.constant(1, 0.5) - Polynomial.variable(0, 1)
+
+
+def first_fault_by_entries(a, b):
+    """The ValueError message of a d x d loop over the entries, in row-major
+    order and with symmetry before degree: the reference for the checks that
+    ModelCoefficients runs on its term rows."""
+    d = len(b)
+    for i in range(d):
+        for j in range(d):
+            if a[i][j] != a[j][i]:
+                return f"diffusion matrix not symmetric at ({i},{j})"
+            if a[i][j].degree > 2:
+                return f"diffusion entry ({i},{j}) has degree {a[i][j].degree} > 2"
+    for i, p in enumerate(b):
+        if p.degree > 1:
+            return f"drift entry {i} has degree {p.degree} > 1"
+    return None
+
+
+@functools.cache
+def entries(dim, degree):
+    """Polynomials of degree <= ``degree`` with a few terms from three coefficients,
+    so that two independent draws are often equal."""
+    exponents = st.sampled_from(monomial_basis(FullSpace(dim), degree).monomials)
+    return st.dictionaries(exponents, st.sampled_from([-1.0, 0.5, 1.0]), max_size=3).map(
+        lambda terms: Polynomial(dim, terms))
+
+
+@st.composite
+def coefficient_matrices(draw):
+    """(a, b) in 1-4 variables: a symmetric a of degree <= 2 and an affine b,
+    with a few entries of either replaced by a draw of one degree more."""
+    d = draw(st.integers(1, 4))
+    a = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            a[i][j] = a[j][i] = draw(entries(d, 2))
+    b = draw(st.lists(entries(d, 1), min_size=d, max_size=d))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if draw(st.booleans()):
+            a[i][j] = draw(entries(d, 3))
+        else:
+            b[i] = draw(entries(d, 2))
+    return a, b
+
+
+class TestModelChecks:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(coefficient_matrices())
+    def test_first_fault_as_by_entries(self, ab):
+        a, b = ab
+        want = first_fault_by_entries(a, b)
+        if want is None:
+            assert ModelCoefficients(a, b).a == tuple(map(tuple, a))
+        else:
+            with pytest.raises(ValueError) as exc:
+                ModelCoefficients(a, b)
+            assert str(exc.value) == want
+
+    def test_entry_in_another_dimension(self):
+        one = Polynomial.one(2)
+        with pytest.raises(ValueError, match="^diffusion entries must live in the model dimension$"):
+            ModelCoefficients([[one, one], [one, Polynomial.one(3)]], [Polynomial.zero(2)] * 2)
 
 
 def simplex3_model():
