@@ -236,6 +236,7 @@ def main(ctx, out, samples, seed, verify, quiet):
     ctx.ensure_object(dict)
     ctx.obj.update(out=out, samples=samples, seed=seed, verify=verify, quiet=quiet)
     if quiet:
+        ctx.with_resource(warnings.catch_warnings())
         warnings.simplefilter("ignore")
 
 

@@ -35,6 +35,7 @@ from .statespace import (
     StateSpace,
     _check_params,
     _quadric_c_tensor,
+    assemble_model,
 )
 
 __all__ = [
@@ -243,6 +244,7 @@ def _validate_box_orthant(space: BoxOrthant, params: BoxOrthantParams, samples: 
 
 
 def _validate_simplex(space: Simplex, params: SimplexParams, samples: int, margin: float) -> ValidationReport:
+    """simplex.drift_mass is the drift verdict of manifold_defects on the assembled model."""
     conds: list[ConditionResult] = []
     d = space.dim
     off = params.alpha[~np.eye(d, dtype=bool)]
@@ -250,12 +252,10 @@ def _validate_simplex(space: Simplex, params: SimplexParams, samples: int, margi
     conds.append(_exact("simplex.alpha_structure", ok,
                         "exchange coefficients alpha_ij >= 0" if ok else
                         f"negative exchange coefficient {off.min():.6g}"))
-    resid = params.B.T @ np.ones(d) + params.beta.sum() * np.ones(d)
-    scale = 1.0 + np.abs(params.B).max(initial=0.0) + np.abs(params.beta).max(initial=0.0)
-    ok = bool(np.abs(resid).max() <= _EXACT_TOL * scale)
-    conds.append(_exact("simplex.drift_mass", ok,
-                        "drift tangent to the mass constraint" if ok else
-                        f"B'1 + (beta'1)1 = {resid.tolist()} != 0"))
+    (_, drift, _), = manifold_defects(assemble_model(space, params), space)
+    conds.append(_exact("simplex.drift_mass", drift is None,
+                        "drift tangent to the mass constraint" if drift is None else
+                        f"drift not tangent to the mass constraint: G q reduces to {drift}"))
     worst = np.inf
     worst_ij = (0, 1)
     for i in range(d):
@@ -328,13 +328,23 @@ def _eval_vector(polys: list[Polynomial], X: np.ndarray) -> np.ndarray:
     return np.column_stack(_evaluator(polys)(X))
 
 
+def _tangency(model: ModelCoefficients, space: StateSpace, drift_id: str,
+              diffusion_id: str) -> list[tuple[ConditionResult, ConditionResult]]:
+    """The (drift, diffusion) results for each equality q, as decided by
+    manifold_defects: G q and a grad q vanish on the manifold."""
+    return [(_exact(f"{drift_id}[{k}]", drift is None,
+                    "G q vanishes on the manifold" if drift is None else f"G q reduces to {drift}"),
+             _exact(f"{diffusion_id}[{k}]", diffusion is None,
+                    "a grad q vanishes on the manifold" if diffusion is None else
+                    f"(a grad q)_{diffusion[0]} reduces to {diffusion[1]}"))
+            for k, (_, drift, diffusion) in enumerate(manifold_defects(model, space))]
+
+
 def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 400,
                     tol: float = DEFAULT_MARGIN) -> CheckReport:
-    """Sampled necessary invariance conditions.
-
-    On each boundary stratum {p = 0}: a grad p = 0 and G p >= 0.  On the
-    whole set, for each equality q: a grad q = 0 and G q = 0.  Witness points
-    are reported for every violation.
+    """Necessary invariance conditions: on each boundary stratum {p = 0},
+    a grad p = 0 and G p >= 0, sampled with a witness point for every
+    violation; for each equality q, tangency as manifold_defects decides it.
     """
     if model.dim != space.dim:
         raise ValueError("model and state space dimensions differ")
@@ -345,13 +355,8 @@ def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 
         conds.append(_sampled_zero(f"necessary.a_gradp_zero[{k}]", _eval_vector(agp, X), X, tol,
                                    f"max |a grad p| on stratum {k}"))
         conds.append(_sampled_min(f"necessary.gp_nonneg[{k}]", Gp(X), X, tol, f"min G p on stratum {k}"))
-    if space.equalities:
-        X = space.all_samples(samples)
-        for k, q in enumerate(space.equalities):
-            Gq, *agq = _images(model, q)
-            conds.append(_sampled_zero(f"necessary.a_gradq_zero[{k}]", _eval_vector(agq, X), X, tol,
-                                       "max |a grad q| on E"))
-            conds.append(_sampled_zero(f"necessary.gq_zero[{k}]", _eval_vector([Gq], X), X, tol, "max |G q| on E"))
+    for drift, diffusion in _tangency(model, space, "necessary.gq_zero", "necessary.a_gradq_zero"):
+        conds += [diffusion, drift]
     return CheckReport("necessary", _check_verdict(conds), conds)
 
 
@@ -375,8 +380,7 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
     one exact division (``space.divide``), and a remainder left by rounding
     reads inconclusive, not fail; the strict boundary drift G p > 0 is
     sampled with a margin; and equality invariance (G q and a grad q vanish
-    on the manifold) is checked symbolically after ideal reduction, by the
-    same test generator_matrix applies.
+    on the manifold) is decided by manifold_defects, as in check_necessary.
     """
     if model.dim != space.dim:
         raise ValueError("model and state space dimensions differ")
@@ -398,12 +402,8 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
         gp = Gp(Xb)
         conds.append(_sampled_sign(f"sufficient.boundary_drift[{k}]", gp, Xb, "pos", margin,
                                    f"G p > 0 on stratum {k}"))
-    for k, (q, drift, diffusion) in enumerate(manifold_defects(model, space)):
-        conds.append(_exact(f"sufficient.manifold_drift[{k}]", drift is None,
-                            "G q vanishes on the manifold" if drift is None else f"G q reduces to {drift}"))
-        conds.append(_exact(f"sufficient.manifold_diffusion[{k}]", diffusion is None,
-                            "a grad q vanishes on the manifold" if diffusion is None else
-                            f"(a grad q)_{diffusion[0]} reduces to {diffusion[1]}"))
+    for drift, diffusion in _tangency(model, space, "sufficient.manifold_drift", "sufficient.manifold_diffusion"):
+        conds += [drift, diffusion]
     return CheckReport("sufficient", _check_verdict(conds), conds)
 
 
@@ -538,14 +538,6 @@ def _linear_growth(model: ModelCoefficients) -> bool:
                for i in range(model.dim) for j in range(model.dim))
 
 
-def _sub_block_compact(space: StateSpace, m: int) -> bool:
-    if space.is_compact:
-        return True  # continuous projections of compact sets are compact
-    if isinstance(space, BoxOrthant) and m <= space.m:
-        return True
-    return False
-
-
 def _lipschitz_in_z_supported(model: ModelCoefficients, space: StateSpace, m: int) -> tuple[bool, str]:
     """Sampled local-Lipschitz check of the z-rows of the dispersion."""
     d = model.dim
@@ -602,7 +594,8 @@ def uniqueness_report(model: ModelCoefficients, space: StateSpace) -> Uniqueness
         if not (a_ok and b_ok):
             continue
         sub_linear = all(model.a[i][j].homogeneous_part(2).is_zero() for i in range(m) for j in range(m))
-        if not (sub_linear or m == 1 or _sub_block_compact(space, m)):
+        # a compact first block: the box part of a box-orthant (compact spaces returned above)
+        if not (sub_linear or m == 1 or (isinstance(space, BoxOrthant) and m <= space.m)):
             continue
         supported, detail = _lipschitz_in_z_supported(model, space, m)
         if supported:

@@ -298,7 +298,6 @@ class BoxOrthant(StateSpace):
         x = np.asarray(x, dtype=float)
         out = np.maximum(x, 0.0)
         if self.m:
-            out = out.copy()
             out[..., : self.m] = np.minimum(out[..., : self.m], 1.0)
         return out
 

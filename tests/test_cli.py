@@ -125,6 +125,19 @@ SIMPLEX4_DOC = {
         "B": [[-1.5 if i == j else 1 / 6 for j in range(4)] for i in range(4)]}},
 }
 
+# the 3-d simplex with B[0, 0] moved by +0.9 t and B[0, 2] by -0.9 t, t = 2.25e-12 =
+# 1e-12 (1 + max|B| + max|beta|): B'1 + (beta'1)1 stays under t, but G q reduced on
+# the manifold does not vanish
+_T = 2.25e-12
+SIMPLEX3_OFF_DOC = {
+    "dimension": 3,
+    "state_space": {"family": "simplex"},
+    "coefficients": {"kind": "family", "params": {
+        "alpha": [[0.0 if i == j else 0.125 for j in range(3)] for i in range(3)],
+        "beta": [0.25] * 3,
+        "B": [[-1.0 + 0.9 * _T, 0.125, 0.125 - 0.9 * _T], [0.125, -1.0, 0.125], [0.125, 0.125, -1.0]]}},
+}
+
 # dX = (1/4 - X) dt + dW in R^4 as raw coefficients
 FULL4_DOC = {
     "dimension": 4,
@@ -420,6 +433,23 @@ class TestSimplexMoments:
         M[:4, 4] = params["beta"]
         mean = expm(0.8 * M)[:4] @ [0.1, 0.2, 0.3, 0.4, 1.0]
         assert json.loads(r.output)["value"] == pytest.approx(mean[0], rel=1e-13)
+
+    def test_validate_and_moments_agree_off_tangency(self, tmp_path):
+        spec = tmp_path / "simplex3_off.json"
+        spec.write_text(json.dumps(SIMPLEX3_OFF_DOC))
+        r = run(["validate", spec])
+        assert r.exit_code == 1
+        doc = json.loads(r.output)
+        assert doc["verdict"] == "Invalid"
+        status = {c["id"]: c["status"] for block in ("parameter_conditions", "necessary", "sufficient")
+                  for c in doc[block]["conditions"]}
+        assert status["simplex.drift_mass"] == "fail"
+        assert status["necessary.gq_zero[0]"] == "fail"
+        assert status["sufficient.manifold_drift[0]"] == "fail"
+        x1 = json.dumps({"dim": 3, "terms": [{"e": [1, 0, 0], "c": 1.0}]})
+        r = run(["moments", spec, "--degree", 1, "--x", "0.2,0.3,0.5", "--tau", 0.5, "--poly", x1])
+        assert r.exit_code == 1
+        assert r.stderr.startswith("error: G q = ")
 
 
 X_POLY = json.dumps({"dim": 1, "terms": [{"e": [1], "c": 1.0}]})
@@ -723,6 +753,12 @@ class TestMalformedInput:
         r = run(["validate", path])
         assert r.exit_code == 2
         assert r.stderr == f"error: {message}\n"
+
+    def test_quiet_leaves_the_warning_filters(self, specs):
+        before = list(warnings.filters)
+        r = run(["--quiet", "validate", specs["cir"]])
+        assert r.exit_code == 0
+        assert warnings.filters == before
 
     def test_zero_state_price_density_is_one_line(self, instrument, tmp_path):
         # p = x1 vanishes at x = 0, where a bond has no state-price density to discount with

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydiff import (
     BoxOrthant,
@@ -9,6 +11,7 @@ from polydiff import (
     DivisionFailure,
     FullSpace,
     ModelCoefficients,
+    NotPolynomialOnE,
     Polynomial,
     Quadric,
     QuadricParams,
@@ -19,7 +22,9 @@ from polydiff import (
     check_necessary,
     check_sufficient,
     classify_boundary,
+    generator_matrix,
     h_factor,
+    monomial_basis,
     uniqueness_report,
     validate_params,
 )
@@ -241,12 +246,16 @@ class TestNecessary:
         report = check_necessary(model, space)
         assert "necessary.a_gradp_zero[0]" in [c.id for c in report.conditions if c.status == "fail"]
 
-    def test_simplex_equality_conditions(self):
+    def test_simplex_equality_conditions(self, monkeypatch):
+        # tangency is decided by ideal reduction, so nothing is drawn on E
+        def refuse(self, count):
+            raise AssertionError("all_samples drawn")
+
+        monkeypatch.setattr(Simplex, "all_samples", refuse)
         model, space = assemble_model(Simplex(2), simplex_params()), Simplex(2)
         report = check_necessary(model, space)
         ids = [c.id for c in report.conditions]
-        assert "necessary.a_gradq_zero[0]" in ids
-        assert "necessary.gq_zero[0]" in ids
+        assert ids[-2:] == ["necessary.a_gradq_zero[0]", "necessary.gq_zero[0]"]
         assert report.verdict == "pass"
 
     def test_identity_diffusion_breaks_the_manifold(self):
@@ -298,6 +307,34 @@ class TestSufficient:
             model = assemble_model(space, params)
             assert check_necessary(model, space).verdict == "pass"
             assert check_sufficient(model, space).verdict == "pass"
+
+
+# column sums of B move by +-c t, t the old mass tolerance scale, so the
+# drift misses tangency by about the threshold of manifold_defects
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 5), data=st.data())
+def test_tangency_deciders_agree(d, data):
+    dyadic = st.sampled_from([0.0625, 0.125, 0.25, 0.5, 1.0])
+    beta, alpha, off = data.draw(dyadic), data.draw(dyadic), data.draw(dyadic)
+    B = np.full((d, d), off)
+    np.fill_diagonal(B, -d * beta - (d - 1) * off)  # B'1 + (beta'1)1 = 0 exactly
+    t = 1e-12 * (1.0 + np.abs(B).max() + beta)
+    row = data.draw(st.integers(0, d - 1))
+    for j in range(d):
+        B[row, j] += data.draw(st.sampled_from([-1.0, 0.0, 1.0])) * data.draw(st.floats(0.1, 10.0)) * t
+    space = Simplex(d)
+    params = SimplexParams(alpha=np.full((d, d), alpha) - alpha * np.eye(d), beta=[beta] * d, B=B)
+    model = assemble_model(space, params)
+    status = {c.id: c.status for c in validate_params(space, params).conditions
+              + check_necessary(model, space, samples=8).conditions
+              + check_sufficient(model, space, samples=8).conditions}
+    try:
+        generator_matrix(model, monomial_basis(space, 1))
+        raised = "pass"
+    except NotPolynomialOnE:
+        raised = "fail"
+    assert {status["simplex.drift_mass"], status["necessary.gq_zero[0]"],
+            status["sufficient.manifold_drift[0]"], raised} == {raised}
 
 
 class TestHFactor:
@@ -364,6 +401,14 @@ class TestBoundaryClassification:
             out = classify_boundary(model, space, p)
             assert out.verdict == "NonAttainCritical"
 
+    def test_frozen_model_e_vanishes_on_the_manifold(self):
+        # a = 0 and b = 0: h = 0 and e = 0 before any division by p
+        space = BoxOrthant(0, 1)
+        zero = Polynomial.zero(1)
+        out = classify_boundary(ModelCoefficients([[zero]], [zero]), space, space.inequalities[0])
+        assert out.verdict == "NonAttainCritical"
+        assert out.detail == "e = 2 G p - h . grad p vanishes identically on the manifold"
+
     def test_inconclusive_without_certificate(self):
         space = BoxOrthant(0, 1)
         model = ModelCoefficients([[Polynomial.one(1)]], [Polynomial.one(1)])
@@ -404,6 +449,17 @@ class TestUniqueness:
         out = uniqueness_report(model, space)
         assert (out.verdict, out.reason) == ("UniqueInLaw", "Hierarchical")
         assert out.supported_by_sampling
+
+    def test_hierarchical_box_block(self):
+        # the quadratic box block is autonomous and compact; the orthant row
+        # a = x3^2 is Lipschitz, and B[0, 1] = B[1, 0] rules out m = 1
+        space = BoxOrthant(2, 1)
+        params = BoxOrthantParams(m=2, n=1, gamma=[1.0, 1.0], alpha=[[1.0]], phi=[0.0], psi=[[0.0, 0.0]],
+                                  pi=[[0.0]], beta=[0.5, 0.5, 1.0],
+                                  B=[[-1.0, 0.25, 0.0], [0.25, -1.0, 0.0], [0.0, 0.0, -1.0]])
+        out = uniqueness_report(assemble_model(space, params), space)
+        assert (out.verdict, out.reason) == ("UniqueInLaw", "Hierarchical")
+        assert out.detail.startswith("autonomous first block of size 2;")
 
     def test_square_root_edge_defeats_hierarchical(self):
         # z-block has a square-root singularity at z = 0, so the sampled
