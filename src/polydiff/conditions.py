@@ -13,6 +13,12 @@ subset and never turns margin-zone noise of a strict inequality into a
 rejection.  The gradient certificate of ``check_sufficient``, an exact
 division whose failure reads inconclusive, is the one verdict built outside
 the judges.
+
+Smallest eigenvalues come from ``_batch_eigmin``: the entry for d = 1, a
+closed form for d = 2, LAPACK ``eigvalsh`` for d >= 3 and for 2x2 matrices
+of extreme scale.  The sampled PSD checks of a(x), ``sufficient.diffusion_psd``
+and ``full.diffusion_psd``, judge the smallest eigenvalue against margin
+times max(1, max |a| over the samples), since rounding in a grows with a.
 """
 
 from __future__ import annotations
@@ -106,12 +112,55 @@ def _exact(cond_id: str, ok: bool, detail: str, witness=None) -> ConditionResult
     return ConditionResult(cond_id, "pass" if ok else "fail", detail, witness)
 
 
+# a 2x2 row whose |a00| + |a11| + |a01| lies in this range takes the closed form of
+# _batch_eigmin: no product of two entries leaves the normal doubles
+_EIG_LOW, _EIG_HIGH = 2.0 ** -480, 2.0 ** 480
+
+
+def _batch_eigmin(A: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each symmetric matrix of an (n, d, d) stack.
+
+    d = 1 reads the entry.  d = 2 takes a closed form without cancellation in
+    its subtractions: with m = (a00 + a11)/2 and far = m + sign(m) hypot((a00 -
+    a11)/2, a01), the eigenvalue farther from zero, the smallest is far when
+    m < 0 and det A / far otherwise.  A finite diagonal row, zero included,
+    is min(a00, a11), exactly.  Other rows outside _EIG_LOW.._EIG_HIGH (huge,
+    tiny or non-finite), and every stack with d >= 3, go to LAPACK ``eigvalsh``."""
+    d = A.shape[-1]
+    if d == 1:
+        return A[:, 0, 0].copy()
+    if d > 2:
+        return np.linalg.eigvalsh(A).min(axis=-1)
+    a00, a01, a11 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
+    with np.errstate(all="ignore"):  # the rows that overflow or divide by zero go to eigvalsh
+        scale = np.abs(a00) + np.abs(a11) + np.abs(a01)
+        m = 0.5 * (a00 + a11)
+        far = m + np.copysign(np.hypot(0.5 * (a00 - a11), a01), m)
+        out = np.where(m < 0.0, far, (a00 * a11 - a01 * a01) / far)
+    diagonal = a01 == 0.0
+    np.copyto(out, np.minimum(a00, a11), where=diagonal)
+    rest = ~((scale >= _EIG_LOW) & (scale <= _EIG_HIGH) | diagonal & np.isfinite(scale))
+    if rest.any():
+        out[rest] = np.linalg.eigvalsh(A[rest]).min(axis=-1)
+    return out
+
+
 def _eigmin(M: np.ndarray):
     """Smallest eigenvalue of the symmetric part of M, or of each matrix of a
     stack; inf for an empty matrix."""
     if M.size == 0:
         return np.inf
-    return np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2))).min(axis=-1)
+    S = 0.5 * (M + np.swapaxes(M, -1, -2))
+    return _batch_eigmin(S) if S.ndim == 3 else _batch_eigmin(S[None])[0]
+
+
+def _sampled_eigmin(model: ModelCoefficients, X: np.ndarray, margin: float):
+    """The smallest eigenvalue of a(x) at each sample, and margin relative to
+    the scale of a: margin max(1, max |a| over the samples), so the rounding of
+    a large a is not a negative eigenvalue.  An a that overflows keeps margin."""
+    A = model.a_eval(X)
+    scale = np.abs(A).max(initial=1.0)
+    return _batch_eigmin(A), margin * (scale if np.isfinite(scale) else 1.0)
 
 
 def _exact_psd(cond_id: str, M: np.ndarray, name: str) -> ConditionResult:
@@ -217,7 +266,8 @@ def _validate_box_orthant(space: BoxOrthant, params: BoxOrthantParams, samples: 
                                 f"alpha itself PSD (min eigenvalue {e_alpha:.6g}), shift is nonnegative"))
         else:
             U = np.maximum(np.random.default_rng(711).dirichlet(np.ones(n), samples), 1e-12)
-            shifted = np.array([params.alpha + np.diag((params.pi.T @ u) / u) for u in U])
+            shifted = np.repeat(params.alpha[None], samples, axis=0)
+            shifted[:, range(n), range(n)] += (U @ params.pi) / U
             conds.append(_sampled_uncertified("box.alpha_psd_shifted", _eigmin(shifted), U, margin,
                                               "alpha + Diag(pi'u)/Diag(u) has eigenvalue {:.6g} < 0",
                                               "alpha not PSD alone; sampled shifted minimum {:.6g} "
@@ -277,8 +327,8 @@ def _validate_full(space: FullSpace, model: ModelCoefficients, samples: int, mar
         cond = _exact_psd("full.diffusion_psd", model.a_eval(np.zeros(space.dim)), "constant diffusion matrix")
     else:
         X = space.interior_samples(samples)
-        cond = _sampled_uncertified("full.diffusion_psd", np.linalg.eigvalsh(model.a_eval(X)).min(axis=-1), X,
-                                    margin, "diffusion eigenvalue {:.6g} < 0",
+        eigmin, tol = _sampled_eigmin(model, X, margin)
+        cond = _sampled_uncertified("full.diffusion_psd", eigmin, X, tol, "diffusion eigenvalue {:.6g} < 0",
                                     "sampled PSD check passed but cannot certify all of R^d")
     return ValidationReport("full", _verdict([cond]), [cond])
 
@@ -385,8 +435,8 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
     if model.dim != space.dim:
         raise ValueError("model and state space dimensions differ")
     X = space.all_samples(samples)
-    conds = [_sampled_min("sufficient.diffusion_psd", np.linalg.eigvalsh(model.a_eval(X)).min(axis=-1), X, margin,
-                          "min diffusion eigenvalue on E samples")]
+    eigmin, tol = _sampled_eigmin(model, X, margin)
+    conds = [_sampled_min("sufficient.diffusion_psd", eigmin, X, tol, "min diffusion eigenvalue on E samples")]
     for k, p in enumerate(space.inequalities):
         Gp, *agp = _images(model, p)
         try:

@@ -27,7 +27,9 @@ terms built with the model) serves G, G p, a grad p and the manifold check.
 G depends on the model, the state space and the basis degree alone, so the
 moment and pricing routes build basis and G through _basis_and_generator,
 which keeps them in a process-wide least-recently-used cache keyed by value
-and bounded in bytes.  The public generator_matrix always builds afresh.
+and bounded in bytes.  The public generator_matrix always builds G afresh;
+the tangency decision it shares with the condition checks, manifold_defects,
+is kept by value in a second cache of the same kind.
 """
 
 from __future__ import annotations
@@ -225,9 +227,23 @@ def manifold_defects(model: ModelCoefficients, space) -> list[tuple]:
     the reduced G q and diffusion the first (i, reduced (a grad q)_i) that does
     not vanish on the manifold, each None when it does.  A reduced residual
     vanishes when its coefficients are below 1e-12 times one plus the largest
-    model coefficient, so rounding in the parameters is not a defect."""
+    model coefficient, so rounding in the parameters is not a defect.
+
+    The reduction runs once per (model, space) by value: its result is kept in
+    _defects, a cache bounded like that of _basis_and_generator but apart from
+    it, under the model and the space's type, dimension and spec_dict().  Each
+    call returns a new list; a reduction that raises is not stored."""
     if not space.equalities:
         return []
+    key = (model, type(space), space.dim, repr(space.spec_dict()))
+    found = _defects.get(key)
+    if found is None:
+        found = _defects.put(key, tuple(_reduced_defects(model, space)), _ENTRY_BYTES)
+    return list(found)
+
+
+def _reduced_defects(model: ModelCoefficients, space) -> list[tuple]:
+    """manifold_defects without the cache."""
     # the first-order rows carry the model's coefficients as given: b in G, a in a grad
     tol = 1e-12 * (1.0 + np.abs(model._table.w[model._table.j == model.dim]).max(initial=0.0))
     out = []
@@ -406,6 +422,8 @@ class _ByteLRU:
 
 
 _cache = _ByteLRU(_CACHE_BYTES)
+# manifold_defects' results, each charged _ENTRY_BYTES, kept apart so that _cache holds G's alone
+_defects = _ByteLRU(_CACHE_BYTES)
 
 
 def _basis_and_generator(model: ModelCoefficients, statespace, degree: int) -> tuple[Basis, GeneratorMatrix]:

@@ -33,9 +33,11 @@ def pytest_configure(config):
 
 @pytest.fixture(autouse=True)
 def empty_generator_cache():
-    """Every test starts with an empty (basis, G) cache, so that what a test
-    builds, and counts, does not depend on the tests that ran before it."""
+    """Every test starts with empty (basis, G) and manifold_defects caches, so
+    that what a test builds, and counts, does not depend on the tests that ran
+    before it."""
     generator._cache.clear()
+    generator._defects.clear()
 
 
 def oracle_a_grad(model, p):

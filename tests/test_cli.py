@@ -266,6 +266,41 @@ class TestValidate:
         cert = [c for c in doc["sufficient"]["conditions"] if c["id"] == "sufficient.gradient_certificate[0]"]
         assert cert[0]["status"] == "pass"
 
+    # sha256 and length of the whole report, and its sampled PSD minimum: for
+    # d = 2 that minimum is a closed form, so these bytes do not depend on LAPACK
+    GOLDEN = {
+        "disk": ("23ef03e1408ca1cd8cc4e366cdc41a3c032e6a618febe9ce4790e9450a514837", 1642, "-4.02456e-16"),
+        "simplex_plain": ("8a6952e0dedef496ebeef8c65e3fac2fb9d0f15d58b02ab5aae1588bbd4ab6e9", 2754, "0"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_report(self, specs, name):
+        digest, size, psd = self.GOLDEN[name]
+        r = run(["validate", specs[name]])
+        assert r.exit_code == 0, r.stderr
+        (cond,) = [c for c in json.loads(r.output)["sufficient"]["conditions"] if c["id"] == "sufficient.diffusion_psd"]
+        assert cond["detail"] == f"min diffusion eigenvalue on E samples is {psd}"
+        data = r.output.encode()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
+
+    @pytest.mark.parametrize("family, alpha", [(DISK_DOC, 1e8), (HYPERBOLOID_DOC, 10.0)],
+                             ids=["disk_alpha_1e8", "hyperboloid_alpha_10"])
+    def test_large_raw_diffusion_is_not_a_false_fail(self, tmp_path, family, alpha):
+        # as raw coefficients, whose verdict is the sufficient battery's: the PSD
+        # minima -4.26e-08 and -1.86e-09 are rounding, within 1e-9 max |a| over the samples
+        model = parse_model_spec(_variant(family, alpha=[[alpha, 0.0], [0.0, alpha]])).model
+        doc = {**family, "coefficients": {"kind": "raw", "a": [[p.to_json_dict() for p in row] for row in model.a],
+                                          "b": [p.to_json_dict() for p in model.b]}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        r = run(["validate", path])
+        assert r.exit_code == 0, r.stderr
+        report = json.loads(r.output)
+        status = {c["id"]: c["status"] for c in report["sufficient"]["conditions"] + report["necessary"]["conditions"]}
+        assert report["verdict"] == "Valid" and status["sufficient.diffusion_psd"] == "pass"
+        # the boundary samples sit off {p = 0} by rounding, which a grad p scales up (ROADMAP item 2)
+        assert status["necessary.a_gradp_zero[0]"] == "fail"
+
     def test_missing_file_exits_two(self, specs):
         r = run(["validate", specs["cir"] + ".nope"])
         assert r.exit_code == 2

@@ -29,6 +29,8 @@ from polydiff import (
     validate_params,
 )
 
+from polydiff.conditions import _EIG_HIGH, _EIG_LOW, _batch_eigmin
+
 from conftest import ball_params, cir_model, cir_params, jacobi_params, simplex_params, simplex_x2_form_model
 
 
@@ -213,6 +215,27 @@ class TestRejections:
                                                       B=np.zeros((2, 2))))
         assert report.verdict == "Inconclusive"
 
+    # (n, alpha, pi, value, witness), the last two as a per-sample loop that built
+    # the shifted matrices and took their minima by eigvalsh reported them
+    SHIFTED = {
+        "negative_identity": (2, -np.eye(2), np.zeros((2, 2)), "-1", [0.36923801341568646, 0.6307619865843135]),
+        "n2": (2, [[-0.1, 0.2], [0.2, 0.3]], [[0.0, 0.5], [0.3, 0.0]], "-0.099972",
+               [0.999872608143058, 0.000127391856941957]),
+        "n3": (3, [[-0.1, 0.2, 0.0], [0.2, 0.3, 0.1], [0.0, 0.1, -0.2]],
+               [[0.0, 0.5, 0.1], [0.3, 0.0, 0.2], [0.05, 0.4, 0.0]], "-0.191561",
+               [0.06545457040172917, 0.007225310180198616, 0.9273201194180722]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHIFTED))
+    def test_shifted_alpha_fails_as_before_the_broadcast(self, name):
+        n, alpha, pi, value, witness = self.SHIFTED[name]
+        params = BoxOrthantParams(m=0, n=n, gamma=[], alpha=alpha, phi=[1.0] * n, psi=np.zeros((n, 0)),
+                                  pi=pi, beta=[1.0] * n, B=-np.eye(n))
+        (cond,) = [c for c in validate_params(BoxOrthant(0, n), params).conditions
+                   if c.id == "box.alpha_psd_shifted"]
+        assert (cond.status, cond.detail, cond.witness) == (
+            "fail", f"alpha + Diag(pi'u)/Diag(u) has eigenvalue {value} < 0", witness)
+
     def test_inconclusive_shifted_alpha(self):
         # alpha indefinite but compensated by pi on every sampled direction:
         # no counterexample, no proof
@@ -223,6 +246,69 @@ class TestRejections:
         assert report.verdict == "Inconclusive"
         cond = [c for c in report.conditions if c.id == "box.alpha_psd_shifted"][0]
         assert cond.status == "inconclusive"
+
+
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def eig_stacks(draw):
+    """(n, d, d) symmetric stacks, d = 1 or 2, mixing generic, rank-one, zero,
+    indefinite, diagonal and non-finite rows at scales 1e-300 to 1e300."""
+    d, rows = draw(st.sampled_from([1, 2])), []
+    unit = st.floats(-1.0, 1.0)
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["generic", "rank_one", "zero", "indefinite", "diagonal", "non_finite"]))
+        a00, a01, a11 = draw(unit), draw(unit), draw(unit)
+        if kind == "rank_one":
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            a00, a01, a11 = sign * a00 * a00, sign * a00 * a11, sign * a11 * a11
+        elif kind == "zero":
+            a00 = a01 = a11 = 0.0
+        elif kind == "indefinite":
+            a01 = 1.0 + abs(a01)  # a01^2 > 1 >= a00 a11
+        elif kind == "diagonal":
+            a01 = 0.0
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        row = np.array([[a00, a01], [a01, a11]]) * scale
+        if kind == "non_finite":
+            i, j = draw(st.sampled_from([(0, 0), (0, 1), (1, 1)]))
+            row[i, j] = row[j, i] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        rows.append(row[:d, :d])
+    return np.array(rows)
+
+
+class TestBatchEigmin:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(eig_stacks())
+    def test_matches_eigvalsh(self, A):
+        got = _batch_eigmin(A)
+        want = np.linalg.eigvalsh(A).min(axis=-1)
+        size = np.abs(A).max(axis=(1, 2))
+        finite = np.isfinite(A).all(axis=(1, 2))
+        # each lies within about 2.5 eps max |A| of a 200-bit reference, so the two
+        # can differ by up to 5 (4.8 seen over 4e6 random rows)
+        with np.errstate(invalid="ignore"):  # inf - inf on the non-finite rows
+            assert (np.abs(got - want) <= 5 * _EPS * size)[finite].all()
+        if A.shape[-1] == 1:
+            assert np.array_equal(got, A[:, 0, 0], equal_nan=True)
+            return
+        a00, a01, a11 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
+        diagonal = (a01 == 0.0) & finite
+        assert np.array_equal(got[diagonal], np.minimum(a00, a11)[diagonal])
+        scale = np.abs(a00) + np.abs(a11) + np.abs(a01)
+        rest = ~((scale >= _EIG_LOW) & (scale <= _EIG_HIGH) | diagonal)
+        assert got[rest].tobytes() == want[rest].tobytes()
+
+    def test_far_eigenvalue_does_not_swamp_the_near_one(self):
+        # m - hypot((a00 - a11)/2, a01) cancels to 0 here; the smallest eigenvalue is about 1
+        A = np.array([[[1e100, 1e-3], [1e-3, 1.0]], [[1e100, 0.0], [0.0, 1.0]]])
+        assert _batch_eigmin(A).tolist() == [1.0, 1.0]
+
+    def test_stacks_of_three_go_to_eigvalsh(self):
+        A = np.random.default_rng(5).standard_normal((6, 3, 3))
+        A = A + A.transpose(0, 2, 1)
+        assert _batch_eigmin(A).tobytes() == np.linalg.eigvalsh(A).min(axis=-1).tobytes()
 
 
 class TestNecessary:
@@ -290,6 +376,24 @@ class TestSufficient:
         assert report.verdict == "fail"
         bad = [c for c in report.conditions if c.id == "sufficient.diffusion_psd"][0]
         assert bad.witness is not None
+
+    # the disk and hyperboloid of the CLI tests' DOCS, with alpha scaled up
+    @pytest.mark.parametrize("q2, alpha, gamma, value", [
+        (1.0, 1e8, 0.5, "-4.55865e-08"),
+        (-1.0, 10.0, 0.0, "-1.86265e-09"),
+    ], ids=["disk_alpha_1e8", "hyperboloid_alpha_10"])
+    def test_diffusion_psd_margin_grows_with_a(self, q2, alpha, gamma, value):
+        # rounding in a large a(x) reads as a small negative eigenvalue, below
+        # -1e-9 but inside 1e-9 max |a| over the samples (the CLI default of 1000)
+        space = Quadric(np.diag([1.0, q2]))
+        model = assemble_model(space, QuadricParams(alpha=alpha * np.eye(2), beta=np.zeros(2), B=-np.eye(2),
+                                                    gamma=[[gamma]]))
+        (psd,) = [c for c in check_sufficient(model, space, samples=1000).conditions
+                  if c.id == "sufficient.diffusion_psd"]
+        assert (psd.status, psd.detail) == ("pass", f"min diffusion eigenvalue on E samples is {value}")
+        # the boundary samples sit off {p = 0} by rounding, which a grad p scales up (ROADMAP item 2)
+        assert [c.id for c in check_necessary(model, space).conditions if c.status == "fail"] == [
+            "necessary.a_gradp_zero[0]"]
 
     def test_simplex_manifold_conditions(self):
         model = assemble_model(Simplex(2), simplex_params())

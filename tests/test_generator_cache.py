@@ -1,6 +1,7 @@
 """The (basis, G) cache behind conditional_moment, joint_moment, PricingModel
-and SimplexIndexModel: keyed by value, bounded in bytes, and invisible except
-as speed.  Every test starts with an empty cache (tests/conftest.py)."""
+and SimplexIndexModel, and the manifold_defects cache beside it: keyed by
+value, bounded in bytes, and invisible except as speed.  Every test starts
+with empty caches (tests/conftest.py)."""
 
 import sys
 import threading
@@ -21,7 +22,11 @@ from polydiff import (
     Quadric,
     Simplex,
     SimplexIndexModel,
+    SimplexParams,
+    assemble_model,
     bond_price,
+    check_necessary,
+    check_sufficient,
     conditional_moment,
     constituent_option_price,
     generator,
@@ -29,9 +34,10 @@ from polydiff import (
     joint_moment,
     monomial_basis,
     short_rate,
+    validate_params,
     variance_swap_rate,
 )
-from polydiff.generator import _ByteLRU, _ENTRY_BYTES, _basis_and_generator
+from polydiff.generator import _ByteLRU, _ENTRY_BYTES, _basis_and_generator, manifold_defects
 
 from conftest import MATRIX_POINTS, MODEL_MATRIX, jacobi_model, ou_model, simplex3_model, simplex_params
 
@@ -326,19 +332,92 @@ class TestFailedBuilds:
         self.repeat(lambda: PricingModel(model, space, degree=4, p=Polynomial.one(1)), ValueError, builds)
 
 
-def test_concurrent_callers_agree(monkeypatch):
-    # more threads than cores, switching often, on a budget that keeps evicting:
-    # every value is the serial one and the held bytes stay the entries' sum
-    cases = [MODEL_MATRIX[name]() + (MATRIX_POINTS[name],) for name in sorted(MODEL_MATRIX)]
+@pytest.fixture()
+def reductions(monkeypatch):
+    """The number of tangency reductions manifold_defects runs."""
+    count = [0]
+    reduce_fn = generator._reduced_defects
 
-    def moments():
-        return [bits(conditional_moment(model, space, 3, Polynomial.variable(0, space.dim) ** 3, x, 0.5))
-                for model, space, x in cases]
+    def counted(*args):
+        count[0] += 1
+        return reduce_fn(*args)
 
-    want = moments()
-    monkeypatch.setattr(generator, "_cache", _ByteLRU(3 * _ENTRY_BYTES))
+    monkeypatch.setattr(generator, "_reduced_defects", counted)
+    return count
+
+
+class TestManifoldDefects:
+    """One tangency reduction per (model, space), kept apart from the G's."""
+
+    def test_one_reduction_per_model_and_space(self, reductions):
+        space, params = Simplex(2), simplex_params()
+        model = assemble_model(space, params)
+        validate_params(space, params)
+        check_necessary(model, space)
+        check_sufficient(model, space)
+        generator_matrix(model, monomial_basis(space, 2))
+        SimplexIndexModel(params=params, T_star=2.0, degree=3, pricer=LognormalIndexPricer(1.0, 0.02, 0.3))
+        assert reductions == [1]
+        assert len(generator._defects) == 1 and len(generator._cache) == 1
+
+    def test_value_equal_spaces_share_an_entry(self, reductions):
+        (m1, s1), (m2, s2) = simplex3_model(), simplex3_model()
+        assert m1 is not m2 and s1 is not s2
+        assert manifold_defects(m1, s1) == manifold_defects(m2, s2)
+        assert reductions == [1] and len(generator._defects) == 1
+
+    def test_spaces_without_equalities_are_not_kept(self, reductions):
+        model, space = jacobi_model()
+        assert manifold_defects(model, space) == []
+        assert reductions == [0] and len(generator._defects) == 0
+
+    def test_callers_get_their_own_list(self, reductions):
+        model, space = simplex3_model()
+        first = manifold_defects(model, space)
+        want = list(first)
+        first.clear()
+        assert manifold_defects(model, space) == want and len(want) == 1
+        assert reductions == [1]
+
+    def test_not_polynomial_on_e_repeats(self, reductions):
+        one, zero = Polynomial.one(2), Polynomial.zero(2)
+        model, space = ModelCoefficients([[one, zero], [zero, one]], [zero, zero]), Simplex(2)
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(NotPolynomialOnE) as info:
+                generator_matrix(model, monomial_basis(space, 2))
+            messages.add(str(info.value))
+        assert len(messages) == 1 and reductions == [1]
+
+    def test_fresh_models_stay_within_the_budget(self, reductions):
+        cache = generator._defects
+        for k in range(200):
+            beta = 0.25 + k / 1024
+            params = SimplexParams(alpha=[[0.0, 1.0], [1.0, 0.0]], beta=[beta, beta],
+                                   B=[[-1.0 - beta, 1.0 - beta], [1.0 - beta, -1.0 - beta]])
+            space = Simplex(2)
+            manifold_defects(assemble_model(space, params), space)
+            assert cache.held == len(cache) * _ENTRY_BYTES <= cache.budget
+        assert reductions == [200] and len(cache) == cache.budget // _ENTRY_BYTES
+
+    def test_concurrent_callers_agree(self, monkeypatch):
+        # four models on a budget of two entries, so entries keep being evicted
+        one, zero = Polynomial.one(2), Polynomial.zero(2)
+        cases = [(assemble_model(Simplex(2), simplex_params()), Simplex(2)), simplex3_model(),
+                 (ModelCoefficients([[one, zero], [zero, one]], [zero, zero]), Simplex(2)),
+                 (ModelCoefficients([[one, zero], [zero, one]], [one, -1.0 * one]), Simplex(2))]
+        want = [manifold_defects(*case) for case in cases]
+        monkeypatch.setattr(generator, "_defects", _ByteLRU(2 * _ENTRY_BYTES))
+        assert in_threads(lambda: [manifold_defects(*case) for case in cases]) == [want] * 80
+        cache = generator._defects
+        assert cache.held == len(cache) * _ENTRY_BYTES <= cache.budget
+
+
+def in_threads(work):
+    """work() ten times in each of eight threads, more than the cores, switching
+    often; the list of its results, after every thread has ended."""
     got = []
-    threads = [threading.Thread(target=lambda: got.extend(moments() for _ in range(10))) for _ in range(8)]
+    threads = [threading.Thread(target=lambda: got.extend(work() for _ in range(10))) for _ in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -349,7 +428,21 @@ def test_concurrent_callers_agree(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert got == [want] * 80
+    return got
+
+
+def test_concurrent_callers_agree(monkeypatch):
+    # on a budget that keeps evicting, every value is the serial one and the
+    # held bytes stay the entries' sum
+    cases = [MODEL_MATRIX[name]() + (MATRIX_POINTS[name],) for name in sorted(MODEL_MATRIX)]
+
+    def moments():
+        return [bits(conditional_moment(model, space, 3, Polynomial.variable(0, space.dim) ** 3, x, 0.5))
+                for model, space, x in cases]
+
+    want = moments()
+    monkeypatch.setattr(generator, "_cache", _ByteLRU(3 * _ENTRY_BYTES))
+    assert in_threads(moments) == [want] * 80
     cache = generator._cache
     assert 0 < len(cache) < len(cases)
     assert cache.held == sum(nbytes for _, nbytes in cache._entries.values()) <= cache.budget
