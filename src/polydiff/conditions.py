@@ -17,8 +17,10 @@ the judges.
 Smallest eigenvalues come from ``_batch_eigmin``: the entry for d = 1, a
 closed form for d = 2, LAPACK ``eigvalsh`` for d >= 3 and for 2x2 matrices
 of extreme scale.  The sampled PSD checks of a(x), ``sufficient.diffusion_psd``
-and ``full.diffusion_psd``, judge the smallest eigenvalue against margin
-times max(1, max |a| over the samples), since rounding in a grows with a.
+and ``full.diffusion_psd``, judge the smallest eigenvalue at each sample x
+against a tolerance of that x: how far the diagonal shift margin max(1,
+row sum of |terms| of a at x) raises it, since rounding in a(x) grows with
+the terms summed at x (``_sampled_eigmin``).
 """
 
 from __future__ import annotations
@@ -123,8 +125,9 @@ def _batch_eigmin(A: np.ndarray) -> np.ndarray:
     d = 1 reads the entry.  d = 2 takes a closed form without cancellation in
     its subtractions: with m = (a00 + a11)/2 and far = m + sign(m) hypot((a00 -
     a11)/2, a01), the eigenvalue farther from zero, the smallest is far when
-    m < 0 and det A / far otherwise.  A finite diagonal row, zero included,
-    is min(a00, a11), exactly.  Other rows outside _EIG_LOW.._EIG_HIGH (huge,
+    m has its sign bit set (m < 0 or m = -0.0, as copysign reads it) and
+    det A / far otherwise.  A finite diagonal row, zero included, is
+    min(a00, a11), exactly.  Other rows outside _EIG_LOW.._EIG_HIGH (huge,
     tiny or non-finite), and every stack with d >= 3, go to LAPACK ``eigvalsh``."""
     d = A.shape[-1]
     if d == 1:
@@ -136,7 +139,7 @@ def _batch_eigmin(A: np.ndarray) -> np.ndarray:
         scale = np.abs(a00) + np.abs(a11) + np.abs(a01)
         m = 0.5 * (a00 + a11)
         far = m + np.copysign(np.hypot(0.5 * (a00 - a11), a01), m)
-        out = np.where(m < 0.0, far, (a00 * a11 - a01 * a01) / far)
+        out = np.where(np.signbit(m), far, (a00 * a11 - a01 * a01) / far)
     diagonal = a01 == 0.0
     np.copyto(out, np.minimum(a00, a11), where=diagonal)
     rest = ~((scale >= _EIG_LOW) & (scale <= _EIG_HIGH) | diagonal & np.isfinite(scale))
@@ -155,12 +158,30 @@ def _eigmin(M: np.ndarray):
 
 
 def _sampled_eigmin(model: ModelCoefficients, X: np.ndarray, margin: float):
-    """The smallest eigenvalue of a(x) at each sample, and margin relative to
-    the scale of a: margin max(1, max |a| over the samples), so the rounding of
-    a large a is not a negative eigenvalue.  An a that overflows keeps margin."""
+    """The smallest eigenvalue of a(x) at each sample, and the tolerance on it.
+
+    The computed a(x) is off by E with |E_ij| at most a few eps times T_ij(x),
+    the sum of |c x^e| over the terms of a_ij; a + diag(sum_j |E_ij|) dominates
+    a, so a(x) is surely not PSD when a(x) + D is not either, D = margin
+    diag(max(1, sum_j T_ij(x))).  The tolerance at x is how far D raises the
+    smallest eigenvalue, and margin where that eigenvalue is already above
+    -margin.  A large a at one sample, or in one entry, excuses nothing
+    elsewhere.  An entry whose terms overflow keeps margin."""
     A = model.a_eval(X)
-    scale = np.abs(A).max(initial=1.0)
-    return _batch_eigmin(A), margin * (scale if np.isfinite(scale) else 1.0)
+    eigmin = _batch_eigmin(A)
+    tol = np.full(len(eigmin), margin)
+    near = np.flatnonzero(eigmin < -margin)
+    if near.size:
+        d = model.dim
+        absolute = [Polynomial(d, {e: abs(c) for e, c in model.a[i][j].terms.items()})
+                    for i in range(d) for j in range(d)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.stack(_evaluator(absolute)(np.abs(X[near])), axis=-1).reshape(-1, d, d).sum(axis=-1)
+            shift = margin * np.maximum(1.0, np.where(np.isfinite(rows), rows, 1.0))
+            shifted = A[near]
+            shifted[:, range(d), range(d)] += shift
+            tol[near] = np.fmax(_batch_eigmin(shifted) - eigmin[near], margin)
+    return eigmin, tol
 
 
 def _exact_psd(cond_id: str, M: np.ndarray, name: str) -> ConditionResult:
@@ -184,10 +205,22 @@ def _sampled_sign(cond_id: str, values: np.ndarray, points: np.ndarray, want: st
     return ConditionResult(cond_id, "pass", f"{detail}; extreme sampled value {values[worst]:.6g}")
 
 
-def _sampled_min(cond_id: str, values: np.ndarray, points: np.ndarray, tol: float, detail: str) -> ConditionResult:
-    """Pass when every sampled value is >= -tol, else fail at the smallest."""
-    worst = int(np.argmin(values))
-    ok = values[worst] >= -tol
+def _worst(values: np.ndarray, below: np.ndarray) -> int:
+    """The index of the first smallest value flagged ``below``, a NaN only when
+    every flagged value is one; the first smallest value when none is flagged."""
+    if not below.any():
+        return int(np.argmin(values))
+    flagged = np.where(below & ~np.isnan(values), values, np.inf)
+    worst = int(np.argmin(flagged))
+    return worst if flagged[worst] < np.inf else int(np.flatnonzero(below)[0])
+
+
+def _sampled_min(cond_id: str, values: np.ndarray, points: np.ndarray, tol, detail: str) -> ConditionResult:
+    """Pass when every sampled value is >= -tol (a scalar, or one per sample),
+    else fail at the smallest value below it; a NaN value fails."""
+    below = ~(values >= -tol)
+    worst = _worst(values, below)
+    ok = not below.any()
     return _exact(cond_id, ok, f"{detail} is {values[worst]:.6g}", None if ok else points[worst].tolist())
 
 
@@ -198,13 +231,15 @@ def _sampled_zero(cond_id: str, values: np.ndarray, points: np.ndarray, tol: flo
     return _exact(cond_id, bad <= tol, f"{detail} is {bad:.6g}", None if bad <= tol else points[worst].tolist())
 
 
-def _sampled_uncertified(cond_id: str, values: np.ndarray, points: np.ndarray, margin: float,
+def _sampled_uncertified(cond_id: str, values: np.ndarray, points: np.ndarray, margin,
                          failed: str, unsure: str) -> ConditionResult:
     """Judge values >= 0 sampled on a set that sampling cannot exhaust: fail
-    below -margin at the first smallest value, else inconclusive, never pass.
-    ``failed`` and ``unsure`` are format strings given that value."""
-    worst = int(np.argmin(values))
-    if values[worst] < -margin:
+    at the first smallest value below -margin (a scalar, or one per sample),
+    else inconclusive, never pass; a NaN value neither fails nor hides a
+    failure.  ``failed`` and ``unsure`` are format strings given that value."""
+    below = values < -margin
+    worst = _worst(values, below)
+    if below.any():
         return ConditionResult(cond_id, "fail", failed.format(values[worst]), points[worst].tolist())
     return ConditionResult(cond_id, "inconclusive", unsure.format(values[worst]))
 

@@ -287,7 +287,7 @@ class TestValidate:
                              ids=["disk_alpha_1e8", "hyperboloid_alpha_10"])
     def test_large_raw_diffusion_is_not_a_false_fail(self, tmp_path, family, alpha):
         # as raw coefficients, whose verdict is the sufficient battery's: the PSD
-        # minima -4.26e-08 and -1.86e-09 are rounding, within 1e-9 max |a| over the samples
+        # minima -4.26e-08 and -1.86e-09 are rounding, within the shift 1e-9 sum |terms of a|
         model = parse_model_spec(_variant(family, alpha=[[alpha, 0.0], [0.0, alpha]])).model
         doc = {**family, "coefficients": {"kind": "raw", "a": [[p.to_json_dict() for p in row] for row in model.a],
                                           "b": [p.to_json_dict() for p in model.b]}}

@@ -236,6 +236,13 @@ class TestRejections:
         assert (cond.status, cond.detail, cond.witness) == (
             "fail", f"alpha + Diag(pi'u)/Diag(u) has eigenvalue {value} < 0", witness)
 
+    def test_indefinite_alpha_fails_outside_the_hyperboloid(self):
+        # the outside branch judges -alpha, whose zero diagonal is -0.0
+        space = Quadric(np.diag([1.0, -1.0]), orientation="outside")
+        params = QuadricParams(alpha=[[0.0, 1.0], [1.0, 0.0]], beta=np.zeros(2), B=-np.eye(2), gamma=[[0.0]])
+        (cond,) = [c for c in validate_params(space, params).conditions if c.id == "quadric.alpha_psd"]
+        assert (cond.status, cond.detail) == ("fail", "-alpha PSD (min eigenvalue -1)")
+
     def test_inconclusive_shifted_alpha(self):
         # alpha indefinite but compensated by pi on every sampled direction:
         # no counterexample, no proof
@@ -254,11 +261,13 @@ _EPS = np.finfo(float).eps
 @st.composite
 def eig_stacks(draw):
     """(n, d, d) symmetric stacks, d = 1 or 2, mixing generic, rank-one, zero,
-    indefinite, diagonal and non-finite rows at scales 1e-300 to 1e300."""
+    indefinite, diagonal, signed-zero-diagonal and non-finite rows at scales
+    1e-300 to 1e300."""
     d, rows = draw(st.sampled_from([1, 2])), []
     unit = st.floats(-1.0, 1.0)
     for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from(["generic", "rank_one", "zero", "indefinite", "diagonal", "non_finite"]))
+        kind = draw(st.sampled_from(["generic", "rank_one", "zero", "indefinite", "diagonal", "signed_zero",
+                                     "non_finite"]))
         a00, a01, a11 = draw(unit), draw(unit), draw(unit)
         if kind == "rank_one":
             sign = draw(st.sampled_from([-1.0, 1.0]))
@@ -269,6 +278,8 @@ def eig_stacks(draw):
             a01 = 1.0 + abs(a01)  # a01^2 > 1 >= a00 a11
         elif kind == "diagonal":
             a01 = 0.0
+        elif kind == "signed_zero":  # m = +-0.0 with a01 != 0
+            a00, a11 = draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0]))
         scale = 10.0 ** draw(st.integers(-300, 300))
         row = np.array([[a00, a01], [a01, a11]]) * scale
         if kind == "non_finite":
@@ -304,6 +315,11 @@ class TestBatchEigmin:
         # m - hypot((a00 - a11)/2, a01) cancels to 0 here; the smallest eigenvalue is about 1
         A = np.array([[[1e100, 1e-3], [1e-3, 1.0]], [[1e100, 0.0], [0.0, 1.0]]])
         assert _batch_eigmin(A).tolist() == [1.0, 1.0]
+
+    def test_signed_zero_diagonal(self):
+        # m = -0.0 gives far its sign bit, so the choice between far and det / far reads that bit too
+        A = np.array([[[-0.0, 1.0], [1.0, -0.0]], [[-0.0, -1.0], [-1.0, -0.0]], [[0.0, 1.0], [1.0, -0.0]]])
+        assert _batch_eigmin(A).tolist() == [-1.0, -1.0, -1.0]
 
     def test_stacks_of_three_go_to_eigvalsh(self):
         A = np.random.default_rng(5).standard_normal((6, 3, 3))
@@ -384,7 +400,7 @@ class TestSufficient:
     ], ids=["disk_alpha_1e8", "hyperboloid_alpha_10"])
     def test_diffusion_psd_margin_grows_with_a(self, q2, alpha, gamma, value):
         # rounding in a large a(x) reads as a small negative eigenvalue, below
-        # -1e-9 but inside 1e-9 max |a| over the samples (the CLI default of 1000)
+        # -1e-9 but inside the shift 1e-9 sum |terms of a| at that sample (the CLI default of 1000)
         space = Quadric(np.diag([1.0, q2]))
         model = assemble_model(space, QuadricParams(alpha=alpha * np.eye(2), beta=np.zeros(2), B=-np.eye(2),
                                                     gamma=[[gamma]]))
@@ -394,6 +410,29 @@ class TestSufficient:
         # the boundary samples sit off {p = 0} by rounding, which a grad p scales up (ROADMAP item 2)
         assert [c.id for c in check_necessary(model, space).conditions if c.status == "fail"] == [
             "necessary.a_gradp_zero[0]"]
+
+    @pytest.mark.parametrize("big", [{(2, 0): 1e12}, {(0, 0): 1e12, (2, 0): 1e12}], ids=["x1_squared", "everywhere"])
+    def test_large_entry_excuses_no_negative_eigenvalue(self, big):
+        # the tolerance at x follows the terms of a at x, row by row: a_00 up to 1e12 does
+        # not hide a_11 = -1e-4, at this sample or at another
+        zero = Polynomial.zero(2)
+        model = ModelCoefficients([[Polynomial(2, big), zero], [zero, Polynomial.constant(2, -1e-4)]], [zero, zero])
+        (full,) = validate_params(FullSpace(2), model).conditions
+        (disk,) = [c for c in check_sufficient(model, Quadric(np.eye(2))).conditions
+                   if c.id == "sufficient.diffusion_psd"]
+        assert (full.status, full.detail) == ("fail", "diffusion eigenvalue -0.0001 < 0")
+        assert (disk.status, disk.detail) == ("fail", "min diffusion eigenvalue on E samples is -0.0001")
+
+    def test_overflow_does_not_hide_a_negative_eigenvalue(self):
+        # a_00 = 1 + 1e308 (x1^2 - x2^2) is nan (inf - inf) at some samples, where argmin
+        # stops; the samples where a_00 is finite and negative must still fail
+        one, zero = Polynomial.one(2), Polynomial.zero(2)
+        a00 = Polynomial(2, {(0, 0): 1.0, (2, 0): 1e308, (0, 2): -1e308})
+        model = ModelCoefficients([[a00, zero], [zero, one]], [zero, zero])
+        with np.errstate(over="ignore", invalid="ignore"):
+            (cond,) = validate_params(FullSpace(2), model).conditions
+        assert (cond.status, cond.detail) == ("fail", "diffusion eigenvalue -1.64291e+308 < 0")
+        assert np.isfinite(a00(np.array(cond.witness)))
 
     def test_simplex_manifold_conditions(self):
         model = assemble_model(Simplex(2), simplex_params())
