@@ -1,26 +1,21 @@
 """Admissibility, boundary attainment, and uniqueness diagnostics.
 
-Every condition verdict comes from one of six judges.  Exact ones decide
+Every condition verdict comes from one of three judges.  Exact ones decide
 pass or fail outright: ``_exact`` (sign patterns, linear identities,
 symbolic reductions) and ``_exact_psd`` (a constant matrix, smallest
-eigenvalue >= -1e-12 (1 + max |M|)).  Sampled ones run on deterministic
-grids and fail with a witness point: ``_sampled_min`` (values >= -tol) and
-``_sampled_zero`` (|values| <= tol) pass otherwise; ``_sampled_sign``, for
-a strict inequality, reads a value inside its margin band inconclusive;
-and ``_sampled_uncertified``, for a set that sampling cannot exhaust, never
-passes.  Sampling therefore never produces a false Valid on the exact
-subset and never turns margin-zone noise of a strict inequality into a
-rejection.  The gradient certificate of ``check_sufficient``, an exact
-division whose failure reads inconclusive, is the one verdict built outside
-the judges.
+eigenvalue >= -1e-12 (1 + max |M|)).  ``_sampled`` judges values sampled on
+deterministic grids: one below its tolerance's negative, or a NaN, fails
+with a witness point; a strict inequality reads a value within tolerance of
+zero inconclusive; a set that sampling cannot exhaust never passes.  The
+gradient certificate of ``check_sufficient``, an exact division whose
+failure reads inconclusive, is the one verdict built outside the judges.
 
-Smallest eigenvalues come from ``_batch_eigmin``: the entry for d = 1, a
-closed form for d = 2, LAPACK ``eigvalsh`` for d >= 3 and for 2x2 matrices
-of extreme scale.  The sampled PSD checks of a(x), ``sufficient.diffusion_psd``
-and ``full.diffusion_psd``, judge the smallest eigenvalue at each sample x
-against a tolerance of that x: how far the diagonal shift margin max(1,
-row sum of |terms| of a at x) raises it, since rounding in a(x) grows with
-the terms summed at x (``_sampled_eigmin``).
+Every sampled polynomial value has one tolerance, ``_tolerance``: margin x
+max(1, s(x)) at its sample x, where the term sum s(x) = |f|(|x|) bounds the
+rounding of f(x).  The sampled PSD checks shift a(x) by the tolerance of the
+rows of a (``_sampled_eigmin``).  Smallest eigenvalues come from
+``_batch_eigmin``: the entry for d = 1, a closed form for d = 2, LAPACK
+``eigvalsh`` for d >= 3 and for 2x2 matrices of extreme scale.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import ModelCoefficients, _images, a_grad, manifold_defects
-from .polynomial import DivisionFailure, Polynomial, _evaluator
+from .polynomial import DivisionFailure, Polynomial, _evaluator, _summed
 from .simulate import dispersion
 from .statespace import (
     BoxOrthant,
@@ -157,31 +152,43 @@ def _eigmin(M: np.ndarray):
     return _batch_eigmin(S) if S.ndim == 3 else _batch_eigmin(S[None])[0]
 
 
-def _sampled_eigmin(model: ModelCoefficients, X: np.ndarray, margin: float):
-    """The smallest eigenvalue of a(x) at each sample, and the tolerance on it.
+def _tolerance(groups: list[list[Polynomial]], X: np.ndarray, values: np.ndarray, margin: float,
+               strict: bool = False, least: float | None = None) -> float | np.ndarray:
+    """margin x max(1, s(x)) for each value sampled at x: s(x) = sum |c x^e| over the terms of
+    its group of polynomials bounds its rounding (margin where s overflows).  ``values`` is
+    1-d for one group, else has a column per group or one for all.  Only values margin cannot
+    decide get a scale: below -margin (or within margin of zero if ``strict``), and within
+    margin x max(1, sum |c| M^deg f), M = max(1, max |X|), of zero, as that bounds every s(x).
+    With none, the result is margin itself.  ``least`` is values' minimum, if known."""
+    least = values.min(initial=np.inf) if least is None else least
+    if not (strict or least < -margin):
+        return margin
+    M = float(np.abs(X).max(initial=1.0))
+    bound = [margin * max(1.0, sum(sum(map(abs, f.terms.values())) * M ** f.degree for f in g)) for g in groups]
+    if strict and least > max(bound):
+        return margin
+    v, bound = values.reshape(len(X), -1), np.array(bound)
+    near = np.flatnonzero(((np.abs(v) <= bound) if strict else (v < -margin) & (v >= -bound)).any(axis=1))
+    tol = np.full((len(X), len(groups)), margin)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.stack([sum(_evaluator([_summed(X.shape[1], ((e, abs(c)) for e, c in f.terms.items())) for f in g])(
+            np.abs(X[near]))) for g in groups], axis=-1)
+    tol[near] = margin * np.maximum(1.0, np.where(np.isfinite(s), s, 1.0))
+    return tol if values.ndim == 2 else tol[:, 0]
 
-    The computed a(x) is off by E with |E_ij| at most a few eps times T_ij(x),
-    the sum of |c x^e| over the terms of a_ij; a + diag(sum_j |E_ij|) dominates
-    a, so a(x) is surely not PSD when a(x) + D is not either, D = margin
-    diag(max(1, sum_j T_ij(x))).  The tolerance at x is how far D raises the
-    smallest eigenvalue, and margin where that eigenvalue is already above
-    -margin.  A large a at one sample, or in one entry, excuses nothing
-    elsewhere.  An entry whose terms overflow keeps margin."""
+
+def _sampled_eigmin(model: ModelCoefficients, X: np.ndarray, margin: float):
+    """The smallest eigenvalue of a(x) at each sample, and the tolerance on it: how far
+    D = margin diag(max(1, sum_j T_ij(x))), the ``_tolerance`` of the rows of a, raises
+    it, at least margin.  a(x) is off by |E_ij| <= a few eps T_ij(x), the term sum of
+    a_ij, and a + diag(sum_j |E_ij|) dominates a, so a(x) + D not PSD means a(x) is not."""
     A = model.a_eval(X)
     eigmin = _batch_eigmin(A)
-    tol = np.full(len(eigmin), margin)
-    near = np.flatnonzero(eigmin < -margin)
-    if near.size:
-        d = model.dim
-        absolute = [Polynomial(d, {e: abs(c) for e, c in model.a[i][j].terms.items()})
-                    for i in range(d) for j in range(d)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = np.stack(_evaluator(absolute)(np.abs(X[near])), axis=-1).reshape(-1, d, d).sum(axis=-1)
-            shift = margin * np.maximum(1.0, np.where(np.isfinite(rows), rows, 1.0))
-            shifted = A[near]
-            shifted[:, range(d), range(d)] += shift
-            tol[near] = np.fmax(_batch_eigmin(shifted) - eigmin[near], margin)
-    return eigmin, tol
+    D = _tolerance(model.a, X, eigmin[:, None], margin)
+    if not isinstance(D, np.ndarray):
+        return eigmin, margin
+    with np.errstate(over="ignore", invalid="ignore"):
+        return eigmin, np.fmax(_batch_eigmin(A + D[:, :, None] * np.eye(model.dim)) - eigmin, margin)
 
 
 def _exact_psd(cond_id: str, M: np.ndarray, name: str) -> ConditionResult:
@@ -191,57 +198,36 @@ def _exact_psd(cond_id: str, M: np.ndarray, name: str) -> ConditionResult:
                   f"{name} PSD (min eigenvalue {e:.6g})")
 
 
-def _sampled_sign(cond_id: str, values: np.ndarray, points: np.ndarray, want: str,
-                  margin: float, detail: str) -> ConditionResult:
-    """Judge a sampled inequality.  ``want`` is "neg" (values < 0) or "pos"."""
-    v = values if want == "neg" else -values
-    worst = int(np.argmax(v))
-    if v[worst] > margin:
-        return ConditionResult(cond_id, "fail", f"{detail}; violated, value {values[worst]:.6g}",
-                               witness=np.asarray(points[worst]).tolist())
-    if v[worst] > -margin:
-        return ConditionResult(cond_id, "inconclusive",
-                               f"{detail}; extreme sampled value {values[worst]:.6g} within margin {margin:g}")
-    return ConditionResult(cond_id, "pass", f"{detail}; extreme sampled value {values[worst]:.6g}")
+def _sampled(cond_id: str, values: np.ndarray, points: np.ndarray, tol, detail, *, scale=None,
+             strict: bool = False, exhaustive: bool = True, sign: float = 1.0) -> ConditionResult:
+    """Judge values that should be >= 0 (> 0 when ``strict``), a row per sample point.
 
-
-def _worst(values: np.ndarray, below: np.ndarray) -> int:
-    """The index of the first smallest value flagged ``below``, a NaN only when
-    every flagged value is one; the first smallest value when none is flagged."""
-    if not below.any():
-        return int(np.argmin(values))
-    flagged = np.where(below & ~np.isnan(values), values, np.inf)
-    worst = int(np.argmin(flagged))
-    return worst if flagged[worst] < np.inf else int(np.flatnonzero(below)[0])
-
-
-def _sampled_min(cond_id: str, values: np.ndarray, points: np.ndarray, tol, detail: str) -> ConditionResult:
-    """Pass when every sampled value is >= -tol (a scalar, or one per sample),
-    else fail at the smallest value below it; a NaN value fails."""
-    below = ~(values >= -tol)
-    worst = _worst(values, below)
-    ok = not below.any()
-    return _exact(cond_id, ok, f"{detail} is {values[worst]:.6g}", None if ok else points[worst].tolist())
-
-
-def _sampled_zero(cond_id: str, values: np.ndarray, points: np.ndarray, tol: float, detail: str) -> ConditionResult:
-    """Pass when every sampled row of ``values`` is within tol of zero, else fail at the worst point."""
-    worst = int(np.argmax(np.abs(values).max(axis=1)))
-    bad = np.abs(values[worst]).max()
-    return _exact(cond_id, bad <= tol, f"{detail} is {bad:.6g}", None if bad <= tol else points[worst].tolist())
-
-
-def _sampled_uncertified(cond_id: str, values: np.ndarray, points: np.ndarray, margin,
-                         failed: str, unsure: str) -> ConditionResult:
-    """Judge values >= 0 sampled on a set that sampling cannot exhaust: fail
-    at the first smallest value below -margin (a scalar, or one per sample),
-    else inconclusive, never pass; a NaN value neither fails nor hides a
-    failure.  ``failed`` and ``unsure`` are format strings given that value."""
-    below = values < -margin
-    worst = _worst(values, below)
-    if below.any():
-        return ConditionResult(cond_id, "fail", failed.format(values[worst]), points[worst].tolist())
-    return ConditionResult(cond_id, "inconclusive", unsure.format(values[worst]))
+    ``tol`` is a scalar or like values, or the margin of the ``_tolerance`` of ``scale``.
+    The first smallest value below -tol fails as the witness; so does a NaN where no number
+    does, unless the set is not ``exhaustive`` (R^d, the orthant): there a NaN is ignored
+    and no check passes.  A strict check reads the smallest value within tol inconclusive.
+    ``detail`` is a template given sign x value and its tol, or one per status (fail,
+    inconclusive, pass), or the name of a strict inequality."""
+    v = values.ravel()
+    i = int(np.argmin(v))  # the first smallest value, or the first NaN
+    if scale is not None:
+        tol = _tolerance(scale, points, values, tol, strict, v[i])
+    scalar = not isinstance(tol, np.ndarray)
+    t = tol if scalar else tol.ravel()
+    status = "pass" if exhaustive else "inconclusive"
+    if not (scalar and (v[i] > t if strict else v[i] >= -t)):  # a scalar tol decides the common case at once
+        below = ~(v >= -t) if exhaustive else v < -t
+        pick = below if below.any() or not strict else v <= t
+        if pick.any():
+            status = "fail" if pick is below else "inconclusive"
+            # the first smallest picked number; the first picked NaN only when no number is picked
+            i = int(np.nanargmin(np.where(pick, np.where(np.isnan(v), np.inf, v), np.nan)))
+    if strict:
+        detail = f"{detail}; " + {"fail": "violated, value {:.6g}", "inconclusive": "extreme sampled value {:.6g} "
+                                  "within tolerance {:.6g}"}.get(status, "extreme sampled value {:.6g}")
+    text = detail if isinstance(detail, str) else detail[("fail", "inconclusive", "pass").index(status)]
+    return ConditionResult(cond_id, status, text.format(sign * float(v[i]), t if scalar else t[i]),
+                           points[np.unravel_index(i, values.shape)[0]].tolist() if status == "fail" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +241,19 @@ def _validate_quadric(space: Quadric, params: QuadricParams, samples: int, margi
     M = _quadric_c_tensor(space, params.gamma)
     form = params.B.T @ space.Q + 0.5 * np.einsum("i,iiuv->uv", np.diag(space.Q), M)
     X = space.boundary_samples(0, samples)
-    vals = X @ (space.Q @ params.beta) + np.einsum("ki,ij,kj->k", X, form, X)
+    drift = space.Q @ params.beta
+    vals = X @ drift + np.einsum("ki,ij,kj->k", X, form, X)
+    # the term sum of vals as computed, |x|' |drift| + |x|' |form| |x|, as d + 1 polynomials
+    d, unit = space.dim, np.eye(space.dim, dtype=int)
+    scale = [_summed(d, zip(map(tuple, e), c)) for e, c in zip([unit.tolist()] + (unit[:, None] + unit).tolist(),
+                                                              [drift.tolist()] + form.tolist())]
+    sign = -1.0 if inside else 1.0
     conds = [_exact_psd("quadric.alpha_psd", params.alpha if inside else -params.alpha,
                         "alpha" if inside else "-alpha"),
              _exact_psd("quadric.gamma_psd", params.gamma, "gamma"),
-             _sampled_sign("quadric.boundary_drift", vals, X, "neg" if inside else "pos", margin,
-                           f"boundary drift form {'< 0' if inside else '> 0'} on the quadric")]
+             _sampled("quadric.boundary_drift", sign * vals, X, margin,
+                      f"boundary drift form {'< 0' if inside else '> 0'} on the quadric",
+                      scale=[scale], strict=True, sign=sign)]
     return ValidationReport("quadric", _verdict(conds), conds)
 
 
@@ -303,10 +296,10 @@ def _validate_box_orthant(space: BoxOrthant, params: BoxOrthantParams, samples: 
             U = np.maximum(np.random.default_rng(711).dirichlet(np.ones(n), samples), 1e-12)
             shifted = np.repeat(params.alpha[None], samples, axis=0)
             shifted[:, range(n), range(n)] += (U @ params.pi) / U
-            conds.append(_sampled_uncertified("box.alpha_psd_shifted", _eigmin(shifted), U, margin,
-                                              "alpha + Diag(pi'u)/Diag(u) has eigenvalue {:.6g} < 0",
-                                              "alpha not PSD alone; sampled shifted minimum {:.6g} "
-                                              "cannot certify all of the orthant"))
+            conds.append(_sampled("box.alpha_psd_shifted", _eigmin(shifted), U, margin,
+                                  ("alpha + Diag(pi'u)/Diag(u) has eigenvalue {:.6g} < 0",
+                                   "alpha not PSD alone; sampled shifted minimum {:.6g} "
+                                   "cannot certify all of the orthant"), exhaustive=False))
         beta_orth = params.beta[m:]
         floor = np.maximum(-B[m:, :m], 0.0).sum(axis=1)
         ok = np.all(beta_orth > floor)
@@ -363,8 +356,8 @@ def _validate_full(space: FullSpace, model: ModelCoefficients, samples: int, mar
     else:
         X = space.interior_samples(samples)
         eigmin, tol = _sampled_eigmin(model, X, margin)
-        cond = _sampled_uncertified("full.diffusion_psd", eigmin, X, tol, "diffusion eigenvalue {:.6g} < 0",
-                                    "sampled PSD check passed but cannot certify all of R^d")
+        cond = _sampled("full.diffusion_psd", eigmin, X, tol, ("diffusion eigenvalue {:.6g} < 0",
+                        "sampled PSD check passed but cannot certify all of R^d"), exhaustive=False)
     return ValidationReport("full", _verdict([cond]), [cond])
 
 
@@ -428,8 +421,9 @@ def _tangency(model: ModelCoefficients, space: StateSpace, drift_id: str,
 def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 400,
                     tol: float = DEFAULT_MARGIN) -> CheckReport:
     """Necessary invariance conditions: on each boundary stratum {p = 0},
-    a grad p = 0 and G p >= 0, sampled with a witness point for every
-    violation; for each equality q, tangency as manifold_defects decides it.
+    a grad p = 0 and G p >= 0, sampled against tol x max(1, term sum) with a
+    witness point for every violation; for each equality q, tangency as
+    manifold_defects decides it.
     """
     if model.dim != space.dim:
         raise ValueError("model and state space dimensions differ")
@@ -437,9 +431,10 @@ def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 
     for k, p in enumerate(space.inequalities):
         X = space.boundary_samples(k, samples)
         Gp, *agp = _images(model, p)
-        conds.append(_sampled_zero(f"necessary.a_gradp_zero[{k}]", _eval_vector(agp, X), X, tol,
-                                   f"max |a grad p| on stratum {k}"))
-        conds.append(_sampled_min(f"necessary.gp_nonneg[{k}]", Gp(X), X, tol, f"min G p on stratum {k}"))
+        conds.append(_sampled(f"necessary.a_gradp_zero[{k}]", -np.abs(_eval_vector(agp, X)), X, tol,
+                              f"max |a grad p| on stratum {k} is {{:.6g}}", scale=[[c] for c in agp], sign=-1.0))
+        conds.append(_sampled(f"necessary.gp_nonneg[{k}]", Gp(X), X, tol, f"min G p on stratum {k} is {{:.6g}}",
+                              scale=[[Gp]]))
     for drift, diffusion in _tangency(model, space, "necessary.gq_zero", "necessary.a_gradq_zero"):
         conds += [diffusion, drift]
     return CheckReport("necessary", _check_verdict(conds), conds)
@@ -464,14 +459,14 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
     gradient condition a grad p = h p modulo the equalities is certified by
     one exact division (``space.divide``), and a remainder left by rounding
     reads inconclusive, not fail; the strict boundary drift G p > 0 is
-    sampled with a margin; and equality invariance (G q and a grad q vanish
-    on the manifold) is decided by manifold_defects, as in check_necessary.
+    sampled against the term-sum tolerance; and equality invariance (G q and
+    a grad q vanish on the manifold) is decided by manifold_defects.
     """
     if model.dim != space.dim:
         raise ValueError("model and state space dimensions differ")
     X = space.all_samples(samples)
     eigmin, tol = _sampled_eigmin(model, X, margin)
-    conds = [_sampled_min("sufficient.diffusion_psd", eigmin, X, tol, "min diffusion eigenvalue on E samples")]
+    conds = [_sampled("sufficient.diffusion_psd", eigmin, X, tol, "min diffusion eigenvalue on E samples is {:.6g}")]
     for k, p in enumerate(space.inequalities):
         Gp, *agp = _images(model, p)
         try:
@@ -484,9 +479,8 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
                 f"sufficient.gradient_certificate[{k}]", "inconclusive",
                 f"no exact factorization found: {exc}"))
         Xb = space.boundary_samples(k, samples)
-        gp = Gp(Xb)
-        conds.append(_sampled_sign(f"sufficient.boundary_drift[{k}]", gp, Xb, "pos", margin,
-                                   f"G p > 0 on stratum {k}"))
+        conds.append(_sampled(f"sufficient.boundary_drift[{k}]", Gp(Xb), Xb, margin, f"G p > 0 on stratum {k}",
+                              scale=[[Gp]], strict=True))
     for drift, diffusion in _tangency(model, space, "sufficient.manifold_drift", "sufficient.manifold_diffusion"):
         conds += [drift, diffusion]
     return CheckReport("sufficient", _check_verdict(conds), conds)
@@ -513,10 +507,11 @@ class BoundaryVerdict:
                 "h": None if self.h is None else [c.to_json_dict() for c in self.h]}
 
 
-def _collar_points(space: StateSpace, p: Polynomial, X: np.ndarray, deltas) -> np.ndarray:
-    """Interior points near the stratum: step inward along the tangentialized
-    gradient of p and re-project."""
-    G = _eval_vector(p.grad(), X)
+def _collar_points(space: StateSpace, p: Polynomial, grad: list[Polynomial], samples: np.ndarray) -> np.ndarray:
+    """The samples of the stratum, then interior points near them: a step
+    inward by each of _COLLAR along the tangentialized gradient ``grad`` of p,
+    re-projected."""
+    X, G = samples, _eval_vector(grad, samples)
     for q in space.equalities:
         Nq = _eval_vector(q.grad(), X)
         nn = np.einsum("ki,ki->k", Nq, Nq)
@@ -524,13 +519,13 @@ def _collar_points(space: StateSpace, p: Polynomial, X: np.ndarray, deltas) -> n
         G = G - (np.einsum("ki,ki->k", G, Nq) / nn)[:, None] * Nq
     norms = np.linalg.norm(G, axis=1)
     keep = norms > 0.0
-    X, G, norms = X[keep], G[keep], norms[keep]
-    out = []
-    for delta in deltas:
+    if not keep.all():
+        X, G, norms = X[keep], G[keep], norms[keep]
+    out = [samples]
+    for delta in _COLLAR:
         C = space.project(X + delta * G / norms[:, None])
-        vals = p(C)
-        out.append(C[vals > 0.0])
-    return np.vstack(out) if out else np.empty((0, space.dim))
+        out.append(C[p(C) > 0.0])
+    return np.vstack(out)
 
 
 def classify_boundary(
@@ -548,7 +543,10 @@ def classify_boundary(
     with G p >= 0 and e < 0 certifies attainment.  Both the certificate and
     "e vanishes on the stratum" (p divides the reduced e) are one
     ``space.divide`` each, exact in exact arithmetic; a certificate that
-    rounding defeats reads Inconclusive, meaning cannot certify.
+    rounding defeats reads Inconclusive, meaning cannot certify.  Sampled
+    signs are read against ``_tolerance`` at each point: G p >= -tol and
+    e < -tol at a boundary sample attain, and e >= tol at every sample of
+    the stratum and of a collar inside it is NonAttainStrict.
     """
     try:
         stratum = list(space.inequalities).index(p)
@@ -576,22 +574,23 @@ def classify_boundary(
         pass
 
     Xb = space.boundary_samples(stratum, samples)
-    e_vals = e(Xb)
-    gp_vals = gp(Xb)
-    attain = (gp_vals >= -1e-12) & (e_vals < -margin)
-    if np.any(attain):
+    e_vals, gp_vals = e(Xb), gp(Xb)
+    low = e_vals < -_tolerance([[e]], Xb, e_vals, margin)
+    attain = low & (gp_vals >= -_tolerance([[gp]], Xb, gp_vals, margin)) if low.any() else low
+    if attain.any():
         w = int(np.flatnonzero(attain)[0])
         return BoundaryVerdict("Attain", stratum,
                                f"boundary point with G p = {gp_vals[w]:.6g} >= 0 and e = {e_vals[w]:.6g} < 0",
                                witness=Xb[w].tolist(), h=h)
 
-    Xc = _collar_points(space, p, Xb, _COLLAR)
-    near_vals = np.concatenate([e_vals, e(Xc)]) if len(Xc) else e_vals
-    if np.all(near_vals >= margin):
+    Xn = _collar_points(space, p, grad, Xb)
+    near_vals = np.concatenate([e_vals, e(Xn[len(Xb):])])
+    least = near_vals.min()
+    if np.all(near_vals >= _tolerance([[e]], Xn, near_vals, margin, True, least)):
         return BoundaryVerdict("NonAttainStrict", stratum,
-                               f"e >= {near_vals.min():.6g} > 0 on the stratum and a collar around it", h=h)
+                               f"e >= {least:.6g} > 0 on the stratum and a collar around it", h=h)
     return BoundaryVerdict("Inconclusive", stratum,
-                           f"sampled e range [{near_vals.min():.6g}, {near_vals.max():.6g}] decides neither case",
+                           f"sampled e range [{least:.6g}, {near_vals.max():.6g}] decides neither case",
                            h=h)
 
 
