@@ -8,7 +8,8 @@ that is not a finite number, a ``--verify`` Monte Carlo check of more than
 ``pricing.swaption_price_mc``, a ``basis-dump --degree``, ``pricing.degree``
 or ``moments --poly`` whose basis has more than ``_BASIS_SIZE`` monomials, a
 ``simulate`` of more than ``_SIM_PATH_STEPS`` path-steps or ``_SIM_ROWS``
-stored states),
+stored states, more than ``_SAMPLES`` ``--samples``, an equity option whose
+``grid_size`` times Chebyshev coefficients pass ``_FIT_SIZE``),
 2 for unreadable or malformed input
 (non-finite points, horizons, steps or thresholds, non-finite instrument
 numbers, reported as ``instrument.<field>``, negative horizons, degrees,
@@ -65,6 +66,8 @@ EXIT_INPUT = 2
 
 _MC_PATH_STEPS = 10**6  # the most paths x steps a --verify Monte Carlo check runs: seconds in 4-d
 _BASIS_SIZE = 5000  # the most monomials a command builds a basis on: a dense generator of 200 MB
+_SAMPLES = 10**6  # the most points a sampled check draws per set: 0.75 GB and 6 s of validate on a 4-d simplex
+_FIT_SIZE = 10**7  # the most grid nodes x Chebyshev coefficients a payoff fit takes: its 80-MB least-squares matrix
 _SIM_PATH_STEPS = 10**9  # the most paths x steps simulate runs: about a minute and a half in 1-d
 _SIM_ROWS = 2 * 10**7  # the most path states simulate stores: about 1 GB of CSV in 1-d
 # the gzip member header (RFC 1952): deflate, no flags, mtime 0, XFL 0, OS 255 "unknown";
@@ -171,6 +174,14 @@ def _check_basis_size(space, degree: int, name: str) -> None:
                          f"{_BASIS_SIZE}; use a lower degree")
 
 
+def _samples(ctx) -> int:
+    """The ``--samples`` budget, refused above ``_SAMPLES`` before any point is drawn."""
+    samples = ctx.obj["samples"]
+    if samples > _SAMPLES:
+        raise ValueError(f"--samples: {samples} samples exceed the cap of {_SAMPLES}; use fewer samples")
+    return samples
+
+
 def _gzip_member(data: bytes) -> bytes:
     """``data`` as one gzip member at zlib's default level 6, whose bytes
     depend on the zlib build alone, not on the Python version."""
@@ -246,8 +257,8 @@ def main(ctx, out, samples, seed, verify, quiet):
 @_exit_codes
 def validate(ctx, spec_path):
     """Check model parameters, invariance conditions, and uniqueness."""
-    samples = ctx.obj["samples"]
     spec = load_model_spec(spec_path)
+    samples = _samples(ctx)
     pr = None if spec.params is None else validate_params(spec.statespace, spec.params, samples=samples)
     nec = check_necessary(spec.model, spec.statespace, samples=samples)
     suf = check_sufficient(spec.model, spec.statespace, samples=samples)
@@ -347,16 +358,13 @@ def simulate(ctx, spec_path, x0_text, paths, dt, t_end, store_stride, threshold,
 
 @main.command()
 @click.argument("spec_path", type=click.Path(exists=False))
-@click.option("--margin", type=float, default=1e-9, show_default=True,
-              help="Strictness margin for sampled sign checks.")
 @click.pass_context
 @_exit_codes
-def boundary(ctx, spec_path, margin):
+def boundary(ctx, spec_path):
     """Classify boundary attainment for every inequality of the state space."""
-    samples = ctx.obj["samples"]
     spec = load_model_spec(spec_path)
-    entries = [{"index": k, **classify_boundary(spec.model, spec.statespace, p,
-                                                samples=samples, margin=margin).as_json_dict()}
+    samples = _samples(ctx)
+    entries = [{"index": k, **classify_boundary(spec.model, spec.statespace, p, samples=samples).as_json_dict()}
                for k, p in enumerate(spec.statespace.inequalities)]
     _emit(ctx, _format_json({"inequalities": entries}))
 
@@ -389,12 +397,16 @@ def price(ctx, spec_path, instrument_path):
                                 pricer=_build_index_pricer(instr["pricer"]))
         # only the fields the file gives: the pricing functions own the defaults
         fit = {k: instr[k] for k in ("grid_size", "cheb_degree") if k in instr}
+        cheb = _cheb_degree(sim, fit.get("cheb_degree"))
+        if fit.get("grid_size", 0) * (cheb + 1) > _FIT_SIZE:
+            raise ValueError(f"instrument.grid_size: {fit['grid_size']} nodes x {cheb + 1} Chebyshev coefficients "
+                             f"exceed the fit cap of {_FIT_SIZE}; use a smaller grid_size")
         payoff, residual = fit_index_payoff(sim, sim.pricer, instr["constituent"], instr["T"], instr["K"], **fit)
         H = sim.basis.evaluate(check_point(sim.statespace, x))
         report = {"kind": kind,
                   "price": sim.gm.expectation(H, instr["T"], sim.basis.coordinates(payoff)),
                   "diagnostics": {"fit_residual": residual,
-                                  "cheb_degree": _cheb_degree(sim, fit.get("cheb_degree"))}}
+                                  "cheb_degree": cheb}}
     else:
         pm = PricingModel(spec.model, spec.statespace, degree=spec.pricing.degree,
                           p=spec.pricing.p, alpha=spec.pricing.alpha_rate)

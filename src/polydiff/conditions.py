@@ -10,10 +10,13 @@ zero inconclusive; a set that sampling cannot exhaust never passes.  The
 gradient certificate of ``check_sufficient``, an exact division whose
 failure reads inconclusive, is the one verdict built outside the judges.
 
-Every sampled polynomial value has one tolerance, ``_tolerance``: margin x
+Every sampled polynomial value has one tolerance, ``_tolerance``: _MARGIN x
 max(1, s(x)) at its sample x, where the term sum s(x) = |f|(|x|) bounds the
-rounding of f(x).  The sampled PSD checks shift a(x) by the tolerance of the
-rows of a (``_sampled_eigmin``).  Smallest eigenvalues come from
+rounding of f(x) and _MARGIN = 1e-9 is a constant, set by no caller.  The
+sampled PSD checks shift a(x) by the tolerance of the rows of a
+(``_sampled_eigmin``).  Sampled values are computed with overflow and
+invalid-value warnings off: a value that overflows to NaN is judged as
+above, not warned about.  Smallest eigenvalues come from
 ``_batch_eigmin``: the entry for d = 1, a closed form for d = 2, LAPACK
 ``eigvalsh`` for d >= 3 and for 2x2 matrices of extreme scale.
 """
@@ -55,7 +58,7 @@ __all__ = [
     "uniqueness_report",
 ]
 
-DEFAULT_MARGIN = 1e-9
+_MARGIN = 1e-9
 _EXACT_TOL = 1e-12
 # step lengths from the stratum into the interior at which classify_boundary samples e
 _COLLAR = (1e-2, 1e-3, 1e-4)
@@ -152,43 +155,44 @@ def _eigmin(M: np.ndarray):
     return _batch_eigmin(S) if S.ndim == 3 else _batch_eigmin(S[None])[0]
 
 
-def _tolerance(groups: list[list[Polynomial]], X: np.ndarray, values: np.ndarray, margin: float,
+def _tolerance(groups: list[list[Polynomial]], X: np.ndarray, values: np.ndarray,
                strict: bool = False, least: float | None = None) -> float | np.ndarray:
-    """margin x max(1, s(x)) for each value sampled at x: s(x) = sum |c x^e| over the terms of
-    its group of polynomials bounds its rounding (margin where s overflows).  ``values`` is
-    1-d for one group, else has a column per group or one for all.  Only values margin cannot
-    decide get a scale: below -margin (or within margin of zero if ``strict``), and within
-    margin x max(1, sum |c| M^deg f), M = max(1, max |X|), of zero, as that bounds every s(x).
-    With none, the result is margin itself.  ``least`` is values' minimum, if known."""
+    """_MARGIN x max(1, s(x)) for each value sampled at x: s(x) = sum |c x^e| over the terms of
+    its group of polynomials bounds its rounding (_MARGIN where s overflows).  ``values`` is
+    1-d for one group, else has a column per group or one for all.  Only values _MARGIN cannot
+    decide get a scale: below -_MARGIN (or within _MARGIN of zero if ``strict``), and within
+    _MARGIN x max(1, sum |c| M^deg f), M = max(1, max |X|), of zero, as that bounds every s(x).
+    With none, the result is _MARGIN itself.  ``least`` is values' minimum, if known."""
     least = values.min(initial=np.inf) if least is None else least
-    if not (strict or least < -margin):
-        return margin
+    if not (strict or least < -_MARGIN):
+        return _MARGIN
     M = float(np.abs(X).max(initial=1.0))
-    bound = [margin * max(1.0, sum(sum(map(abs, f.terms.values())) * M ** f.degree for f in g)) for g in groups]
+    bound = [_MARGIN * max(1.0, sum(sum(map(abs, f.terms.values())) * M ** f.degree for f in g)) for g in groups]
     if strict and least > max(bound):
-        return margin
+        return _MARGIN
     v, bound = values.reshape(len(X), -1), np.array(bound)
-    near = np.flatnonzero(((np.abs(v) <= bound) if strict else (v < -margin) & (v >= -bound)).any(axis=1))
-    tol = np.full((len(X), len(groups)), margin)
+    near = np.flatnonzero(((np.abs(v) <= bound) if strict else (v < -_MARGIN) & (v >= -bound)).any(axis=1))
+    tol = np.full((len(X), len(groups)), _MARGIN)
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.stack([sum(_evaluator([_summed(X.shape[1], ((e, abs(c)) for e, c in f.terms.items())) for f in g])(
             np.abs(X[near]))) for g in groups], axis=-1)
-    tol[near] = margin * np.maximum(1.0, np.where(np.isfinite(s), s, 1.0))
+    tol[near] = _MARGIN * np.maximum(1.0, np.where(np.isfinite(s), s, 1.0))
     return tol if values.ndim == 2 else tol[:, 0]
 
 
-def _sampled_eigmin(model: ModelCoefficients, X: np.ndarray, margin: float):
+def _sampled_eigmin(model: ModelCoefficients, X: np.ndarray):
     """The smallest eigenvalue of a(x) at each sample, and the tolerance on it: how far
-    D = margin diag(max(1, sum_j T_ij(x))), the ``_tolerance`` of the rows of a, raises
-    it, at least margin.  a(x) is off by |E_ij| <= a few eps T_ij(x), the term sum of
+    D = _MARGIN diag(max(1, sum_j T_ij(x))), the ``_tolerance`` of the rows of a, raises
+    it, at least _MARGIN.  a(x) is off by |E_ij| <= a few eps T_ij(x), the term sum of
     a_ij, and a + diag(sum_j |E_ij|) dominates a, so a(x) + D not PSD means a(x) is not."""
-    A = model.a_eval(X)
-    eigmin = _batch_eigmin(A)
-    D = _tolerance(model.a, X, eigmin[:, None], margin)
-    if not isinstance(D, np.ndarray):
-        return eigmin, margin
     with np.errstate(over="ignore", invalid="ignore"):
-        return eigmin, np.fmax(_batch_eigmin(A + D[:, :, None] * np.eye(model.dim)) - eigmin, margin)
+        A = model.a_eval(X)
+    eigmin = _batch_eigmin(A)
+    D = _tolerance(model.a, X, eigmin[:, None])
+    if not isinstance(D, np.ndarray):
+        return eigmin, _MARGIN
+    with np.errstate(over="ignore", invalid="ignore"):
+        return eigmin, np.fmax(_batch_eigmin(A + D[:, :, None] * np.eye(model.dim)) - eigmin, _MARGIN)
 
 
 def _exact_psd(cond_id: str, M: np.ndarray, name: str) -> ConditionResult:
@@ -198,11 +202,12 @@ def _exact_psd(cond_id: str, M: np.ndarray, name: str) -> ConditionResult:
                   f"{name} PSD (min eigenvalue {e:.6g})")
 
 
-def _sampled(cond_id: str, values: np.ndarray, points: np.ndarray, tol, detail, *, scale=None,
+def _sampled(cond_id: str, values: np.ndarray, points: np.ndarray, detail, *, tol=None, scale=None,
              strict: bool = False, exhaustive: bool = True, sign: float = 1.0) -> ConditionResult:
     """Judge values that should be >= 0 (> 0 when ``strict``), a row per sample point.
 
-    ``tol`` is a scalar or like values, or the margin of the ``_tolerance`` of ``scale``.
+    ``tol`` is the tolerance a PSD check computed; without it, the ``_tolerance`` of ``scale``,
+    or _MARGIN.
     The first smallest value below -tol fails as the witness; so does a NaN where no number
     does, unless the set is not ``exhaustive`` (R^d, the orthant): there a NaN is ignored
     and no check passes.  A strict check reads the smallest value within tol inconclusive.
@@ -210,8 +215,8 @@ def _sampled(cond_id: str, values: np.ndarray, points: np.ndarray, tol, detail, 
     inconclusive, pass), or the name of a strict inequality."""
     v = values.ravel()
     i = int(np.argmin(v))  # the first smallest value, or the first NaN
-    if scale is not None:
-        tol = _tolerance(scale, points, values, tol, strict, v[i])
+    if tol is None:
+        tol = _MARGIN if scale is None else _tolerance(scale, points, values, strict, v[i])
     scalar = not isinstance(tol, np.ndarray)
     t = tol if scalar else tol.ravel()
     status = "pass" if exhaustive else "inconclusive"
@@ -221,7 +226,8 @@ def _sampled(cond_id: str, values: np.ndarray, points: np.ndarray, tol, detail, 
         if pick.any():
             status = "fail" if pick is below else "inconclusive"
             # the first smallest picked number; the first picked NaN only when no number is picked
-            i = int(np.nanargmin(np.where(pick, np.where(np.isnan(v), np.inf, v), np.nan)))
+            number = pick & ~np.isnan(v)
+            i = int(np.argmin(np.where(number, v, np.inf)) if number.any() else np.argmax(pick))
     if strict:
         detail = f"{detail}; " + {"fail": "violated, value {:.6g}", "inconclusive": "extreme sampled value {:.6g} "
                                   "within tolerance {:.6g}"}.get(status, "extreme sampled value {:.6g}")
@@ -235,14 +241,15 @@ def _sampled(cond_id: str, values: np.ndarray, points: np.ndarray, tol, detail, 
 # ---------------------------------------------------------------------------
 
 
-def _validate_quadric(space: Quadric, params: QuadricParams, samples: int, margin: float) -> ValidationReport:
+def _validate_quadric(space: Quadric, params: QuadricParams, samples: int) -> ValidationReport:
     inside = space.orientation == "inside"
     # on {x'Qx = 1}, G(1 - x'Qx) = -2 (x'Q b(x) + (1/2) sum_i Q_ii c_ii(x)) with c_ij(x) = x' M[i, j] x
     M = _quadric_c_tensor(space, params.gamma)
     form = params.B.T @ space.Q + 0.5 * np.einsum("i,iiuv->uv", np.diag(space.Q), M)
     X = space.boundary_samples(0, samples)
     drift = space.Q @ params.beta
-    vals = X @ drift + np.einsum("ki,ij,kj->k", X, form, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = X @ drift + np.einsum("ki,ij,kj->k", X, form, X)
     # the term sum of vals as computed, |x|' |drift| + |x|' |form| |x|, as d + 1 polynomials
     d, unit = space.dim, np.eye(space.dim, dtype=int)
     scale = [_summed(d, zip(map(tuple, e), c)) for e, c in zip([unit.tolist()] + (unit[:, None] + unit).tolist(),
@@ -251,13 +258,13 @@ def _validate_quadric(space: Quadric, params: QuadricParams, samples: int, margi
     conds = [_exact_psd("quadric.alpha_psd", params.alpha if inside else -params.alpha,
                         "alpha" if inside else "-alpha"),
              _exact_psd("quadric.gamma_psd", params.gamma, "gamma"),
-             _sampled("quadric.boundary_drift", sign * vals, X, margin,
+             _sampled("quadric.boundary_drift", sign * vals, X,
                       f"boundary drift form {'< 0' if inside else '> 0'} on the quadric",
                       scale=[scale], strict=True, sign=sign)]
     return ValidationReport("quadric", _verdict(conds), conds)
 
 
-def _validate_box_orthant(space: BoxOrthant, params: BoxOrthantParams, samples: int, margin: float) -> ValidationReport:
+def _validate_box_orthant(space: BoxOrthant, params: BoxOrthantParams, samples: int) -> ValidationReport:
     conds: list[ConditionResult] = []
     m, n = space.m, space.n
     B = params.B
@@ -296,7 +303,7 @@ def _validate_box_orthant(space: BoxOrthant, params: BoxOrthantParams, samples: 
             U = np.maximum(np.random.default_rng(711).dirichlet(np.ones(n), samples), 1e-12)
             shifted = np.repeat(params.alpha[None], samples, axis=0)
             shifted[:, range(n), range(n)] += (U @ params.pi) / U
-            conds.append(_sampled("box.alpha_psd_shifted", _eigmin(shifted), U, margin,
+            conds.append(_sampled("box.alpha_psd_shifted", _eigmin(shifted), U,
                                   ("alpha + Diag(pi'u)/Diag(u) has eigenvalue {:.6g} < 0",
                                    "alpha not PSD alone; sampled shifted minimum {:.6g} "
                                    "cannot certify all of the orthant"), exhaustive=False))
@@ -321,7 +328,7 @@ def _validate_box_orthant(space: BoxOrthant, params: BoxOrthantParams, samples: 
     return ValidationReport("box_orthant", _verdict(conds), conds)
 
 
-def _validate_simplex(space: Simplex, params: SimplexParams, samples: int, margin: float) -> ValidationReport:
+def _validate_simplex(space: Simplex, params: SimplexParams, samples: int) -> ValidationReport:
     """simplex.drift_mass is the drift verdict of manifold_defects on the assembled model."""
     conds: list[ConditionResult] = []
     d = space.dim
@@ -350,14 +357,14 @@ def _validate_simplex(space: Simplex, params: SimplexParams, samples: int, margi
     return ValidationReport("simplex", _verdict(conds), conds)
 
 
-def _validate_full(space: FullSpace, model: ModelCoefficients, samples: int, margin: float) -> ValidationReport:
+def _validate_full(space: FullSpace, model: ModelCoefficients, samples: int) -> ValidationReport:
     if all(model.a[i][j].degree <= 0 for i in range(space.dim) for j in range(space.dim)):
         cond = _exact_psd("full.diffusion_psd", model.a_eval(np.zeros(space.dim)), "constant diffusion matrix")
     else:
         X = space.interior_samples(samples)
-        eigmin, tol = _sampled_eigmin(model, X, margin)
-        cond = _sampled("full.diffusion_psd", eigmin, X, tol, ("diffusion eigenvalue {:.6g} < 0",
-                        "sampled PSD check passed but cannot certify all of R^d"), exhaustive=False)
+        eigmin, tol = _sampled_eigmin(model, X)
+        cond = _sampled("full.diffusion_psd", eigmin, X, ("diffusion eigenvalue {:.6g} < 0",
+                        "sampled PSD check passed but cannot certify all of R^d"), tol=tol, exhaustive=False)
     return ValidationReport("full", _verdict([cond]), [cond])
 
 
@@ -365,15 +372,15 @@ _VALIDATORS = {QuadricParams: _validate_quadric, BoxOrthantParams: _validate_box
                SimplexParams: _validate_simplex, ModelCoefficients: _validate_full}
 
 
-def validate_params(space: StateSpace, params, samples: int = 1000, margin: float = DEFAULT_MARGIN) -> ValidationReport:
+def validate_params(space: StateSpace, params, samples: int = 1000) -> ValidationReport:
     """Check the family-specific admissibility conditions of the parameters.
 
     Exact conditions decide Valid/Invalid outright; conditions quantified
-    over infinite sets are sampled with a margin band and may come back
-    Inconclusive.  Parameters of the wrong type or shape for the space
-    raise the same ValueError as in ``assemble_model``.
+    over infinite sets are sampled against the term-sum tolerance and may
+    come back Inconclusive.  Parameters of the wrong type or shape for the
+    space raise the same ValueError as in ``assemble_model``.
     """
-    return _VALIDATORS[_check_params(space, params)](space, params, samples, margin)
+    return _VALIDATORS[_check_params(space, params)](space, params, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +425,23 @@ def _tangency(model: ModelCoefficients, space: StateSpace, drift_id: str,
             for k, (_, drift, diffusion) in enumerate(manifold_defects(model, space))]
 
 
-def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 400,
-                    tol: float = DEFAULT_MARGIN) -> CheckReport:
+def check_necessary(model: ModelCoefficients, space: StateSpace, samples: int = 400) -> CheckReport:
     """Necessary invariance conditions: on each boundary stratum {p = 0},
-    a grad p = 0 and G p >= 0, sampled against tol x max(1, term sum) with a
+    a grad p = 0 and G p >= 0, sampled against ``_tolerance`` with a
     witness point for every violation; for each equality q, tangency as
     manifold_defects decides it.
     """
     if model.dim != space.dim:
         raise ValueError("model and state space dimensions differ")
     conds: list[ConditionResult] = []
-    for k, p in enumerate(space.inequalities):
-        X = space.boundary_samples(k, samples)
-        Gp, *agp = _images(model, p)
-        conds.append(_sampled(f"necessary.a_gradp_zero[{k}]", -np.abs(_eval_vector(agp, X)), X, tol,
-                              f"max |a grad p| on stratum {k} is {{:.6g}}", scale=[[c] for c in agp], sign=-1.0))
-        conds.append(_sampled(f"necessary.gp_nonneg[{k}]", Gp(X), X, tol, f"min G p on stratum {k} is {{:.6g}}",
-                              scale=[[Gp]]))
+    with np.errstate(over="ignore", invalid="ignore"):  # _sampled fails a value that overflows to NaN
+        for k, p in enumerate(space.inequalities):
+            X = space.boundary_samples(k, samples)
+            Gp, *agp = _images(model, p)
+            conds.append(_sampled(f"necessary.a_gradp_zero[{k}]", -np.abs(_eval_vector(agp, X)), X,
+                                  f"max |a grad p| on stratum {k} is {{:.6g}}", scale=[[c] for c in agp], sign=-1.0))
+            conds.append(_sampled(f"necessary.gp_nonneg[{k}]", Gp(X), X, f"min G p on stratum {k} is {{:.6g}}",
+                                  scale=[[Gp]]))
     for drift, diffusion in _tangency(model, space, "necessary.gq_zero", "necessary.a_gradq_zero"):
         conds += [diffusion, drift]
     return CheckReport("necessary", _check_verdict(conds), conds)
@@ -451,8 +458,7 @@ def h_factor(model: ModelCoefficients, space: StateSpace, p: Polynomial) -> list
     return [space.divide(c, p) for c in a_grad(model, p)]
 
 
-def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int = 400,
-                     margin: float = DEFAULT_MARGIN) -> CheckReport:
+def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int = 400) -> CheckReport:
     """Sufficient-condition battery for existence of the diffusion on E.
 
     The diffusion matrix is sampled for positive semidefiniteness on E; the
@@ -465,22 +471,24 @@ def check_sufficient(model: ModelCoefficients, space: StateSpace, samples: int =
     if model.dim != space.dim:
         raise ValueError("model and state space dimensions differ")
     X = space.all_samples(samples)
-    eigmin, tol = _sampled_eigmin(model, X, margin)
-    conds = [_sampled("sufficient.diffusion_psd", eigmin, X, tol, "min diffusion eigenvalue on E samples is {:.6g}")]
-    for k, p in enumerate(space.inequalities):
-        Gp, *agp = _images(model, p)
-        try:
-            h = [space.divide(c, p) for c in agp]
-            conds.append(ConditionResult(
-                f"sufficient.gradient_certificate[{k}]", "pass",
-                "a grad p = h p with h = [" + ", ".join(str(c) for c in h) + "]"))
-        except DivisionFailure as exc:
-            conds.append(ConditionResult(
-                f"sufficient.gradient_certificate[{k}]", "inconclusive",
-                f"no exact factorization found: {exc}"))
-        Xb = space.boundary_samples(k, samples)
-        conds.append(_sampled(f"sufficient.boundary_drift[{k}]", Gp(Xb), Xb, margin, f"G p > 0 on stratum {k}",
-                              scale=[[Gp]], strict=True))
+    eigmin, tol = _sampled_eigmin(model, X)
+    conds = [_sampled("sufficient.diffusion_psd", eigmin, X, "min diffusion eigenvalue on E samples is {:.6g}",
+                      tol=tol)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, p in enumerate(space.inequalities):
+            Gp, *agp = _images(model, p)
+            try:
+                h = [space.divide(c, p) for c in agp]
+                conds.append(ConditionResult(
+                    f"sufficient.gradient_certificate[{k}]", "pass",
+                    "a grad p = h p with h = [" + ", ".join(str(c) for c in h) + "]"))
+            except DivisionFailure as exc:
+                conds.append(ConditionResult(
+                    f"sufficient.gradient_certificate[{k}]", "inconclusive",
+                    f"no exact factorization found: {exc}"))
+            Xb = space.boundary_samples(k, samples)
+            conds.append(_sampled(f"sufficient.boundary_drift[{k}]", Gp(Xb), Xb, f"G p > 0 on stratum {k}",
+                                  scale=[[Gp]], strict=True))
     for drift, diffusion in _tangency(model, space, "sufficient.manifold_drift", "sufficient.manifold_diffusion"):
         conds += [drift, diffusion]
     return CheckReport("sufficient", _check_verdict(conds), conds)
@@ -528,13 +536,8 @@ def _collar_points(space: StateSpace, p: Polynomial, grad: list[Polynomial], sam
     return np.vstack(out)
 
 
-def classify_boundary(
-    model: ModelCoefficients,
-    space: StateSpace,
-    p: Polynomial,
-    samples: int = 400,
-    margin: float = DEFAULT_MARGIN,
-) -> BoundaryVerdict:
+def classify_boundary(model: ModelCoefficients, space: StateSpace, p: Polynomial,
+                      samples: int = 400) -> BoundaryVerdict:
     """Decide whether the stratum {p = 0} is attained by the diffusion.
 
     Uses the certificate h (a grad p = h p modulo the equalities) and the
@@ -574,24 +577,25 @@ def classify_boundary(
         pass
 
     Xb = space.boundary_samples(stratum, samples)
-    e_vals, gp_vals = e(Xb), gp(Xb)
-    low = e_vals < -_tolerance([[e]], Xb, e_vals, margin)
-    attain = low & (gp_vals >= -_tolerance([[gp]], Xb, gp_vals, margin)) if low.any() else low
-    if attain.any():
-        w = int(np.flatnonzero(attain)[0])
-        return BoundaryVerdict("Attain", stratum,
-                               f"boundary point with G p = {gp_vals[w]:.6g} >= 0 and e = {e_vals[w]:.6g} < 0",
-                               witness=Xb[w].tolist(), h=h)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN sample neither attains nor rules attainment out
+        e_vals, gp_vals = e(Xb), gp(Xb)
+        low = e_vals < -_tolerance([[e]], Xb, e_vals)
+        attain = low & (gp_vals >= -_tolerance([[gp]], Xb, gp_vals)) if low.any() else low
+        if attain.any():
+            w = int(np.flatnonzero(attain)[0])
+            return BoundaryVerdict("Attain", stratum,
+                                   f"boundary point with G p = {gp_vals[w]:.6g} >= 0 and e = {e_vals[w]:.6g} < 0",
+                                   witness=Xb[w].tolist(), h=h)
 
-    Xn = _collar_points(space, p, grad, Xb)
-    near_vals = np.concatenate([e_vals, e(Xn[len(Xb):])])
+        Xn = _collar_points(space, p, grad, Xb)
+        near_vals = np.concatenate([e_vals, e(Xn[len(Xb):])])
     least = near_vals.min()
-    if np.all(near_vals >= _tolerance([[e]], Xn, near_vals, margin, True, least)):
+    if np.all(near_vals >= _tolerance([[e]], Xn, near_vals, True, least)):
         return BoundaryVerdict("NonAttainStrict", stratum,
                                f"e >= {least:.6g} > 0 on the stratum and a collar around it", h=h)
-    return BoundaryVerdict("Inconclusive", stratum,
-                           f"sampled e range [{least:.6g}, {near_vals.max():.6g}] decides neither case",
-                           h=h)
+    finite = near_vals[np.isfinite(near_vals)]
+    span = f"range [{finite.min():.6g}, {finite.max():.6g}]" if finite.size else "without a finite value"
+    return BoundaryVerdict("Inconclusive", stratum, f"sampled e {span} decides neither case", h=h)
 
 
 # ---------------------------------------------------------------------------

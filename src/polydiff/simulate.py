@@ -592,17 +592,15 @@ def mc_moment(paths: PathSet, p: Polynomial, t: float) -> tuple[float, float]:
 
 
 def boundary_hit_stats(paths: PathSet, statespace, p: Polynomial, threshold: float) -> dict:
-    """Fraction of paths whose running minimum of p(X) dips below threshold,
-    plus summary quantiles of the per-path minima."""
+    """Fraction of paths whose running minimum of p(X), ``paths.constraint_minima``,
+    dips below threshold, plus summary quantiles of the per-path minima."""
     try:
         index = list(statespace.inequalities).index(p)
     except ValueError:
         raise ValueError("p must be one of the state-space inequality polynomials") from None
-    if paths.constraint_minima is not None:
-        mins = paths.constraint_minima[:, index]
-    else:
-        vals = p(paths.paths.reshape(-1, paths.dim)).reshape(paths.n_paths, -1)
-        mins = vals.min(axis=1)
+    if paths.constraint_minima is None:
+        raise ValueError("paths carry no constraint minima; simulate_paths records them at every step")
+    mins = paths.constraint_minima[:, index]
     qs = np.quantile(mins, [0.0, 0.05, 0.25, 0.5, 0.75, 1.0])
     return {
         "hit_fraction": float(np.mean(mins < threshold)),

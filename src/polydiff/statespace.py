@@ -96,8 +96,8 @@ class StateSpace(ABC):
     def violation(self, x) -> np.ndarray | float:
         """Max constraint violation at x (0 for points inside).  Batched."""
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool | np.ndarray:
-        return self.violation(x) <= tol
+    def contains(self, x) -> bool | np.ndarray:
+        return self.violation(x) <= MEMBERSHIP_TOL
 
     @abstractmethod
     def project(self, x) -> np.ndarray:
@@ -513,8 +513,8 @@ def _beta_dim(beta) -> int:
     return shape[0]
 
 
-def _require_symmetric(a, name, tol=1e-12):
-    if not np.allclose(a, a.T, rtol=0.0, atol=tol * (1.0 + np.abs(a).max(initial=0.0))):
+def _require_symmetric(a, name):
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(a).max(initial=0.0))):
         raise ValueError(f"{name} must be symmetric")
     return 0.5 * (a + a.T)
 

@@ -30,7 +30,8 @@ from scipy.linalg import expm
 
 import polydiff
 from polydiff import Polynomial
-from polydiff.cli import _BASIS_SIZE, _MC_PATH_STEPS, _SIM_PATH_STEPS, _SIM_ROWS, _check_simulation_size, main
+from polydiff.cli import (_BASIS_SIZE, _FIT_SIZE, _MC_PATH_STEPS, _SAMPLES, _SIM_PATH_STEPS, _SIM_ROWS,
+                          _check_simulation_size, main)
 from polydiff.pricing import _SWAPTION_PATHS, _SWAPTION_SIZE, PricingModel, bond_price, variance_swap_rate
 from polydiff.simulate import simulate_paths
 from polydiff.specfile import load_schema, parse_model_spec
@@ -274,6 +275,7 @@ class TestValidate:
         "hyperboloid": ("4d8bae15b4149b188a6ded0875e1b49f8226b9418430f0c60076d9489cd62811", 1602, "-1.16415e-10"),
     }
 
+    @pytest.mark.pinned_bits
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_report(self, specs, name):
         digest, size, psd = self.GOLDEN[name]
@@ -284,6 +286,7 @@ class TestValidate:
         data = r.output.encode()
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
 
+    @pytest.mark.pinned_bits
     @pytest.mark.parametrize("family, alpha", [(DISK_DOC, 1e8), (HYPERBOLOID_DOC, 10.0)],
                              ids=["disk_alpha_1e8", "hyperboloid_alpha_10"])
     def test_large_raw_diffusion_is_not_a_false_fail(self, tmp_path, family, alpha):
@@ -303,6 +306,7 @@ class TestValidate:
         # tolerance 1e-9 sum |terms of (a grad p)_i| at each sample covers it
         assert status["necessary.a_gradp_zero[0]"] == "pass"
 
+    @pytest.mark.pinned_bits
     def test_large_family_diffusion_is_not_a_false_fail(self, tmp_path):
         # the disk at alpha = 1e8 I: a grad p and the PSD minimum are rounding, each
         # within 1e-9 times the term sums at its sample, so every condition passes
@@ -936,6 +940,7 @@ class TestSimulate:
                      "03c52e2c2113d64784102750958f90d4cb230116595aa35e75a9818d37968de0", 32619),
     }
 
+    @pytest.mark.pinned_bits
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_csv_golden_hash(self, specs, tmp_path, case):
         spec, seed, args, digest, size = self.GOLDEN[case]
@@ -981,6 +986,29 @@ class TestBoundary:
         doc = json.loads(r.output)
         check_report(doc, "boundary_report")
         assert [e["verdict"] for e in doc["inequalities"]] == ["NonAttainCritical"] * 2
+
+    def test_overflowing_samples_are_judged_without_warnings(self, tmp_path):
+        # b = 1e306 x on the hyperboloid: G p = -2e306 on the stratum, and e = 2 G p is
+        # NaN at the samples where the evaluation overflows
+        def poly(*terms):
+            return {"dim": 2, "terms": [{"e": e, "c": c} for e, c in terms]}
+        doc = {"dimension": 2, "state_space": HYPERBOLOID_DOC["state_space"],
+               "coefficients": {"kind": "raw", "a": [[poly(), poly()], [poly(), poly()]],
+                                "b": [poly(([1, 0], 1e306)), poly(([0, 1], 1e306))]}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v, b = run(["validate", path]), run(["boundary", path])
+        assert (v.exit_code, v.stderr, json.loads(v.output)["verdict"]) == (1, "", "Invalid")
+        assert (b.exit_code, b.stderr) == (0, "")
+        detail = json.loads(b.output)["inequalities"][0]["detail"]
+        assert detail.startswith("sampled e range [-4e+306, -") and "nan" not in detail, detail
+
+    def test_margin_is_not_an_option(self, specs):
+        # the sampled checks' margin is a constant of conditions.py
+        r = run(["boundary", specs["cir"], "--margin", "1e-9"])
+        assert r.exit_code == 2 and "No such option" in r.stderr and "--margin" in r.stderr, r.stderr
 
 
 class TestReportSchemas:
@@ -1528,3 +1556,26 @@ class TestOptionFuzz:
         args = ["--out", tmp_path / "paths.csv", "simulate", specs[name], "--x0", ",".join([str(1 / dim)] * dim),
                 "--dt", dt, "--t-end", t_end, "--paths", paths, "--store-stride", stride] + ["--gzip"] * use_gzip
         _check_contract(run(args), "simulate")
+
+    @settings(FUZZ, max_examples=30)
+    @given(name=st.sampled_from(sorted(DOCS)), command=st.sampled_from(["validate", "boundary"]),
+           samples=st.integers(_SAMPLES + 1, _SAMPLES + 8) | st.integers(_SAMPLES + 1, 2**62))
+    def test_samples_over_the_cap(self, name, command, samples, specs, monkeypatch):
+        with monkeypatch.context() as patch:
+            for check in ("validate_params", "check_necessary", "check_sufficient", "classify_boundary"):
+                patch.setattr(polydiff.cli, check, TestSizeCaps.refuse)
+            r = run(["--samples", samples, command, specs[name]])
+        TestSizeCaps.refused(r, f"--samples: {samples} samples exceed the cap of {_SAMPLES}; use fewer samples")
+
+    @settings(FUZZ, max_examples=20)
+    @given(cheb=st.none() | st.integers(1, 6), over=st.integers(1, 8) | st.integers(1, 2**40))
+    def test_grid_size_over_the_cap(self, cheb, over, specs, instrument, monkeypatch):
+        # nodes x coefficients just over the cap; the default Chebyshev degree is the model's 6
+        k = 7 if cheb is None else cheb + 1
+        grid = _FIT_SIZE // k + over
+        doc = {**TestMalformedInput.EQUITY, "grid_size": grid, **({} if cheb is None else {"cheb_degree": cheb})}
+        with monkeypatch.context() as patch:
+            patch.setattr(polydiff.cli, "fit_index_payoff", TestSizeCaps.refuse)
+            r = run(["price", specs["simplex_pricing"], instrument(doc)])
+        TestSizeCaps.refused(r, f"instrument.grid_size: {grid} nodes x {k} Chebyshev coefficients exceed the fit "
+                                f"cap of {_FIT_SIZE}; use a smaller grid_size")

@@ -29,7 +29,7 @@ from polydiff import (
     validate_params,
 )
 
-from polydiff.conditions import _EIG_HIGH, _EIG_LOW, _batch_eigmin, _sampled, _tolerance
+from polydiff.conditions import _EIG_HIGH, _EIG_LOW, _MARGIN, _batch_eigmin, _sampled, _tolerance
 
 from conftest import (ball_params, cir_model, cir_params, jacobi_params, oracle_a_grad, simplex_params,
                       simplex_x2_form_model)
@@ -395,6 +395,7 @@ class TestSufficient:
         assert bad.witness is not None
 
     # the disk and hyperboloid of the CLI tests' DOCS, with alpha scaled up
+    @pytest.mark.pinned_bits
     @pytest.mark.parametrize("q2, alpha, gamma, value", [
         (1.0, 1e8, 0.5, "-4.55865e-08"),
         (-1.0, 10.0, 0.0, "-1.86265e-09"),
@@ -412,6 +413,7 @@ class TestSufficient:
         # tolerance 1e-9 sum |terms of (a grad p)_i| at each sample covers it
         assert check_necessary(model, space).verdict == "pass"
 
+    @pytest.mark.pinned_bits
     @pytest.mark.parametrize("big", [{(2, 0): 1e12}, {(0, 0): 1e12, (2, 0): 1e12}], ids=["x1_squared", "everywhere"])
     def test_large_entry_excuses_no_negative_eigenvalue(self, big):
         # the tolerance at x follows the terms of a at x, row by row: a_00 up to 1e12 does
@@ -424,6 +426,7 @@ class TestSufficient:
         assert (full.status, full.detail) == ("fail", "diffusion eigenvalue -0.0001 < 0")
         assert (disk.status, disk.detail) == ("fail", "min diffusion eigenvalue on E samples is -0.0001")
 
+    @pytest.mark.pinned_bits
     def test_overflow_does_not_hide_a_negative_eigenvalue(self):
         # a_00 = 1 + 1e308 (x1^2 - x2^2) is nan (inf - inf) at some samples, where argmin
         # stops; the samples where a_00 is finite and negative must still fail
@@ -435,6 +438,7 @@ class TestSufficient:
         assert (cond.status, cond.detail) == ("fail", "diffusion eigenvalue -1.64291e+308 < 0")
         assert np.isfinite(a00(np.array(cond.witness)))
 
+    @pytest.mark.pinned_bits
     def test_nan_sample_does_not_pass_a_strict_inequality(self):
         # b = 1e306 x: G p = -2e306 on the whole stratum, but x^2 b overflows to inf - inf = nan
         # at the far samples, which argmax once picked, and nan > margin read as pass
@@ -446,6 +450,17 @@ class TestSufficient:
             (drift,) = [c for c in check_sufficient(model, space).conditions if c.id == "sufficient.boundary_drift[0]"]
             assert np.isfinite(apply_generator(model, space.inequalities[0])(np.array(drift.witness)))
         assert (drift.status, drift.detail) == ("fail", "G p > 0 on stratum 0; violated, value -2e+306")
+
+    def test_nan_alone_fails_at_a_nan_sample(self):
+        # a_11 = 1 + 1e306 x2^2 overflows at the far samples, where the smallest eigenvalue is
+        # nan; no number fails, so the witness is a nan sample, not the first sample (a = I)
+        one, zero = Polynomial.one(2), Polynomial.zero(2)
+        a11 = Polynomial(2, {(0, 0): 1.0, (0, 2): 1e306})
+        model = ModelCoefficients([[one, zero], [zero, a11]], [zero, zero])
+        (cond,) = check_sufficient(model, FullSpace(2)).conditions
+        assert (cond.status, cond.detail) == ("fail", "min diffusion eigenvalue on E samples is nan")
+        with np.errstate(over="ignore"):
+            assert a11(np.array(cond.witness)) == np.inf
 
     def test_simplex_manifold_conditions(self):
         model = assemble_model(Simplex(2), simplex_params())
@@ -474,29 +489,29 @@ def _perturbed_model(name, alpha):
 
 
 class TestTermSumTolerance:
-    """One tolerance per sample, margin x max(1, term sum there), judged by _sampled."""
+    """One tolerance per sample, _MARGIN x max(1, term sum there), judged by _sampled."""
 
     X = np.array([[0.5], [1e4]])
     SQUARE = [[Polynomial(1, {(2,): 1.0})]]  # term sum x^2: tolerance 1e-9 at 0.5, 0.1 at 1e4
 
     def test_each_sample_is_judged_by_its_own_term_sum(self):
         values = np.array([-1e-8, -1e-8])
-        tol = _tolerance(self.SQUARE, self.X, values, 1e-9)
+        tol = _tolerance(self.SQUARE, self.X, values)
         assert tol.shape == (2,) and tol.tolist() == [1e-9, 1e-9 * 1e8]
-        cond = _sampled("c", values, self.X, tol, "min is {:.6g}")
+        cond = _sampled("c", values, self.X, "min is {:.6g}", tol=tol)
         assert (cond.status, cond.detail, cond.witness) == ("fail", "min is -1e-08", [0.5])
-        assert _sampled("c", values[1:], self.X[1:], tol[1:], "min is {:.6g}").status == "pass"
+        assert _sampled("c", values[1:], self.X[1:], "min is {:.6g}", tol=tol[1:]).status == "pass"
 
     def test_strict_band_names_its_tolerance(self):
         values = np.array([2e-9, 2e-9])
-        tol = _tolerance(self.SQUARE, self.X, values, 1e-9, strict=True)
-        cond = _sampled("c", values, self.X, tol, "f > 0", strict=True)
+        tol = _tolerance(self.SQUARE, self.X, values, strict=True)
+        cond = _sampled("c", values, self.X, "f > 0", tol=tol, strict=True)
         assert (cond.status, cond.detail) == ("inconclusive", "f > 0; extreme sampled value 2e-09 within tolerance 0.1")
 
     def test_bare_margin_needs_no_scale(self):
-        # nothing below -margin, or nothing near zero in a strict check: the margin itself
-        assert _tolerance(self.SQUARE, self.X, np.array([0.0, 5.0]), 1e-9) == 1e-9
-        assert _tolerance(self.SQUARE, self.X, np.array([1.0, 1e8]), 1e-9, strict=True) == 1e-9
+        # nothing below -_MARGIN, or nothing near zero in a strict check: _MARGIN itself
+        assert _tolerance(self.SQUARE, self.X, np.array([0.0, 5.0])) == _MARGIN == 1e-9
+        assert _tolerance(self.SQUARE, self.X, np.array([1.0, 1e8]), strict=True) == _MARGIN
 
 
 # a real defect is no rounding: a_00 off by a relative 1e-6 in one term breaks

@@ -217,7 +217,7 @@ class TestSamplers:
     def test_boundary_on_stratum(self, space):
         for k, g in enumerate(space.inequalities):
             X = space.boundary_samples(k, 60)
-            assert np.all(space.contains(X, tol=1e-9))
+            assert np.all(space.contains(X))
             vals = np.array([g(x) for x in X])
             assert np.max(np.abs(vals)) < 1e-9
 
